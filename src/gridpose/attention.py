@@ -173,7 +173,8 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     k = k_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 3, 1))  # (N_b, h, d, 2B)
     v = v_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 1, 3))  # (N_b, h, 2B, d)
 
-    scores = (q @ k) * (1.0 / np.sqrt(d))  # (N_b, h, B, 2B)
+    # a Python float scale keeps f32 scores f32; an np.float64 one promotes them
+    scores = (q @ k) * float(1.0 / np.sqrt(d))  # (N_b, h, B, 2B)
     if counter is not None:
         counter.window_elements += n_b * b * window
     attn = scores.softmax(axis=-1)
@@ -196,7 +197,7 @@ def dense_attention(seq, w_q, w_k, w_v, w_o, config: AttentionConfig):
     q = (seq @ as_tensor(w_q)).reshape(length, n_h, d).transpose((1, 0, 2))  # (h, L, d)
     k = (seq @ as_tensor(w_k)).reshape(length, n_h, d).transpose((1, 2, 0))  # (h, d, L)
     v = (seq @ as_tensor(w_v)).reshape(length, n_h, d).transpose((1, 0, 2))  # (h, L, d)
-    scores = (q @ k) * (1.0 / np.sqrt(d))  # (h, L, L)
+    scores = (q @ k) * float(1.0 / np.sqrt(d))  # (h, L, L)
     out = scores.softmax(axis=-1) @ v  # (h, L, d)
     out = out.transpose((1, 0, 2)).reshape(length, e)
     return out @ as_tensor(w_o)

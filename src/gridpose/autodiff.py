@@ -8,11 +8,38 @@ pose model needs are implemented: elementwise arithmetic, matmul,
 reshape/transpose/concat, reductions, relu, exp/log, log-sum-exp and
 softmax. The 3D convolution primitive lives in ``conv.py`` and plugs into
 the same graph mechanism.
+
+Inside a ``with no_grad():`` block nothing is recorded: every op returns a
+plain leaf with no children and no backward closure, so intermediates (conv
+im2col columns, attention scores, cached softmaxes) are freed as soon as the
+next op has used them. Inference runs this way; leaves keep their
+``requires_grad`` flag, so a graph built after the block backpropagates.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; nests, and restores the previous mode on exit."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
 
 
 def _unbroadcast(grad, shape):
@@ -74,10 +101,10 @@ class Tensor:
 
     @staticmethod
     def _make(data, children, backward):
-        requires = any(c.requires_grad for c in children)
-        out = Tensor(data, requires_grad=requires, _children=tuple(c for c in children if c.requires_grad))
-        if requires:
-            out._backward = backward
+        if not (_grad_mode.enabled and any(c.requires_grad for c in children)):
+            return Tensor(data)
+        out = Tensor(data, requires_grad=True, _children=tuple(c for c in children if c.requires_grad))
+        out._backward = backward
         return out
 
     # -- arithmetic --------------------------------------------------------

@@ -52,9 +52,13 @@ def init_model(n_joints, grid_dims, attention: AttentionConfig, residual_channel
 
 
 def init_model_from_config(cfg: RunConfig):
+    """Seeded weights for `cfg`, every tensor cast to `cfg.np_dtype`."""
     rng = np.random.default_rng(cfg.seed)
     dims = (cfg.grid_resolution,) * 3
-    return init_model(cfg.n_joints, dims, cfg.attention, cfg.residual_channels, rng)
+    weights = init_model(cfg.n_joints, dims, cfg.attention, cfg.residual_channels, rng)
+    for t in weights.parameters().values():
+        t.data = t.data.astype(cfg.np_dtype, copy=False)
+    return weights
 
 
 def model_forward(vol, weights: ModelWeights, attention: AttentionConfig,
@@ -77,7 +81,8 @@ def load_model(directory, cfg: RunConfig):
 
     The dump must carry exactly the tensors the config implies; extra,
     missing, or mis-shaped entries are rejected (OSError, the CLI's I/O
-    exit code) rather than silently partially loaded.
+    exit code) rather than silently partially loaded. Tensors take the
+    config's dtype, whatever dtype they were dumped in.
     """
     arrays = load_tensor_set(directory)
     weights = init_model_from_config(cfg)

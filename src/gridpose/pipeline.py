@@ -26,7 +26,7 @@ from .attention import (
     init_encoder_layer,
     sinkhorn_normalize,
 )
-from .autodiff import Adam, Tensor, as_tensor, finite_diff_check, sgd_step, zero_grads
+from .autodiff import Adam, Tensor, as_tensor, finite_diff_check, no_grad, sgd_step, zero_grads
 from .config import RunConfig
 from .errors import ConfigError, NumericError
 from .geometry import Heatmap, aggregate_feature_volume, project_point, sample_heatmap
@@ -130,7 +130,11 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig,
                   eval_config: EvalConfig = EvalConfig()):
     """Centers -> person grids -> network -> poses, evaluated against the
     scene's ground truth. Zero centers is valid and yields an empty pose
-    list (AP 0, MPJPE undefined)."""
+    list (AP 0, MPJPE undefined).
+
+    The network runs under `no_grad`: no autodiff graph is kept, so each
+    intermediate is freed once used, and the hard reorder mode runs even
+    on trainable weights."""
     if cfg.center_source == "ground_truth":
         centers = np.asarray(scene.centers)
     else:
@@ -140,10 +144,11 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig,
     for center in centers:
         grid = cfg.grid(center)
         vol = aggregate_feature_volume(scene.cameras, scene.heatmaps, grid, dtype=cfg.np_dtype)
-        probs = model_forward(vol, weights, cfg.attention, mode=cfg.reorder_mode)
-        if not np.all(np.isfinite(probs.data)):
-            raise NumericError("network produced non-finite probabilities")
-        poses.append(regress_pose(probs, grid, skeleton))
+        with no_grad():
+            probs = model_forward(vol, weights, cfg.attention, mode=cfg.reorder_mode)
+            if not np.all(np.isfinite(probs.data)):
+                raise NumericError("network produced non-finite probabilities")
+            poses.append(regress_pose(probs, grid, skeleton))
     report = evaluate_frames([poses], [scene.poses], skeleton, eval_config)
     return InferenceResult(poses=poses, centers=centers, report=report)
 
@@ -181,9 +186,6 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
     inv_extent = Tensor(1.0 / np.asarray(grids[0].extent, dtype=cfg.np_dtype))
 
     weights = init_model_from_config(cfg)
-    if cfg.dtype == "f32":
-        for t in weights.parameters().values():
-            t.data = t.data.astype(np.float32)
     params = weights.parameters()
     param_list = [params[name] for name in sorted(params)]
     adam = Adam(param_list, lr=cfg.lr) if cfg.optimizer == "adam" else None

@@ -96,7 +96,9 @@ def integral_regression(probs, grid: GridSpec):
     if tuple(probs.shape[1:]) != tuple(grid.resolution):
         raise ValueError(f"probability dims {probs.shape[1:]} do not match grid {grid.resolution}")
     sums = probs.data.reshape(probs.shape[0], -1).sum(axis=1)
-    if np.any(probs.data < -1e-12) or np.max(np.abs(sums - 1.0)) > 1e-6:
+    # a float32 softmax over a 16^3-24^3 grid sums to 1 only within ~5e-6
+    tol = max(1e-6, 1e3 * np.finfo(probs.data.dtype).eps)
+    if np.any(probs.data < -1e-12) or np.max(np.abs(sums - 1.0)) > tol:
         raise ValueError("probabilities must be non-negative and sum to 1 per joint")
     flat = flatten_volume(probs)  # (L, J), ordered like voxel_centers()
     centers = Tensor(grid.voxel_centers())  # (L, 3)

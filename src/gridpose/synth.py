@@ -260,7 +260,12 @@ def load_scene(directory):
     cameras = load_cameras_json(os.path.join(directory, "cameras.json"))
     poses, _ = load_poses_json(os.path.join(directory, "ground_truth.json"))
     arrays = load_tensor_set(os.path.join(directory, "heatmaps"))
-    heatmaps = [Heatmap(values=arrays[name]) for name in sorted(arrays)]
+    heatmaps = []
+    for name in sorted(arrays):
+        try:
+            heatmaps.append(Heatmap(values=arrays[name]))
+        except ValueError as exc:
+            raise OSError(f"heatmap dump {name!r} in {directory}: {exc}") from exc
     if len(heatmaps) != len(cameras):
         raise OSError(f"{len(heatmaps)} heatmap dumps for {len(cameras)} cameras")
     centers = np.asarray([pose.joints.mean(axis=0) for pose in poses])

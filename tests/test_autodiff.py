@@ -15,11 +15,15 @@ from gridpose import (
     Tensor,
     concat,
     finite_diff_check,
+    init_model_from_config,
+    model_forward,
     reorder_bins,
     sgd_step,
     sinkhorn_normalize,
     zero_grads,
 )
+from gridpose.autodiff import no_grad
+from conftest import toy_run_config
 
 TIGHT = 1e-7  # 64-bit central differences on smooth ops
 
@@ -263,6 +267,64 @@ class TestFiniteDiffCheck:
         sink = sinkhorn_normalize(Tensor(rng.normal(size=(3, 3))), 4)
         with pytest.raises(NotDifferentiablePathError):
             reorder_bins(bins, sink, mode="hard")
+
+
+class TestNoGrad:
+    def test_model_forward_matches_graph_mode_bit_for_bit(self):
+        cfg = toy_run_config(steps=0)
+        weights = init_model_from_config(cfg)
+        n = cfg.grid_resolution
+        vol = np.random.default_rng(8).uniform(0.0, 1.0, size=(cfg.n_joints, n, n, n))
+        graph = model_forward(vol, weights, cfg.attention)
+        with no_grad():
+            free = model_forward(vol, weights, cfg.attention)
+        assert graph.requires_grad and graph._backward is not None
+        assert free.data.tobytes() == graph.data.tobytes()
+
+    def test_results_record_nothing(self):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        with no_grad():
+            outs = [
+                x + w, x * w, x @ w, -x, x ** 2.0, x.reshape(16), x.transpose((1, 0)),
+                x.sum(axis=0), x.relu(), x.exp(), x.abs(), x.logsumexp(axis=1),
+                x.softmax(axis=-1), concat([x, w], axis=0),
+            ]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._backward is None
+            assert out._children == ()
+        assert x.requires_grad and w.requires_grad
+
+    def test_nests_and_restores_after_exception(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the block")
+        assert (x * 2.0).requires_grad
+
+    def test_graph_built_after_block_backpropagates(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        with no_grad():
+            (x * x).sum()
+        (x * x).sum().backward()
+        np.testing.assert_allclose(x.grad, 2.0 * x.data)
+
+    def test_hard_reorder_runs_without_a_graph(self):
+        rng = np.random.default_rng(2)
+        leaf = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        sink = sinkhorn_normalize(Tensor(rng.normal(size=(3, 3))), 4)
+        with pytest.raises(NotDifferentiablePathError):
+            reorder_bins(leaf * 1.0, sink, mode="hard")
+        with no_grad():
+            out = reorder_bins(leaf * 1.0, sink, mode="hard")
+        np.testing.assert_array_equal(out.data, leaf.data[np.argmax(sink.s.data, axis=1)])
 
 
 class TestOptimizers:

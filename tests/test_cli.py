@@ -13,8 +13,11 @@ from gridpose import (
     run_config_to_json,
     save_model,
     save_poses_json,
+    save_scene,
     scene_config_to_json,
     load_scene,
+    load_tensor_set,
+    save_tensor_set,
 )
 from gridpose.cli import main
 from conftest import toy_run_config, toy_scene_config
@@ -163,6 +166,28 @@ class TestInfer:
                      "--weights", str(tmp_path / "w"),
                      "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "x")]) == 3
+
+    def test_hard_reorder_config_exits_0(self, workdir, tmp_path):
+        doc = run_config_to_json(toy_run_config(steps=TRAIN_STEPS))
+        doc["reorder_mode"] = "hard"
+        cfg = tmp_path / "hard.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["infer", "--scene", str(workdir / "scene"),
+                     "--weights", str(workdir / "train" / "weights"),
+                     "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
+        assert len(json.loads((tmp_path / "x" / "poses.json").read_text())["poses"]) == 1
+
+    @pytest.mark.parametrize("bad_value", [np.nan, 1.5])
+    def test_corrupt_heatmap_dump_exits_4(self, workdir, tmp_path, bad_value):
+        scene = load_scene(workdir / "scene")
+        save_scene(scene, tmp_path / "scene")
+        heatmaps = load_tensor_set(tmp_path / "scene" / "heatmaps")
+        heatmaps["view01"][0, 5, 5] = bad_value
+        save_tensor_set(tmp_path / "scene" / "heatmaps", heatmaps)
+        assert main(["infer", "--scene", str(tmp_path / "scene"),
+                     "--weights", str(workdir / "train" / "weights"),
+                     "--config", str(workdir / "run_config.json"),
+                     "--out", str(tmp_path / "x")]) == 4
 
 
 class TestEval:

@@ -16,14 +16,18 @@ from gridpose import (
     bench_attention,
     coarse_center_proposal,
     init_model_from_config,
+    load_model,
+    model_forward,
     propose_centers,
     run_checks,
     run_inference,
+    save_model,
     synth_scene,
     train_toy,
     write_bench_csv,
     write_loss_csv,
 )
+from gridpose.autodiff import no_grad
 from conftest import toy_run_config, toy_scene_config
 
 
@@ -146,6 +150,38 @@ class TestRunInference:
         weights.parameters()["head.w"].data[...] = np.nan
         with pytest.raises(NumericError):
             run_inference(scene, weights, cfg)
+
+    def test_hard_reorder_yields_one_pose_per_center(self):
+        scene = synth_scene(toy_scene_config())
+        cfg = toy_run_config(steps=0)
+        cfg.reorder_mode = "hard"
+        weights = init_model_from_config(cfg)  # trainable weights: requires_grad=True
+        result = run_inference(scene, weights, cfg)
+        assert len(result.poses) == len(scene.centers) == 1
+        offsets = np.abs(result.poses[0].joints - scene.centers[0])
+        assert offsets.max() <= cfg.grid_extent / 2.0
+
+    def test_f32_config_runs_the_network_in_f32(self, tmp_path):
+        cfg = toy_run_config(steps=0)
+        save_model(tmp_path / "w", init_model_from_config(cfg))
+        cfg.dtype = "f32"
+        weights = load_model(tmp_path / "w", cfg)
+        assert {t.data.dtype for t in weights.parameters().values()} == {np.dtype(np.float32)}
+        n = cfg.grid_resolution
+        vol = np.random.default_rng(3).uniform(0.0, 1.0, size=(cfg.n_joints, n, n, n))
+        with no_grad():
+            probs = model_forward(vol.astype(np.float32), weights, cfg.attention)
+        assert probs.data.dtype == np.float32
+
+    def test_f32_poses_stay_close_to_f64(self):
+        scene = synth_scene(toy_scene_config())
+        cfg = toy_run_config(steps=0)
+        f64 = run_inference(scene, init_model_from_config(cfg), cfg)
+        cfg.dtype = "f32"
+        f32 = run_inference(scene, init_model_from_config(cfg), cfg)
+        assert len(f32.poses) == len(f64.poses) == 1
+        for a, b in zip(f32.poses, f64.poses):
+            assert np.abs(a.joints - b.joints).max() <= 1e-3
 
 
 class TestTrainToy:
