@@ -206,9 +206,9 @@ def dense_attention(seq, w_q, w_k, w_v, w_o, config: AttentionConfig):
 # -- encoder weights -------------------------------------------------------
 
 
-def _init_linear(fan_in, fan_out, rng, trainable):
+def _init_linear(fan_in, fan_out, rng):
     bound = float(np.sqrt(1.0 / fan_in))
-    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=trainable)
+    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
 
 
 @dataclass
@@ -234,22 +234,22 @@ class EncoderLayerWeights:
         return {f"{prefix}.{n}": getattr(self, n) for n in names}
 
 
-def init_encoder_layer(config: AttentionConfig, rng, trainable=True):
+def init_encoder_layer(config: AttentionConfig, rng):
     e = config.embed_dim
     hidden = 4 * e
     return EncoderLayerWeights(
-        w_q=_init_linear(e, e, rng, trainable),
-        w_k=_init_linear(e, e, rng, trainable),
-        w_v=_init_linear(e, e, rng, trainable),
-        w_o=_init_linear(e, e, rng, trainable),
-        ln1_gain=Tensor(np.ones(e), requires_grad=trainable),
-        ln1_bias=Tensor(np.zeros(e), requires_grad=trainable),
-        ff_w1=_init_linear(e, hidden, rng, trainable),
-        ff_b1=Tensor(np.zeros(hidden), requires_grad=trainable),
-        ff_w2=_init_linear(hidden, e, rng, trainable),
-        ff_b2=Tensor(np.zeros(e), requires_grad=trainable),
-        ln2_gain=Tensor(np.ones(e), requires_grad=trainable),
-        ln2_bias=Tensor(np.zeros(e), requires_grad=trainable),
+        w_q=_init_linear(e, e, rng),
+        w_k=_init_linear(e, e, rng),
+        w_v=_init_linear(e, e, rng),
+        w_o=_init_linear(e, e, rng),
+        ln1_gain=Tensor(np.ones(e), requires_grad=True),
+        ln1_bias=Tensor(np.zeros(e), requires_grad=True),
+        ff_w1=_init_linear(e, hidden, rng),
+        ff_b1=Tensor(np.zeros(hidden), requires_grad=True),
+        ff_w2=_init_linear(hidden, e, rng),
+        ff_b2=Tensor(np.zeros(e), requires_grad=True),
+        ln2_gain=Tensor(np.ones(e), requires_grad=True),
+        ln2_bias=Tensor(np.zeros(e), requires_grad=True),
     )
 
 
@@ -269,16 +269,16 @@ class EncoderWeights:
         return params
 
 
-def init_encoder_weights(n_joints, dims, config: AttentionConfig, rng, trainable=True):
+def init_encoder_weights(n_joints, dims, config: AttentionConfig, rng):
     length = int(np.prod(dims))
     if length % config.bin_size != 0:
         raise ConfigError(
             f"grid {tuple(dims)} flattens to L={length}, not divisible by bin_size {config.bin_size}"
         )
     return EncoderWeights(
-        embed_conv=init_conv3d(n_joints, config.embed_dim, 3, rng, trainable),
-        pos_table=Tensor(rng.normal(0.0, 0.02, size=(length, config.embed_dim)), requires_grad=trainable),
-        layers=[init_encoder_layer(config, rng, trainable) for _ in range(config.n_layers)],
+        embed_conv=init_conv3d(n_joints, config.embed_dim, 3, rng),
+        pos_table=Tensor(rng.normal(0.0, 0.02, size=(length, config.embed_dim)), requires_grad=True),
+        layers=[init_encoder_layer(config, rng) for _ in range(config.n_layers)],
     )
 
 

@@ -33,8 +33,9 @@ from .pipeline import (
     write_bench_csv,
     write_loss_csv,
 )
-from .posehead import load_poses_json, save_poses_json
+from .posehead import poses_from_json, save_poses_json
 from .synth import load_scene, save_scene, synth_scene
+from .tensorio import load_json_file
 
 
 def _write_json(path, doc):
@@ -98,14 +99,12 @@ def _cmd_infer(args):
 
 
 def _cmd_eval(args):
-    preds, _ = load_poses_json(args.pred)
-    gts, skeleton = load_poses_json(args.gt)
+    preds, _ = load_json_file(args.pred, poses_from_json)
+    gts, skeleton = load_json_file(args.gt, poses_from_json)
     if skeleton is None:
         raise ConfigError("ground-truth pose file carries no skeleton; PCP needs limb pairs")
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
-    exclude = tuple(int(a) for a in args.exclude.split(",")) if args.exclude else ()
     try:
-        eval_cfg = EvalConfig(alpha=args.alpha, ap_thresholds=thresholds, exclude_actors=exclude)
+        eval_cfg = EvalConfig(alpha=args.alpha, ap_thresholds=args.thresholds, exclude_actors=args.exclude)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = evaluate_frames([preds], [gts], skeleton, eval_cfg)
@@ -121,9 +120,8 @@ def _cmd_eval(args):
 
 
 def _cmd_bench(args):
-    lengths = [int(v) for v in args.lengths.split(",")]
     rows = bench_attention(
-        lengths, bin_size=args.bin_size, embed_dim=args.embed_dim,
+        args.lengths, bin_size=args.bin_size, embed_dim=args.embed_dim,
         n_heads=args.heads, seed=args.seed,
     )
     write_bench_csv(args.out, rows)
@@ -146,6 +144,14 @@ def _cmd_check(args):
     if not report.all_passed:
         raise NumericError("one or more checks failed")
     return 0
+
+
+def _comma_list(convert):
+    """argparse type: "a,b,c" -> tuple of `convert` values ("" -> ()); a rejected value exits 2."""
+    def parse(text):
+        return tuple(convert(v) for v in text.split(",")) if text else ()
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
 
 
 def build_parser():
@@ -178,14 +184,16 @@ def build_parser():
     p.add_argument("--pred", required=True, help="predicted poses JSON")
     p.add_argument("--gt", required=True, help="ground-truth poses JSON (with skeleton)")
     p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--thresholds", default="25,50,100,150", help="AP cutoffs in mm")
-    p.add_argument("--exclude", default="", help="comma-separated actor indices to exclude")
+    p.add_argument("--thresholds", type=_comma_list(float), default="25,50,100,150", help="AP cutoffs in mm")
+    p.add_argument("--exclude", type=_comma_list(int), default="",
+                   help="comma-separated actor indices to exclude")
     p.add_argument("--out", required=True, help="metrics report JSON")
     p.add_argument("--csv", help="optional metrics report CSV")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="sparse vs dense attention cost table")
-    p.add_argument("--lengths", default="1024,4096,32768", help="comma-separated L values")
+    p.add_argument("--lengths", type=_comma_list(int), default="1024,4096,32768",
+                   help="comma-separated L values")
     p.add_argument("--bin-size", type=int, default=128)
     p.add_argument("--embed-dim", type=int, default=256)
     p.add_argument("--heads", type=int, default=2)

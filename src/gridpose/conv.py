@@ -1,9 +1,10 @@
 """Same-padded 3D convolution (cross-correlation) and the residual block.
 
 Volumes are (C, X, Y, Z). Kernels must be odd so that zero padding of
-(k-1)/2 keeps spatial dimensions unchanged. The forward pass is an
-im2col GEMM; the backward pass folds the column gradient back with k^3
-shifted slice adds. All model-math functions here accept plain ndarrays
+(k-1)/2 keeps spatial dimensions unchanged. One im2col GEMM serves the
+forward pass and both gradients; the input gradient correlates the output
+gradient with the flipped, in/out-transposed kernel (the adjoint). All
+model-math functions here accept plain ndarrays
 or autodiff Tensors and always return a Tensor (use ``.data`` for the
 raw array).
 """
@@ -17,12 +18,13 @@ import numpy as np
 from .autodiff import Tensor, as_tensor
 
 
-def _im2col(x_pad, k, dims):
-    """(C, X+2p, Y+2p, Z+2p) padded volume -> (L, C*k^3) patch matrix."""
-    sx, sy, sz = dims
-    windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k, k), axis=(1, 2, 3))
+def _im2col(vol, k):
+    """(C, X, Y, Z) volume -> (X*Y*Z, C*k^3) matrix of zero-padded k^3 patches."""
+    pad = (k - 1) // 2
+    vol_pad = np.pad(vol, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(vol_pad, (k, k, k), axis=(1, 2, 3))
     # windows: (C, X, Y, Z, k, k, k) -> rows ordered like the flattened output
-    cols = windows.transpose(1, 2, 3, 0, 4, 5, 6).reshape(sx * sy * sz, -1)
+    cols = windows.transpose(1, 2, 3, 0, 4, 5, 6).reshape(vol[0].size, -1)
     return np.ascontiguousarray(cols)
 
 
@@ -37,15 +39,11 @@ def conv3d(x, w, b):
         raise ValueError(f"input has {x.shape[0]} channels, layer expects {c_in}")
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
-    pad = (k - 1) // 2
-    dims = x.shape[1:]
-    sx, sy, sz = dims
 
-    x_pad = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    cols = _im2col(x_pad, k, dims)  # (L, c_in*k^3)
+    cols = _im2col(x.data, k)  # (L, c_in*k^3)
     w_mat = w.data.reshape(c_out, -1)
     out_mat = cols @ w_mat.T + b.data  # (L, c_out)
-    out_data = out_mat.T.reshape(c_out, sx, sy, sz)
+    out_data = out_mat.T.reshape(c_out, *x.shape[1:])
 
     def backward(g):
         g_mat = g.reshape(c_out, -1).T  # (L, c_out)
@@ -54,14 +52,9 @@ def conv3d(x, w, b):
         if b.requires_grad:
             b._accumulate(g_mat.sum(axis=0))
         if x.requires_grad:
-            dcols = g_mat @ w_mat  # (L, c_in*k^3)
-            d = dcols.reshape(sx, sy, sz, c_in, k, k, k).transpose(3, 0, 1, 2, 4, 5, 6)
-            dx_pad = np.zeros_like(x_pad)
-            for a in range(k):
-                for bb in range(k):
-                    for c in range(k):
-                        dx_pad[:, a : a + sx, bb : bb + sy, c : c + sz] += d[:, :, :, :, a, bb, c]
-            x._accumulate(dx_pad[:, pad : pad + sx, pad : pad + sy, pad : pad + sz])
+            w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
+            dx_mat = _im2col(g, k) @ w_adj.T  # (L, c_in)
+            x._accumulate(dx_mat.T.reshape(x.data.shape))
 
     return Tensor._make(out_data, (x, w, b), backward)
 
@@ -101,12 +94,12 @@ class Conv3dLayer:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
-def init_conv3d(c_in, c_out, kernel_size, rng, trainable=True):
+def init_conv3d(c_in, c_out, kernel_size, rng):
     """Fan-in scaled uniform init: weights in +-sqrt(1/(c_in*k^3)), zero bias."""
     bound = float(np.sqrt(1.0 / (c_in * kernel_size**3)))
     w = rng.uniform(-bound, bound, size=(c_out, c_in, kernel_size, kernel_size, kernel_size))
     b = np.zeros(c_out)
-    return Conv3dLayer(Tensor(w, requires_grad=trainable), Tensor(b, requires_grad=trainable))
+    return Conv3dLayer(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 def conv3d_forward(vol, layer: Conv3dLayer):
@@ -146,11 +139,11 @@ class ResidualBlock:
         return params
 
 
-def init_residual_block(c_in, c_out, rng, trainable=True):
+def init_residual_block(c_in, c_out, rng):
     return ResidualBlock(
-        conv1=init_conv3d(c_in, c_out, 3, rng, trainable),
-        conv2=init_conv3d(c_out, c_out, 3, rng, trainable),
-        skip=init_conv3d(c_in, c_out, 1, rng, trainable),
+        conv1=init_conv3d(c_in, c_out, 3, rng),
+        conv2=init_conv3d(c_out, c_out, 3, rng),
+        skip=init_conv3d(c_in, c_out, 1, rng),
     )
 
 

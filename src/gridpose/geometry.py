@@ -19,7 +19,6 @@ camera observes the voxel).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,13 +204,8 @@ def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
     return unflatten_volume(seq.T, grid.resolution)
 
 
-def load_cameras_json(source):
-    """Read cameras from the calibration JSON document (path or parsed dict)."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as f:
-            doc = json.load(f)
-    else:
-        doc = source
+def load_cameras_json(doc):
+    """Cameras from a parsed calibration JSON document."""
     if "cameras" not in doc:
         raise ConfigError("calibration document has no 'cameras' list")
     return [CameraCalib.from_json(entry) for entry in doc["cameras"]]

@@ -38,16 +38,15 @@ class ModelWeights:
         return params
 
 
-def init_model(n_joints, grid_dims, attention: AttentionConfig, residual_channels,
-               rng, trainable=True):
+def init_model(n_joints, grid_dims, attention: AttentionConfig, residual_channels, rng):
     """Seeded weight init; draw order is fixed so a seed pins every tensor."""
-    encoder = init_encoder_weights(n_joints, grid_dims, attention, rng, trainable)
+    encoder = init_encoder_weights(n_joints, grid_dims, attention, rng)
     blocks = []
     c = n_joints
     for c_out in residual_channels:
-        blocks.append(init_residual_block(c, int(c_out), rng, trainable))
+        blocks.append(init_residual_block(c, int(c_out), rng))
         c = int(c_out)
-    head = init_conv3d(attention.embed_dim + c, n_joints, 1, rng, trainable)
+    head = init_conv3d(attention.embed_dim + c, n_joints, 1, rng)
     return ModelWeights(encoder=encoder, residual_blocks=blocks, head=head)
 
 

@@ -134,7 +134,7 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig,
 
     The network runs under `no_grad`: no autodiff graph is kept, so each
     intermediate is freed once used, and the hard reorder mode runs even
-    on trainable weights."""
+    on weights that require grad."""
     if cfg.center_source == "ground_truth":
         centers = np.asarray(scene.centers)
     else:
@@ -266,21 +266,22 @@ def bench_attention(lengths, bin_size=128, embed_dim=256, n_heads=2, seed=0,
             raise ConfigError(f"L={length} is not divisible by bin_size {bin_size}")
         rng = np.random.default_rng(seed)
         seq = rng.normal(size=(length, embed_dim)).astype(np.float32)
-        layer = init_encoder_layer(cfg, rng, trainable=False)
+        layer = init_encoder_layer(cfg, rng)
         for t in layer.parameters("w").values():
             t.data = t.data.astype(np.float32)
 
         counter = ScoreCounter()
         bins = partition_bins(as_tensor(seq), bin_size)
-        t0 = time.perf_counter()
-        encoder_layer_forward(bins, layer, cfg, mode="hard", counter=counter)
-        sparse_seconds = time.perf_counter() - t0
-
-        dense_seconds = None
-        if length <= dense_guard:
+        with no_grad():
             t0 = time.perf_counter()
-            dense_attention(as_tensor(seq), layer.w_q, layer.w_k, layer.w_v, layer.w_o, cfg)
-            dense_seconds = time.perf_counter() - t0
+            encoder_layer_forward(bins, layer, cfg, mode="hard", counter=counter)
+            sparse_seconds = time.perf_counter() - t0
+
+            dense_seconds = None
+            if length <= dense_guard:
+                t0 = time.perf_counter()
+                dense_attention(as_tensor(seq), layer.w_q, layer.w_k, layer.w_v, layer.w_o, cfg)
+                dense_seconds = time.perf_counter() - t0
         rows.append(BenchRow(
             length=length,
             n_bins=length // bin_size,
@@ -360,7 +361,7 @@ def _check_permutation_recovery(rng):
 def _check_dense_oracle(rng):
     cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=16, sinkhorn_iters=6, n_layers=1)
     seq = rng.normal(size=(16, 4))
-    layer = init_encoder_layer(cfg, rng, trainable=False)
+    layer = init_encoder_layer(cfg, rng)
     counter = ScoreCounter()
     bins = partition_bins(Tensor(seq), 16)
     sparse = attention_sublayer(bins, layer, cfg, mode="soft", counter=counter)

@@ -26,8 +26,8 @@ import numpy as np
 from .config import SceneConfig, load_json_config, scene_config_from_json, scene_config_to_json
 from .errors import ConfigError
 from .geometry import CameraCalib, Heatmap, cameras_to_json, load_cameras_json, project_point
-from .posehead import Pose3D, load_poses_json, save_poses_json
-from .tensorio import load_tensor_set, save_tensor_set
+from .posehead import Pose3D, poses_from_json, save_poses_json
+from .tensorio import load_json_file, load_tensor_set, save_tensor_set
 
 JOINT_NAMES = (
     "pelvis", "neck", "head",
@@ -257,8 +257,8 @@ def save_scene(scene: SyntheticScene, directory):
 def load_scene(directory):
     """Inverse of `save_scene`. Person centers are joint centroids."""
     cfg = load_json_config(os.path.join(directory, "scene_config.json"), scene_config_from_json)
-    cameras = load_cameras_json(os.path.join(directory, "cameras.json"))
-    poses, _ = load_poses_json(os.path.join(directory, "ground_truth.json"))
+    cameras = load_json_file(os.path.join(directory, "cameras.json"), load_cameras_json)
+    poses, _ = load_json_file(os.path.join(directory, "ground_truth.json"), poses_from_json)
     arrays = load_tensor_set(os.path.join(directory, "heatmaps"))
     heatmaps = []
     for name in sorted(arrays):

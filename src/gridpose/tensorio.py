@@ -5,7 +5,8 @@ tensor <name>.bin pairs with <name>.json holding
 {"name": ..., "dtype": "f32"|"f64", "shape": [...]}; a weight set adds a
 manifest.json listing every tensor name. Format problems (truncated
 payloads, unknown dtype tags, sidecar/payload disagreement) raise OSError
-so the CLI can map them to its I/O exit code.
+so the CLI can map them to its I/O exit code; `load_json_file` does the
+same for every JSON data file (sidecars, manifests, poses, cameras).
 """
 
 from __future__ import annotations
@@ -19,6 +20,16 @@ DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 MANIFEST_NAME = "manifest.json"
+
+
+def load_json_file(path, parse):
+    """`parse` the JSON document at `path`. Content that does not parse (bad
+    JSON, missing keys, wrong types or shapes) raises OSError naming the file."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise OSError(f"malformed data file {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def save_tensor(directory, name, array):
@@ -40,19 +51,7 @@ def save_tensor(directory, name, array):
 
 def load_tensor(directory, name):
     """Read one tensor back; returns a native-order ndarray."""
-    sidecar_path = os.path.join(directory, f"{name}.json")
-    try:
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise OSError(f"corrupt tensor sidecar {sidecar_path}: {exc}") from exc
-    for key in ("name", "dtype", "shape"):
-        if key not in sidecar:
-            raise OSError(f"tensor sidecar {sidecar_path} lacks '{key}'")
-    if sidecar["dtype"] not in TAG_TO_DTYPE:
-        raise OSError(f"unknown dtype tag {sidecar['dtype']!r} in {sidecar_path}")
-    dtype = TAG_TO_DTYPE[sidecar["dtype"]]
-    shape = tuple(int(s) for s in sidecar["shape"])
+    dtype, shape = load_json_file(os.path.join(directory, f"{name}.json"), _parse_sidecar)
     with open(os.path.join(directory, f"{name}.bin"), "rb") as fh:
         raw = fh.read()
     expected = int(np.prod(shape)) * dtype.itemsize
@@ -62,6 +61,16 @@ def load_tensor(directory, name):
         )
     arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
     return arr.astype(dtype.newbyteorder("="), copy=True)
+
+
+def _parse_sidecar(doc):
+    """(dtype, shape) of a sidecar document, which must also name its tensor."""
+    missing = {"name", "dtype", "shape"} - set(doc)
+    if missing:
+        raise KeyError(f"sidecar lacks {sorted(missing)}")
+    if doc["dtype"] not in TAG_TO_DTYPE:
+        raise ValueError(f"unknown dtype tag {doc['dtype']!r}")
+    return TAG_TO_DTYPE[doc["dtype"]], tuple(int(s) for s in doc["shape"])
 
 
 def save_tensor_set(directory, tensors):
@@ -78,12 +87,5 @@ def save_tensor_set(directory, tensors):
 
 def load_tensor_set(directory):
     """Inverse of `save_tensor_set`: manifest-driven {name: ndarray}."""
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise OSError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    if "tensors" not in manifest:
-        raise OSError(f"manifest {manifest_path} lacks a 'tensors' list")
-    return {name: load_tensor(directory, name) for name in manifest["tensors"]}
+    names = load_json_file(os.path.join(directory, MANIFEST_NAME), lambda doc: list(doc["tensors"]))
+    return {name: load_tensor(directory, name) for name in names}

@@ -39,6 +39,7 @@ from gridpose import (
     unflatten_volume,
     windowed_attention,
 )
+from gridpose.autodiff import no_grad
 from gridpose.conv import conv3d_forward
 
 
@@ -419,9 +420,10 @@ class TestEncoder:
     def test_output_shape_contract(self):
         rng = np.random.default_rng(21)
         cfg = AttentionConfig(embed_dim=32, n_heads=2, bin_size=128, sinkhorn_iters=2, n_layers=1)
-        weights = init_encoder_weights(15, (32, 32, 32), cfg, rng, trainable=False)
+        weights = init_encoder_weights(15, (32, 32, 32), cfg, rng)
         vol = rng.uniform(0, 1, size=(15, 32, 32, 32))
-        out = encoder_forward(vol, weights, cfg, mode="hard")
+        with no_grad():
+            out = encoder_forward(vol, weights, cfg, mode="hard")
         assert out.shape == (32, 32, 32, 32)
 
     def test_single_bin_equals_dense_attention(self):
@@ -438,10 +440,11 @@ class TestEncoder:
     def test_counter_totals_per_layer(self):
         rng = np.random.default_rng(23)
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=8, sinkhorn_iters=2, n_layers=2)
-        weights = init_encoder_weights(2, (4, 4, 4), cfg, rng, trainable=False)
+        weights = init_encoder_weights(2, (4, 4, 4), cfg, rng)
         vol = rng.uniform(0, 1, size=(2, 4, 4, 4))
         counter = ScoreCounter()
-        encoder_forward(vol, weights, cfg, mode="hard", counter=counter)
+        with no_grad():
+            encoder_forward(vol, weights, cfg, mode="hard", counter=counter)
         n_b, length = 8, 64
         assert counter.correlation_elements == 2 * n_b * n_b
         assert counter.window_elements == 2 * length * 2 * 8
@@ -453,22 +456,24 @@ class TestEncoder:
         # L = 4096 runs comfortably because only N_b^2 + L*2B scores exist
         rng = np.random.default_rng(24)
         cfg = AttentionConfig(embed_dim=8, n_heads=2, bin_size=64, sinkhorn_iters=2, n_layers=1)
-        weights = init_encoder_weights(1, (16, 16, 16), cfg, rng, trainable=False)
+        weights = init_encoder_weights(1, (16, 16, 16), cfg, rng)
         vol = rng.uniform(0, 1, size=(1, 16, 16, 16))
         counter = ScoreCounter()
-        encoder_forward(vol, weights, cfg, mode="hard", counter=counter)
+        with no_grad():
+            encoder_forward(vol, weights, cfg, mode="hard", counter=counter)
         assert counter.total == 64 ** 2 + 4096 * 128  # 528384
         assert counter.total < 4096 ** 2
 
     def test_hard_mode_requires_frozen_weights(self):
         rng = np.random.default_rng(25)
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2, n_layers=1)
-        trainable = init_encoder_weights(2, (2, 2, 2), cfg, rng, trainable=True)
-        frozen = init_encoder_weights(2, (2, 2, 2), cfg, rng, trainable=False)
+        in_graph = init_encoder_weights(2, (2, 2, 2), cfg, rng)
+        frozen = init_encoder_weights(2, (2, 2, 2), cfg, rng)
         vol = rng.uniform(0, 1, size=(2, 2, 2, 2))
         with pytest.raises(NotDifferentiablePathError):
-            encoder_forward(vol, trainable, cfg, mode="hard")
-        out = encoder_forward(vol, frozen, cfg, mode="hard")
+            encoder_forward(vol, in_graph, cfg, mode="hard")
+        with no_grad():
+            out = encoder_forward(vol, frozen, cfg, mode="hard")
         assert np.all(np.isfinite(out.data))
 
     def test_encoder_gradients_match_finite_differences(self):

@@ -266,6 +266,55 @@ class TestCheck:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _eval_pred(workdir, tmp_path, text):
+    pred = tmp_path / "pred.json"
+    pred.write_text(text)
+    return ["eval", "--pred", str(pred), "--gt", str(workdir / "scene" / "ground_truth.json"),
+            "--out", str(tmp_path / "x.json")]
+
+
+def _eval_flag(workdir, tmp_path, flag, value):
+    gt = str(workdir / "scene" / "ground_truth.json")
+    return ["eval", "--pred", gt, "--gt", gt, flag, value, "--out", str(tmp_path / "x.json")]
+
+
+def _infer_corrupt_scene(workdir, tmp_path, name, text):
+    save_scene(load_scene(workdir / "scene"), tmp_path / "scene")
+    (tmp_path / "scene" / name).write_text(text)
+    return ["infer", "--scene", str(tmp_path / "scene"),
+            "--weights", str(workdir / "train" / "weights"),
+            "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("make_argv, code", [
+        pytest.param(lambda w, t: _eval_pred(w, t, "{not json"), 4, id="eval-pred-invalid-json"),
+        pytest.param(lambda w, t: _eval_pred(w, t, '{"people": []}'), 4, id="eval-pred-no-poses"),
+        pytest.param(lambda w, t: _eval_pred(w, t, '{"poses": [{"joints": [[0, 0], [1, 1]]}]}'),
+                     4, id="eval-pred-2d-joints"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,abc"), 2,
+                     id="eval-bad-threshold"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--exclude", "x"), 2, id="eval-bad-exclude"),
+        pytest.param(lambda w, t: ["bench", "--lengths", "100,abc", "--out", str(t / "x.csv")], 2,
+                     id="bench-bad-length"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "cameras.json", "{not json"), 4,
+                     id="infer-cameras-invalid-json"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "ground_truth.json", "{not json"), 4,
+                     id="infer-ground-truth-invalid-json"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "ground_truth.json", '{"poses": 3}'),
+                     4, id="infer-ground-truth-poses-not-a-list"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "heatmaps/view00.json",
+                                                       '{"name": "view00", "dtype": "f64", "shape": ["a"]}'),
+                     4, id="infer-heatmap-sidecar-bad-shape"),
+    ])
+    def test_bad_input_exits_with_documented_code(self, workdir, tmp_path, make_argv, code):
+        try:
+            exit_code = main(make_argv(workdir, tmp_path))
+        except SystemExit as exc:  # argparse reports argument errors this way
+            exit_code = exc.code
+        assert exit_code == code
+
+
 class TestArgParsing:
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

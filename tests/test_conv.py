@@ -105,6 +105,20 @@ class TestConv3d:
                                 rng=np.random.default_rng(0))
         assert err <= 1e-5
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_input_gradient_is_adjoint_of_conv_matrix(self, k):
+        # The conv is linear in x: column j of M is the oracle applied to the
+        # j-th basis volume, and d/dx sum(conv(x) * g) must equal M^T g.
+        rng = np.random.default_rng(5 + k)
+        shape = (2, 2, 3, 4)
+        w = rng.normal(size=(3, 2, k, k, k))
+        basis = np.eye(int(np.prod(shape))).reshape(-1, *shape)
+        m = np.stack([conv3d_oracle(e, w, np.zeros(3)).ravel() for e in basis], axis=1)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        g = rng.normal(size=(3, *shape[1:]))
+        (conv3d_forward(x, Conv3dLayer(Tensor(w), Tensor(np.zeros(3)))) * Tensor(g)).sum().backward()
+        assert np.abs(x.grad - (m.T @ g.ravel()).reshape(shape)).max() <= 1e-12
+
 
 class TestResidualBlock:
     def test_all_zero_weights_give_zero_output(self):
