@@ -10,6 +10,7 @@ for both file kinds ship in gridpose/schemas/.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -117,10 +118,15 @@ class RunConfig:
             raise ConfigError(f"only the 'l1' loss is implemented, got {self.loss!r}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
+        for name in ("lr", "coarse_voxel_mm", "proposal_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.train_steps < 0 or self.lr < 0:
             raise ConfigError("train_steps and lr must be non-negative")
         if self.coarse_voxel_mm <= 0:
             raise ConfigError(f"coarse_voxel_mm must be positive, got {self.coarse_voxel_mm}")
+        if self.proposal_threshold < 0:
+            raise ConfigError(f"proposal_threshold must be >= 0, got {self.proposal_threshold}")
         length = self.grid_resolution ** 3
         if length % self.attention.bin_size != 0:
             raise ConfigError(

@@ -14,7 +14,9 @@ Heatmap sampling is bilinear with zero outside ``[0, W-1] x [0, H-1]``.
 A camera "observes" a voxel when the voxel center is in front of the
 camera and its projection point lies inside that rectangle; the per-voxel
 feature is the mean heatmap score over observing cameras (zero when no
-camera observes the voxel).
+camera observes the voxel). Center proposal scores voxels by the minimum
+over all cameras instead (`min_feature_volume`), zero unless every camera
+observes the voxel.
 """
 
 from __future__ import annotations
@@ -146,25 +148,54 @@ def sample_heatmap(hm: Heatmap, joint: int, pixel):
     return float((1 - wy) * top + wy * bottom)
 
 
-def _bilinear_batch(values, u, v):
-    """Sample all channels of (J, H, W) `values` at in-bounds pixel arrays. Returns (J, n)."""
-    _, h, w = values.shape
+# Voxels per block of the camera loop. A block's (J, VOXEL_BLOCK) samples and
+# sums stay in cache while every camera is reduced into them, instead of
+# streaming (J, L) temporaries through memory once per camera.
+VOXEL_BLOCK = 8192
+
+
+def _camera_samples(cam, plane, height, width, centers, dtype):
+    """Bilinear samples of one camera's (J, H*W) heatmap at (n, 3) voxel centers.
+
+    Returns (samples (J, n), observed (n,)); samples are 0 where the camera
+    does not observe the voxel.
+    """
+    p_cam = centers @ cam.rotation.T.astype(dtype) + cam.translation.astype(dtype)
+    depth = p_cam[:, 2]
+    front = depth > 0
+    depth = np.where(front, depth, dtype(1.0))
+    u = dtype(cam.fx) * p_cam[:, 0] / depth + dtype(cam.cx)
+    v = dtype(cam.fy) * p_cam[:, 1] / depth + dtype(cam.cy)
+    observed = front & (u >= 0.0) & (u <= width - 1) & (v >= 0.0) & (v <= height - 1)
+    u = np.where(observed, u, dtype(0.0))
+    v = np.where(observed, v, dtype(0.0))
+
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, width - 1)
+    row0 = y0 * width
+    row1 = np.minimum(y0 + 1, height - 1) * width
     wx = u - x0
     wy = v - y0
-    top = (1 - wx) * values[:, y0, x0] + wx * values[:, y0, x1]
-    bottom = (1 - wx) * values[:, y1, x0] + wx * values[:, y1, x1]
-    return (1 - wy) * top + wy * bottom
+    # sample_heatmap's operations in its order: regrouping the weights
+    # would move results in the last bit
+    top = (1 - wx) * plane.take(row0 + x0, axis=1)
+    top += wx * plane.take(row0 + x1, axis=1)
+    bottom = (1 - wx) * plane.take(row1 + x0, axis=1)
+    bottom += wx * plane.take(row1 + x1, axis=1)
+    top *= 1 - wy
+    bottom *= wy
+    top += bottom
+    top *= observed
+    return top, observed
 
 
-def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
-    """Average projected heatmap scores per voxel over the cameras observing it.
+def _reduce_cameras(cams, heatmaps, grid: GridSpec, dtype, reduce_block):
+    """Sample every camera over the grid block by block and reduce each block.
 
-    Returns a (J, X, Y, Z) volume. Voxels observed by no camera get 0;
-    the divisor is the per-voxel count of observing cameras.
+    `reduce_block(samples, shape)` gets an iterator over the cameras'
+    `_camera_samples` results for one block and returns their reduction of
+    `shape` (J, n). Returns (J, X, Y, Z).
     """
     if len(cams) == 0:
         raise ValueError("empty camera list")
@@ -174,34 +205,52 @@ def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
     if any(hm.n_joints != n_joints for hm in heatmaps):
         raise ValueError("heatmaps disagree on joint count")
 
+    views = [
+        (cam, hm.values.astype(dtype, copy=False).reshape(n_joints, -1), hm.height, hm.width)
+        for cam, hm in zip(cams, heatmaps)
+    ]
     centers = grid.voxel_centers().astype(dtype)
-    n = centers.shape[0]
-    accum = np.zeros((n_joints, n), dtype=dtype)
-    count = np.zeros(n, dtype=dtype)
-
-    for cam, hm in zip(cams, heatmaps):
-        p_cam = centers @ cam.rotation.T.astype(dtype) + cam.translation.astype(dtype)
-        depth = p_cam[:, 2]
-        front = depth > 0
-        u = np.zeros(n, dtype=dtype)
-        v = np.zeros(n, dtype=dtype)
-        u[front] = dtype(cam.fx) * p_cam[front, 0] / depth[front] + dtype(cam.cx)
-        v[front] = dtype(cam.fy) * p_cam[front, 1] / depth[front] + dtype(cam.cy)
-        observed = front.copy()
-        observed[front] &= (
-            (u[front] >= 0.0)
-            & (u[front] <= hm.width - 1)
-            & (v[front] >= 0.0)
-            & (v[front] <= hm.height - 1)
-        )
-        if observed.any():
-            vals = _bilinear_batch(hm.values.astype(dtype), u[observed], v[observed])
-            accum[:, observed] += vals
-            count[observed] += 1
-
-    divisor = np.maximum(count, 1.0)
-    seq = np.where(count > 0, accum / divisor, dtype(0.0))
+    seq = np.empty((n_joints, centers.shape[0]), dtype=dtype)
+    for start in range(0, centers.shape[0], VOXEL_BLOCK):
+        block = centers[start:start + VOXEL_BLOCK]
+        samples = (_camera_samples(cam, plane, h, w, block, dtype) for cam, plane, h, w in views)
+        seq[:, start:start + block.shape[0]] = reduce_block(samples, (n_joints, block.shape[0]))
+    # The joint axis stays outermost in memory, as summing over it
+    # (`volume.sum(axis=0)`) adds joints in order only for this layout.
     return unflatten_volume(seq.T, grid.resolution)
+
+
+def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
+    """Average projected heatmap scores per voxel over the cameras observing it.
+
+    Returns a (J, X, Y, Z) volume. Voxels observed by no camera get 0;
+    the divisor is the per-voxel count of observing cameras.
+    """
+    def mean(samples, shape):
+        accum = np.zeros(shape, dtype=dtype)
+        count = np.zeros(shape[1], dtype=dtype)
+        for values, observed in samples:
+            accum += values
+            count += observed
+        return np.where(count > 0, accum / np.maximum(count, 1.0), dtype(0.0))
+
+    return _reduce_cameras(cams, heatmaps, grid, dtype, mean)
+
+
+def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
+    """Per-voxel minimum of the projected heatmap scores over all cameras.
+
+    Returns a (J, X, Y, Z) volume that is 0 wherever any camera does not
+    observe the voxel: the minimum over single-camera
+    `aggregate_feature_volume` volumes, without building them.
+    """
+    def minimum(samples, shape):
+        low = None
+        for values, _ in samples:
+            low = values if low is None else np.minimum(low, values, out=low)
+        return low
+
+    return _reduce_cameras(cams, heatmaps, grid, dtype, minimum)
 
 
 def load_cameras_json(doc):

@@ -81,12 +81,13 @@ class GridSpec:
     def voxel_centers(self):
         """All voxel centers, shape (L, 3), ordered to match `flatten_volume`."""
         rx, ry, rz = self.resolution
-        i = np.arange(self.n_voxels)
-        x = i % rx
-        y = (i // rx) % ry
-        z = i // (rx * ry)
-        idx = np.stack([x, y, z], axis=1)
-        return self.lower + (idx + 0.5) * self.voxel_edge
+        x, y, z = (lo + (np.arange(r) + 0.5) * edge
+                   for lo, r, edge in zip(self.lower, self.resolution, self.voxel_edge))
+        centers = np.empty((rz, ry, rx, 3))
+        centers[..., 0] = x
+        centers[..., 1] = y[:, None]
+        centers[..., 2] = z[:, None, None]
+        return centers.reshape(self.n_voxels, 3)
 
     def translated(self, delta):
         return GridSpec(self.center + _as_vec3(delta), self.extent, self.resolution)

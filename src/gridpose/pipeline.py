@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .attention import (
     AttentionConfig,
@@ -29,7 +28,13 @@ from .attention import (
 from .autodiff import Adam, Tensor, as_tensor, finite_diff_check, no_grad, sgd_step, zero_grads
 from .config import RunConfig
 from .errors import ConfigError, NumericError
-from .geometry import Heatmap, aggregate_feature_volume, project_point, sample_heatmap
+from .geometry import (
+    Heatmap,
+    aggregate_feature_volume,
+    min_feature_volume,
+    project_point,
+    sample_heatmap,
+)
 from .grid import GridSpec, flatten_volume, partition_bins, unflatten_volume
 from .metrics import EvalConfig, ap_k, evaluate_frames, match_poses, mpjpe as frame_mpjpe, pcp3d
 from .model import ModelWeights, init_model_from_config, model_forward
@@ -38,6 +43,17 @@ from .synth import SyntheticScene, camera_ring
 
 
 # -- stage one: person centers -----------------------------------------------
+
+
+def neighborhood_max(score):
+    """Maximum over each voxel's 3x3x3 neighborhood (itself included) of an
+    (X, Y, Z) score, with -inf beyond the border: three separable passes of
+    shifted-slice maxima over the padded score."""
+    out = np.pad(score, 1, constant_values=-np.inf)
+    for axis in range(3):
+        out = np.moveaxis(out, axis, 0)
+        out = np.moveaxis(np.maximum(np.maximum(out[:-2], out[1:-1]), out[2:]), 0, axis)
+    return out
 
 
 def coarse_center_proposal(volume, grid: GridSpec, threshold=0.3,
@@ -62,16 +78,14 @@ def coarse_center_proposal(volume, grid: GridSpec, threshold=0.3,
         refine_radius = 0.9 * min_separation
 
     score = volume.sum(axis=0)
-    padded = np.pad(score, 1, constant_values=-np.inf)
-    neighborhood_max = sliding_window_view(padded, (3, 3, 3)).max(axis=(3, 4, 5))
-    is_peak = (score >= neighborhood_max) & (score > threshold)
+    is_peak = (score >= neighborhood_max(score)) & (score > threshold)
     peak_idx = np.argwhere(is_peak)
     if peak_idx.shape[0] == 0:
         return np.zeros((0, 3)), np.zeros(0)
 
-    centers_all = grid.voxel_centers().reshape(*reversed(grid.resolution), 3)
+    flat_centers = grid.voxel_centers()
     # voxel_centers is ordered z-major; transpose back to (X, Y, Z, 3)
-    centers_all = centers_all.transpose((2, 1, 0, 3))
+    centers_all = flat_centers.reshape(*reversed(grid.resolution), 3).transpose((2, 1, 0, 3))
     peak_scores = score[tuple(peak_idx.T)]
     order = np.argsort(-peak_scores, kind="stable")
 
@@ -84,7 +98,6 @@ def coarse_center_proposal(volume, grid: GridSpec, threshold=0.3,
             kept_scores.append(float(peak_scores[i]))
 
     flat_scores = flatten_volume(score[None])[:, 0]
-    flat_centers = grid.voxel_centers()
     refined = []
     for pos in kept_pos:
         near = np.linalg.norm(flat_centers - pos, axis=1) <= refine_radius
@@ -105,10 +118,7 @@ def propose_centers(scene: SyntheticScene, cfg: RunConfig):
     scfg = scene.config
     res = tuple(max(2, int(np.ceil(ext / cfg.coarse_voxel_mm))) for ext in scfg.space_extent)
     grid = GridSpec(center=scfg.space_center, extent=scfg.space_extent, resolution=res)
-    volume = np.minimum.reduce([
-        aggregate_feature_volume([cam], [hm], grid)
-        for cam, hm in zip(scene.cameras, scene.heatmaps)
-    ])
+    volume = min_feature_volume(scene.cameras, scene.heatmaps, grid)
     centers, _ = coarse_center_proposal(
         volume, grid, threshold=cfg.proposal_threshold,
         min_separation=scfg.person_extent / 2.0,

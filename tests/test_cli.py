@@ -286,6 +286,17 @@ def _infer_corrupt_scene(workdir, tmp_path, name, text):
             "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")]
 
 
+def _infer_bad_config(workdir, tmp_path, **overrides):
+    """infer with the shared run config plus coarse proposals and `overrides`;
+    json.dumps writes a non-finite float as NaN / Infinity, which json.load reads."""
+    doc = json.loads((workdir / "run_config.json").read_text())
+    doc.update(center_source="coarse_proposal", **overrides)
+    config = tmp_path / "run_config.json"
+    config.write_text(json.dumps(doc))
+    return ["infer", "--scene", str(workdir / "scene"), "--weights", str(workdir / "train" / "weights"),
+            "--config", str(config), "--out", str(tmp_path / "x")]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("make_argv, code", [
         pytest.param(lambda w, t: _eval_pred(w, t, "{not json"), 4, id="eval-pred-invalid-json"),
@@ -306,6 +317,17 @@ class TestExitCodes:
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "heatmaps/view00.json",
                                                        '{"name": "view00", "dtype": "f64", "shape": ["a"]}'),
                      4, id="infer-heatmap-sidecar-bad-shape"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, coarse_voxel_mm=float("nan")), 2,
+                     id="infer-coarse-voxel-nan"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, coarse_voxel_mm=float("inf")), 2,
+                     id="infer-coarse-voxel-inf"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, proposal_threshold=float("nan")), 2,
+                     id="infer-threshold-nan"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, proposal_threshold=float("inf")), 2,
+                     id="infer-threshold-inf"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, proposal_threshold=-0.1), 2,
+                     id="infer-threshold-negative"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, lr=float("nan")), 2, id="infer-lr-nan"),
     ])
     def test_bad_input_exits_with_documented_code(self, workdir, tmp_path, make_argv, code):
         try:

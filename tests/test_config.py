@@ -121,6 +121,13 @@ class TestRunConfig:
         dict(train_steps=-1),
         dict(lr=-1e-3),
         dict(coarse_voxel_mm=0.0),
+        dict(coarse_voxel_mm=float("nan")),
+        dict(coarse_voxel_mm=float("inf")),
+        dict(proposal_threshold=-0.1),
+        dict(proposal_threshold=float("nan")),
+        dict(proposal_threshold=float("inf")),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):

@@ -20,6 +20,7 @@ from gridpose import (
     project_point,
     sample_heatmap,
 )
+from gridpose.geometry import VOXEL_BLOCK, min_feature_volume
 
 
 def identity_camera(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0, size=(1000, 1000)):
@@ -55,6 +56,24 @@ def aggregate_oracle(cams, heatmaps, grid):
                 if observed:
                     vol[:, x, y, z] = scores / observed
     return vol
+
+
+@pytest.fixture(scope="module")
+def multi_block_views():
+    """Three narrow-view cameras around a 23 x 19 x 21 grid (9177 voxels: one
+    full voxel block and a partial one). The grid's corners fall outside
+    some cameras' images. 15 joints, as many as the skeleton has."""
+    rng = np.random.default_rng(21)
+    grid = GridSpec(center=(0, 0, 0), extent=(2300.0, 1900.0, 2100.0), resolution=(23, 19, 21))
+    cams = camera_ring(3, radius=2600, height=400, target=(0, 0, 0),
+                       image_size=(48, 40), focal_px=36)
+    heatmaps = [Heatmap(values=rng.uniform(0, 1, size=(15, 40, 48))) for _ in cams]
+    return cams, heatmaps, grid
+
+
+@pytest.fixture(scope="module")
+def multi_block_oracle(multi_block_views):
+    return aggregate_oracle(*multi_block_views)
 
 
 class TestCameraCalib:
@@ -237,3 +256,43 @@ class TestAggregateFeatureVolume:
         vol = aggregate_feature_volume([cam], [hm], grid)
         moved = aggregate_feature_volume([moved_cam], [hm], grid.translated(delta))
         np.testing.assert_allclose(moved, vol, atol=1e-9)
+
+
+class TestBlockedSampling:
+    """The camera loop runs over blocks of VOXEL_BLOCK voxels; these grids
+    cross a block boundary and end in a partial block."""
+
+    def test_grid_spans_a_partial_block(self, multi_block_views):
+        n_voxels = multi_block_views[2].n_voxels
+        assert n_voxels > VOXEL_BLOCK and n_voxels % VOXEL_BLOCK != 0
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_mean_matches_scalar_oracle(self, multi_block_views, multi_block_oracle, dtype, tol):
+        # f32 projects the voxel centers in f32 as well, so its pixel
+        # coordinates move by ~1e-5 px; its bound covers that, not rounding
+        vol = aggregate_feature_volume(*multi_block_views, dtype=dtype)
+        assert vol.dtype == dtype
+        assert vol.shape == multi_block_oracle.shape
+        assert np.abs(vol - multi_block_oracle).max() <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_min_equals_minimum_of_single_camera_volumes(self, multi_block_views, dtype):
+        cams, heatmaps, grid = multi_block_views
+        singles = [aggregate_feature_volume([cam], [hm], grid, dtype=dtype)
+                   for cam, hm in zip(cams, heatmaps)]
+        unseen = np.array([np.all(single == 0.0, axis=0) for single in singles])
+        assert np.any(unseen.any(axis=0) & ~unseen.all(axis=0))  # seen by some cameras only
+        assert np.any(~unseen.any(axis=0))  # seen by all cameras
+
+        expected = np.minimum.reduce(singles)
+        vol = min_feature_volume(cams, heatmaps, grid, dtype=dtype)
+        assert vol.dtype == dtype
+        assert np.array_equal(vol, expected)
+        assert np.all(vol[:, unseen.any(axis=0)] == 0.0)
+        # the joint sum that scores center proposals adds in the same order
+        assert np.array_equal(vol.sum(axis=0), expected.sum(axis=0))
+
+    def test_min_rejects_mismatched_views(self, multi_block_views):
+        cams, heatmaps, grid = multi_block_views
+        with pytest.raises(ValueError):
+            min_feature_volume(cams, heatmaps[:2], grid)

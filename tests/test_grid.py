@@ -32,14 +32,18 @@ class TestGridSpec:
         np.testing.assert_allclose(grid.extent, [100.0, 100.0, 100.0])
 
     def test_voxel_centers_match_scalar_formula(self):
-        grid = GridSpec(center=(1.0, 2.0, 3.0), extent=(40, 60, 80), resolution=(2, 3, 4))
-        centers = grid.voxel_centers()
-        assert centers.shape == (24, 3)
-        for x in range(2):
-            for y in range(3):
-                for z in range(4):
-                    i = flat_index((2, 3, 4), x, y, z)
-                    np.testing.assert_array_equal(centers[i], grid.voxel_center((x, y, z)))
+        grids = [
+            (GridSpec(center=(1.0, 2.0, 3.0), extent=(40, 60, 80), resolution=(2, 3, 4)), 24),
+            # non-cubic and larger than one aggregation block of 8192 voxels
+            (GridSpec(center=(-350.0, 120.0, 900.0), extent=(2300.0, 1900.0, 2100.0),
+                      resolution=(23, 19, 21)), 9177),
+        ]
+        for grid, n_voxels in grids:
+            centers = grid.voxel_centers()
+            assert centers.shape == (n_voxels, 3)
+            for x, y, z in np.ndindex(*grid.resolution):
+                i = flat_index(grid.resolution, x, y, z)
+                np.testing.assert_array_equal(centers[i], grid.voxel_center((x, y, z)))
 
     def test_out_of_range_index_rejected(self):
         grid = GridSpec(center=0.0, extent=10.0, resolution=2)

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import gridpose.pipeline as pipeline_mod
 from gridpose import (
@@ -28,11 +29,52 @@ from gridpose import (
     write_loss_csv,
 )
 from gridpose.autodiff import no_grad
+from gridpose.pipeline import neighborhood_max
 from conftest import toy_run_config, toy_scene_config
 
 
 def zeroed_heatmaps(scene):
     return [Heatmap(values=np.zeros_like(hm.values)) for hm in scene.heatmaps]
+
+
+def windowed_max(score):
+    """Reference 3x3x3 neighborhood max: one window view of the padded score."""
+    padded = np.pad(score, 1, constant_values=-np.inf)
+    return sliding_window_view(padded, (3, 3, 3)).max(axis=(3, 4, 5))
+
+
+def border_peaks(dims):
+    """Zero score with one peak on each face, edge and corner of the grid."""
+    score = np.zeros(dims)
+    value = 1.0
+    for position in np.ndindex(3, 3, 3):
+        if position == (1, 1, 1):
+            continue
+        index = tuple((0, r // 2, r - 1)[p] for p, r in zip(position, dims))
+        score[index] = value
+        value += 1.0
+    return score
+
+
+class TestNeighborhoodMax:
+    """The separable 3x3x3 max must equal the windowed reference exactly."""
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 5, 3), (7, 4, 9), (12, 9, 5)])
+    def test_random_scores(self, dims):
+        score = np.random.default_rng(sum(dims)).normal(size=dims)
+        assert np.array_equal(neighborhood_max(score), windowed_max(score))
+
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (6, 2, 7)])
+    def test_plateaus(self, dims):
+        score = np.full(dims, 0.5)
+        score[: dims[0] // 2, :, 1:] = 2.0  # a plateau touching three faces
+        assert np.array_equal(neighborhood_max(score), windowed_max(score))
+        assert np.array_equal(neighborhood_max(np.zeros(dims)), np.zeros(dims))
+
+    @pytest.mark.parametrize("dims", [(5, 7, 6), (9, 5, 3), (4, 11, 8)])
+    def test_peaks_on_faces_edges_and_corners(self, dims):
+        score = border_peaks(dims)
+        assert np.array_equal(neighborhood_max(score), windowed_max(score))
 
 
 class TestCoarseCenterProposal:
