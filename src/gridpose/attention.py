@@ -41,6 +41,8 @@ class AttentionConfig:
     n_layers: int = 1
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.embed_dim < 1 or self.embed_dim % self.n_heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} must be a positive multiple of n_heads {self.n_heads}")
         if self.bin_size < 1:
@@ -51,7 +53,7 @@ class AttentionConfig:
             raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.temperature is None:
             self.temperature = float(np.sqrt(self.embed_dim))
-        if self.temperature <= 0:
+        if not self.temperature > 0:  # NaN included
             raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
     @property

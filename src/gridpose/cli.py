@@ -10,7 +10,6 @@ runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -35,13 +34,7 @@ from .pipeline import (
 )
 from .posehead import poses_from_json, save_poses_json
 from .synth import load_scene, save_scene, synth_scene
-from .tensorio import load_json_file
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+from .tensorio import load_json_file, write_json_file
 
 
 def _cmd_synth(args):
@@ -66,14 +59,14 @@ def _cmd_train_toy(args):
     save_model(os.path.join(args.out, "weights"), result.weights)
     write_loss_csv(os.path.join(args.out, "loss.csv"), result.losses)
     save_poses_json(os.path.join(args.out, "train_poses.json"), result.poses, scene.skeleton)
-    _write_json(os.path.join(args.out, "run_config.json"), run_config_to_json(cfg))
+    write_json_file(os.path.join(args.out, "run_config.json"), run_config_to_json(cfg))
     summary = {
         "steps": cfg.train_steps,
         "initial_loss": result.losses[0],
         "final_loss": result.losses[-1],
         "final_mpjpe_mm": result.final_mpjpe,
     }
-    _write_json(os.path.join(args.out, "train_report.json"), summary)
+    write_json_file(os.path.join(args.out, "train_report.json"), summary)
     print(
         f"loss {result.losses[0]:.6f} -> {result.losses[-1]:.6f} over {cfg.train_steps} steps, "
         f"training-sample mean joint error {result.final_mpjpe:.2f}mm"
@@ -140,7 +133,7 @@ def _cmd_check(args):
         status = "pass" if item.passed else "FAIL"
         print(f"{status}  {item.name}  ({item.value:.3e})")
     if args.out:
-        _write_json(args.out, report.to_dict())
+        write_json_file(args.out, report.to_dict())
     if not report.all_passed:
         raise NumericError("one or more checks failed")
     return 0

@@ -1,17 +1,20 @@
 """Run and scene configuration: dataclasses, JSON round-trip, validation.
 
-Config files are plain JSON. Loading is strict: unknown keys, wrong
-types, and inconsistent combinations (for example a voxel grid whose
-flattened length is not divisible by the attention bin size) raise
-ConfigError, which the CLI maps to exit code 2. JSON schema documents
-for both file kinds ship in gridpose/schemas/.
+Config files are plain JSON, one key per dataclass field. Loading is
+strict: unknown keys, values whose JSON type differs from the field's
+declared type, non-finite numbers, and inconsistent combinations (for
+example a voxel grid whose flattened length is not divisible by the
+attention bin size) raise ConfigError, which the CLI maps to exit code 2.
+JSON schema documents for both file kinds ship in gridpose/schemas/.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,20 +29,29 @@ OPTIMIZERS = ("adam", "sgd")
 DTYPES = {"f64": np.float64, "f32": np.float32}
 
 
+def _require_finite(cfg):
+    """Reject a NaN or infinite float field, or tuple element, of `cfg`."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class SceneConfig:
     """Synthetic scene parameters; defaults give a 2-person 4-camera scene."""
 
     seed: int = 0
     n_people: int = 2
-    space_extent: tuple = (4000.0, 4000.0, 2400.0)
-    space_center: tuple = (0.0, 0.0, 0.0)
+    space_extent: tuple[float, ...] = (4000.0, 4000.0, 2400.0)
+    space_center: tuple[float, ...] = (0.0, 0.0, 0.0)
     person_extent: float = 2000.0
     person_resolution: int = 32
     n_cameras: int = 4
     camera_radius: float = 5000.0
     camera_height: float = 1200.0
-    image_size: tuple = (256, 256)
+    image_size: tuple[int, ...] = (256, 256)
     focal_px: float = 140.0
     heatmap_sigma: float = 2.0
     noise_std: float = 0.0
@@ -50,6 +62,7 @@ class SceneConfig:
         self.space_extent = tuple(float(v) for v in self.space_extent)
         self.space_center = tuple(float(v) for v in self.space_center)
         self.image_size = tuple(int(v) for v in self.image_size)
+        _require_finite(self)
         if self.n_people < 1:
             raise ConfigError(f"n_people must be >= 1, got {self.n_people}")
         if len(self.space_extent) != 3 or any(v <= 0 for v in self.space_extent):
@@ -88,13 +101,12 @@ class RunConfig:
     n_joints: int = 15
     grid_extent: float = 2000.0
     grid_resolution: int = 32
-    residual_channels: tuple = (32,)
+    residual_channels: tuple[int, ...] = (32,)
     center_source: str = "ground_truth"
     reorder_mode: str = "soft"
     train_steps: int = 300
     lr: float = 1e-3
     optimizer: str = "adam"
-    loss: str = "l1"
     dtype: str = "f64"
     seed: int = 0
     coarse_voxel_mm: float = 80.0
@@ -114,13 +126,9 @@ class RunConfig:
             raise ConfigError(f"reorder_mode must be one of {REORDER_MODES}, got {self.reorder_mode!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.loss != "l1":
-            raise ConfigError(f"only the 'l1' loss is implemented, got {self.loss!r}")
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
-        for name in ("lr", "coarse_voxel_mm", "proposal_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(self)
         if self.train_steps < 0 or self.lr < 0:
             raise ConfigError("train_steps and lr must be non-negative")
         if self.coarse_voxel_mm <= 0:
@@ -144,95 +152,79 @@ class RunConfig:
 
 # -- JSON round-trip -----------------------------------------------------------
 
+# The JSON types a field of each declared type accepts; bool is never a number.
+_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: list, list: list}
 
-def _check_keys(doc, allowed, what):
-    unknown = set(doc) - set(allowed)
+
+def _has_json_type(hint, value):
+    """Whether a value read from JSON fits a field annotated `hint`; a
+    `tuple[int, ...]` field also checks each element."""
+    if isinstance(hint, types.UnionType):  # `float | None`
+        return any(_has_json_type(h, value) for h in get_args(hint))
+    if hint is type(None):
+        return value is None
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[get_origin(hint) or hint]):
+        return False
+    item = get_args(hint)[:1]  # `tuple[float, ...]` -> (float,)
+    return not item or all(_has_json_type(item[0], v) for v in value)
+
+
+def _to_json(cfg):
+    """One key per dataclass field: tuples become lists, nested configs objects."""
+    doc = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            value = _to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[f.name] = value
+    return doc
+
+
+def _from_json(cls, doc, what, **parse):
+    """Build dataclass `cls` from a JSON object. Each key must name a field
+    and hold that field's JSON type; `parse[name]` converts a non-null value.
+    Every failure, the dataclass's own checks included, is a ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in doc and not _has_json_type(hints[f.name], doc[f.name]):
+            raise ConfigError(f"{what} key {f.name!r} takes {f.type}, got {doc[f.name]!r}")
+    try:
+        return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in doc.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def scene_config_to_json(cfg: SceneConfig):
-    doc = {
-        "seed": cfg.seed,
-        "n_people": cfg.n_people,
-        "space_extent": list(cfg.space_extent),
-        "space_center": list(cfg.space_center),
-        "person_extent": cfg.person_extent,
-        "person_resolution": cfg.person_resolution,
-        "n_cameras": cfg.n_cameras,
-        "camera_radius": cfg.camera_radius,
-        "camera_height": cfg.camera_height,
-        "image_size": list(cfg.image_size),
-        "focal_px": cfg.focal_px,
-        "heatmap_sigma": cfg.heatmap_sigma,
-        "noise_std": cfg.noise_std,
-        "dropout_prob": cfg.dropout_prob,
-    }
-    if cfg.cameras is not None:
-        doc["cameras"] = [cam.to_json() for cam in cfg.cameras]
+    doc = _to_json(cfg)
+    cameras = doc.pop("cameras")
+    if cameras is not None:
+        doc["cameras"] = [cam.to_json() for cam in cameras]
     return doc
 
 
 def scene_config_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"scene config must be a JSON object, got {type(doc).__name__}")
-    allowed = {f.name for f in fields(SceneConfig)}
-    _check_keys(doc, allowed, "scene config")
-    kwargs = dict(doc)
-    if "cameras" in kwargs and kwargs["cameras"] is not None:
-        try:
-            kwargs["cameras"] = [CameraCalib.from_json(c) for c in kwargs["cameras"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad camera entry: {exc}") from exc
-    try:
-        return SceneConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad scene config: {exc}") from exc
-
-
-ATTENTION_KEYS = ("embed_dim", "n_heads", "bin_size", "sinkhorn_iters", "temperature", "n_layers")
+    return _from_json(SceneConfig, doc, "scene config",
+                      cameras=lambda cams: [CameraCalib.from_json(c) for c in cams])
 
 
 def run_config_to_json(cfg: RunConfig):
-    return {
-        "attention": {k: getattr(cfg.attention, k) for k in ATTENTION_KEYS},
-        "n_joints": cfg.n_joints,
-        "grid_extent": cfg.grid_extent,
-        "grid_resolution": cfg.grid_resolution,
-        "residual_channels": list(cfg.residual_channels),
-        "center_source": cfg.center_source,
-        "reorder_mode": cfg.reorder_mode,
-        "train_steps": cfg.train_steps,
-        "lr": cfg.lr,
-        "optimizer": cfg.optimizer,
-        "loss": cfg.loss,
-        "dtype": cfg.dtype,
-        "seed": cfg.seed,
-        "coarse_voxel_mm": cfg.coarse_voxel_mm,
-        "proposal_threshold": cfg.proposal_threshold,
-    }
+    return _to_json(cfg)
 
 
 def run_config_from_json(doc):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"run config must be a JSON object, got {type(doc).__name__}")
-    allowed = {f.name for f in fields(RunConfig)}
-    _check_keys(doc, allowed, "run config")
-    kwargs = dict(doc)
-    if "attention" in kwargs:
-        attn = kwargs["attention"]
-        if not isinstance(attn, dict):
-            raise ConfigError("'attention' must be a JSON object")
-        _check_keys(attn, ATTENTION_KEYS, "attention config")
-        kwargs["attention"] = AttentionConfig(**attn)
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad run config: {exc}") from exc
+    return _from_json(RunConfig, doc, "run config",
+                      attention=lambda attn: _from_json(AttentionConfig, attn, "attention config"))
 
 
 def load_json_config(path, parser):

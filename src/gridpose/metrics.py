@@ -17,12 +17,12 @@ Conventions:
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .posehead import Pose3D
+from .tensorio import write_json_file
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def match_poses(preds, gts):
     return MatchResult(preds=list(preds), gts=list(gts), gt_to_pred=gt_to_pred, errors=errors)
 
 
-def _limb_counts(match: MatchResult, alpha, skeleton, actor_offset=0, exclude=()):
+def _limb_counts(match: MatchResult, alpha, skeleton, exclude=()):
     """Per-actor (correct, total) limb tallies for one frame.
 
     Unmatched ground truths count every usable limb as incorrect.
@@ -109,12 +109,11 @@ def _limb_counts(match: MatchResult, alpha, skeleton, actor_offset=0, exclude=()
     """
     counts = {}
     defects = []
-    for g, gt in enumerate(match.gts):
-        actor = actor_offset + g
+    for actor, gt in enumerate(match.gts):
         if actor in exclude:
             continue
         correct = total = 0
-        p = match.gt_to_pred[g]
+        p = match.gt_to_pred[actor]
         pred = match.preds[p] if p is not None else None
         for limb_idx, (a, b) in enumerate(skeleton):
             length = float(np.linalg.norm(gt.joints[a] - gt.joints[b]))
@@ -212,9 +211,7 @@ class MetricsReport:
         }
 
     def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json_file(path, self.to_dict())
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:

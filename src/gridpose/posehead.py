@@ -18,6 +18,7 @@ import numpy as np
 from .autodiff import Tensor, as_tensor, concat
 from .conv import Conv3dLayer, conv3d_forward
 from .grid import GridSpec, flatten_volume
+from .tensorio import write_json_file
 
 
 @dataclass
@@ -161,9 +162,7 @@ def poses_from_json(doc):
 
 
 def save_poses_json(path, poses, skeleton=None):
-    with open(path, "w") as fh:
-        json.dump(poses_to_json(poses, skeleton), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_file(path, poses_to_json(poses, skeleton))
 
 
 def load_poses_json(path):

@@ -17,7 +17,6 @@ default. Values are clipped to [0, 1].
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from .config import SceneConfig, load_json_config, scene_config_from_json, scene
 from .errors import ConfigError
 from .geometry import CameraCalib, Heatmap, cameras_to_json, load_cameras_json, project_point
 from .posehead import Pose3D, poses_from_json, save_poses_json
-from .tensorio import load_json_file, load_tensor_set, save_tensor_set
+from .tensorio import load_json_file, load_tensor_set, save_tensor_set, write_json_file
 
 JOINT_NAMES = (
     "pelvis", "neck", "head",
@@ -243,12 +242,8 @@ def save_scene(scene: SyntheticScene, directory):
     """Write scene_config.json, cameras.json, ground_truth.json, and the
     heatmap tensor set under `directory`."""
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "scene_config.json"), "w") as fh:
-        json.dump(scene_config_to_json(scene.config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(directory, "cameras.json"), "w") as fh:
-        json.dump(cameras_to_json(scene.cameras), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_file(os.path.join(directory, "scene_config.json"), scene_config_to_json(scene.config))
+    write_json_file(os.path.join(directory, "cameras.json"), cameras_to_json(scene.cameras))
     save_poses_json(os.path.join(directory, "ground_truth.json"), scene.poses, scene.skeleton)
     tensors = {f"view{i:02d}": hm.values for i, hm in enumerate(scene.heatmaps)}
     save_tensor_set(os.path.join(directory, "heatmaps"), tensors)

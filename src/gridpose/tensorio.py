@@ -32,6 +32,13 @@ def load_json_file(path, parse):
         raise OSError(f"malformed data file {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def write_json_file(path, doc):
+    """Write `doc` as indented, key-sorted JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_tensor(directory, name, array):
     """Write one tensor as <name>.bin plus <name>.json under directory."""
     if "/" in name or "\\" in name or name in ("", ".", ".."):
@@ -80,9 +87,7 @@ def save_tensor_set(directory, tensors):
     for name in names:
         value = tensors[name]
         save_tensor(directory, name, getattr(value, "data", value))
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
-        json.dump({"tensors": names}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_file(os.path.join(directory, MANIFEST_NAME), {"tensors": names})
 
 
 def load_tensor_set(directory):

@@ -286,15 +286,36 @@ def _infer_corrupt_scene(workdir, tmp_path, name, text):
             "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")]
 
 
-def _infer_bad_config(workdir, tmp_path, **overrides):
-    """infer with the shared run config plus coarse proposals and `overrides`;
-    json.dumps writes a non-finite float as NaN / Infinity, which json.load reads."""
-    doc = json.loads((workdir / "run_config.json").read_text())
-    doc.update(center_source="coarse_proposal", **overrides)
-    config = tmp_path / "run_config.json"
+def _config_with(workdir, tmp_path, name, **overrides):
+    """Path of a copy of the shared config `name` with `overrides`; json.dumps
+    writes a non-finite float as NaN / Infinity, which json.load reads."""
+    doc = json.loads((workdir / name).read_text())
+    doc.update(overrides)
+    config = tmp_path / name
     config.write_text(json.dumps(doc))
+    return str(config)
+
+
+def _infer_bad_config(workdir, tmp_path, **overrides):
+    """infer with the shared run config plus coarse proposals and `overrides`."""
+    config = _config_with(workdir, tmp_path, "run_config.json", center_source="coarse_proposal", **overrides)
     return ["infer", "--scene", str(workdir / "scene"), "--weights", str(workdir / "train" / "weights"),
-            "--config", str(config), "--out", str(tmp_path / "x")]
+            "--config", config, "--out", str(tmp_path / "x")]
+
+
+def _attention(workdir, **changes):
+    """The shared run config's attention object with `changes` applied."""
+    return dict(json.loads((workdir / "run_config.json").read_text())["attention"], **changes)
+
+
+def _synth_bad_config(workdir, tmp_path, **overrides):
+    config = _config_with(workdir, tmp_path, "scene_config.json", **overrides)
+    return ["synth", "--config", config, "--out", str(tmp_path / "scene")]
+
+
+def _train_bad_config(workdir, tmp_path, **overrides):
+    config = _config_with(workdir, tmp_path, "run_config.json", **overrides)
+    return ["train-toy", "--scene", str(workdir / "scene"), "--config", config, "--out", str(tmp_path / "x")]
 
 
 class TestExitCodes:
@@ -328,6 +349,33 @@ class TestExitCodes:
         pytest.param(lambda w, t: _infer_bad_config(w, t, proposal_threshold=-0.1), 2,
                      id="infer-threshold-negative"),
         pytest.param(lambda w, t: _infer_bad_config(w, t, lr=float("nan")), 2, id="infer-lr-nan"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, seed="a"), 2, id="synth-seed-string"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, seed=1.5), 2, id="synth-seed-float"),
+        pytest.param(lambda w, t: _train_bad_config(w, t, seed=1.5), 2, id="train-toy-seed-float"),
+        pytest.param(lambda w, t: _train_bad_config(w, t, train_steps=1.5), 2, id="train-toy-steps-float"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, n_cameras=2.5), 2, id="synth-n-cameras-float"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, camera_radius="far"), 2,
+                     id="synth-camera-radius-string"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, n_layers=1.5)), 2,
+                     id="infer-n-layers-float"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, embed_dim="x")), 2,
+                     id="infer-embed-dim-string"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, camera_radius=float("nan")), 2,
+                     id="synth-camera-radius-nan"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, focal_px=float("nan")), 2, id="synth-focal-nan"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, heatmap_sigma=float("nan")), 2,
+                     id="synth-sigma-nan"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, person_extent=float("nan")), 2,
+                     id="synth-person-extent-nan"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, space_center=[float("nan"), 0.0, 0.0]), 2,
+                     id="synth-space-center-nan"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, noise_std=float("nan")), 2, id="synth-noise-nan"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, temperature=float("nan"))),
+                     2, id="infer-temperature-nan"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, n_heads=0)), 2,
+                     id="infer-n-heads-zero"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, n_heads=-2)), 2,
+                     id="infer-n-heads-negative"),
     ])
     def test_bad_input_exits_with_documented_code(self, workdir, tmp_path, make_argv, code):
         try:

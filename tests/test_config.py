@@ -1,6 +1,9 @@
 """Config dataclasses: validation gates, JSON round trips, schema documents."""
 
+import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -22,6 +25,26 @@ from gridpose import (
 )
 
 SCHEMA_DIR = Path(gridpose.__file__).parent / "schemas"
+SCHEMA_TYPE_NAMES = {int: "integer", float: "number", str: "string", tuple: "array", list: "array",
+                     type(None): "null"}
+
+
+def json_types(hint):
+    """Schema type names of the JSON values a field annotated `hint` holds."""
+    if isinstance(hint, types.UnionType):
+        return set().union(*(json_types(h) for h in typing.get_args(hint)))
+    if dataclasses.is_dataclass(hint):
+        return {"object"}
+    return {SCHEMA_TYPE_NAMES[typing.get_origin(hint) or hint]}
+
+
+def schema_types(prop):
+    """Type names a schema property allows; an enum lists strings."""
+    if "enum" in prop:
+        assert all(isinstance(v, str) for v in prop["enum"])
+        return {"string"}
+    kind = prop["type"]
+    return set(kind) if isinstance(kind, list) else {kind}
 
 
 class TestSceneConfig:
@@ -116,7 +139,7 @@ class TestRunConfig:
         dict(center_source="oracle"),
         dict(reorder_mode="fuzzy"),
         dict(optimizer="rmsprop"),
-        dict(loss="l2"),
+        dict(grid_extent=float("nan")),
         dict(dtype="f16"),
         dict(train_steps=-1),
         dict(lr=-1e-3),
@@ -160,6 +183,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             run_config_from_json(doc)
 
+    def test_old_loss_key_rejected(self):
+        doc = run_config_to_json(RunConfig())
+        doc["loss"] = "l1"  # the field is gone; an old run_config.json must drop it
+        with pytest.raises(ConfigError, match="unknown run config keys"):
+            run_config_from_json(doc)
+
     def test_unknown_attention_key_rejected(self):
         doc = run_config_to_json(RunConfig())
         doc["attention"]["heads"] = 2
@@ -171,6 +200,43 @@ class TestRunConfig:
         doc["attention"] = [1, 2]
         with pytest.raises(ConfigError):
             run_config_from_json(doc)
+
+
+class TestJsonTypes:
+    """Each value must have the JSON type of its field's declaration."""
+
+    @pytest.mark.parametrize("parse, doc", [
+        (run_config_from_json, {"seed": True}),  # bool is never a number
+        (run_config_from_json, {"lr": False}),
+        (run_config_from_json, {"n_joints": 15.0}),
+        (run_config_from_json, {"grid_extent": "2000"}),
+        (run_config_from_json, {"optimizer": 1}),
+        (run_config_from_json, {"residual_channels": 32}),
+        (run_config_from_json, {"residual_channels": [32.0]}),
+        (run_config_from_json, {"attention": None}),
+        (run_config_from_json, {"attention": {"temperature": "hot"}}),
+        (run_config_from_json, {"attention": {"bin_size": [64]}}),
+        (scene_config_from_json, {"space_extent": "4000"}),
+        (scene_config_from_json, {"space_extent": [4000, 4000, None]}),
+        (scene_config_from_json, {"image_size": [64.5, 64]}),
+        (scene_config_from_json, {"cameras": {}}),
+        (scene_config_from_json, {"dropout_prob": None}),
+    ])
+    def test_mistyped_value_rejected(self, parse, doc):
+        with pytest.raises(ConfigError, match="takes"):
+            parse(doc)
+
+    def test_integers_fill_float_fields_and_null_fills_optional_ones(self):
+        cfg = run_config_from_json({"lr": 0, "attention": {"temperature": None, "embed_dim": 16}})
+        assert cfg.lr == 0 and cfg.attention.temperature == 4.0
+        assert scene_config_from_json({"space_center": [1, 2, 3], "cameras": None}).cameras is None
+
+    @pytest.mark.parametrize("key", ["camera_radius", "camera_height", "focal_px", "heatmap_sigma",
+                                     "noise_std", "person_extent"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scene_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match="finite"):
+            SceneConfig(**{key: value})
 
 
 class TestLoadJsonConfig:
@@ -217,7 +283,21 @@ class TestSchemas:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, self.load("run_config.schema.json"))
 
+    def assert_schema_matches(self, cls, schema):
+        """Same keys as `cls`'s fields, and each key's schema type matches
+        the field's declared type (element types of tuples, nested objects)."""
+        hints = typing.get_type_hints(cls)
+        assert set(schema["properties"]) == {f.name for f in dataclasses.fields(cls)}
+        for name, prop in schema["properties"].items():
+            hint = hints[name]
+            assert schema_types(prop) == json_types(hint), name
+            if typing.get_origin(hint) is tuple:
+                assert schema_types(prop["items"]) == json_types(typing.get_args(hint)[0]), name
+            if dataclasses.is_dataclass(hint):
+                self.assert_schema_matches(hint, prop)
+
     def test_schema_and_parser_agree_on_scene_fields(self):
-        schema = self.load("scene_config.schema.json")
-        doc = scene_config_to_json(SceneConfig())
-        assert set(doc) <= set(schema["properties"])
+        self.assert_schema_matches(SceneConfig, self.load("scene_config.schema.json"))
+
+    def test_schema_and_parser_agree_on_run_and_attention_fields(self):
+        self.assert_schema_matches(RunConfig, self.load("run_config.schema.json"))

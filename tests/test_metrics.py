@@ -369,6 +369,25 @@ class TestEvaluateFrames:
         assert lines[0] == "metric,value"
         assert any(line.startswith("mpjpe_mm,") for line in lines)
 
+    def test_single_frame_equals_frame_metrics(self):
+        """With one frame and no exclusions the report is exactly pcp3d,
+        mpjpe and ap_k, which the oracles above check."""
+        rng = np.random.default_rng(21)
+        cfg = EvalConfig()
+        for _ in range(30):
+            gts = [random_pose(rng) for _ in range(rng.integers(1, 4))]
+            preds = [pose(g.joints + rng.normal(size=(4, 3)) * rng.uniform(5, 400)) for g in gts]
+            preds = preds[:rng.integers(0, len(preds) + 1)]  # some ground truths unmatched
+            preds += [random_pose(rng) for _ in range(rng.integers(0, 2))]  # and a false positive
+            rng.shuffle(preds)
+            report = evaluate_frames([preds], [gts], SKELETON3, cfg)
+            match = match_poses(preds, gts)
+            pcp = pcp3d(match, cfg.alpha, SKELETON3)
+            assert report.pcp_per_actor == pcp.per_actor
+            assert report.pcp_average == pcp.average
+            assert report.mpjpe == mpjpe(match)
+            assert report.ap == {k: ap_k(match, k) for k in cfg.ap_thresholds}
+
     def test_frame_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             evaluate_frames([[]], [[], []], SKELETON3)
