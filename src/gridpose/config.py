@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-import types
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .attention import AttentionConfig
 from .errors import ConfigError
 from .geometry import CameraCalib
 from .grid import GridSpec
+from .tensorio import has_json_type
 
 CENTER_SOURCES = ("ground_truth", "coarse_proposal")
 REORDER_MODES = ("soft", "hard")
@@ -152,25 +152,6 @@ class RunConfig:
 
 # -- JSON round-trip -----------------------------------------------------------
 
-# The JSON types a field of each declared type accepts; bool is never a number.
-_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: list, list: list}
-
-
-def _has_json_type(hint, value):
-    """Whether a value read from JSON fits a field annotated `hint`; a
-    `tuple[int, ...]` field also checks each element."""
-    if isinstance(hint, types.UnionType):  # `float | None`
-        return any(_has_json_type(h, value) for h in get_args(hint))
-    if hint is type(None):
-        return value is None
-    if is_dataclass(hint):
-        return isinstance(value, dict)
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[get_origin(hint) or hint]):
-        return False
-    item = get_args(hint)[:1]  # `tuple[float, ...]` -> (float,)
-    return not item or all(_has_json_type(item[0], v) for v in value)
-
-
 def _to_json(cfg):
     """One key per dataclass field: tuples become lists, nested configs objects."""
     doc = {}
@@ -195,7 +176,7 @@ def _from_json(cls, doc, what, **parse):
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     hints = get_type_hints(cls)
     for f in fields(cls):
-        if f.name in doc and not _has_json_type(hints[f.name], doc[f.name]):
+        if f.name in doc and not has_json_type(hints[f.name], doc[f.name]):
             raise ConfigError(f"{what} key {f.name!r} takes {f.type}, got {doc[f.name]!r}")
     try:
         return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in doc.items()})

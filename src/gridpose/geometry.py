@@ -15,8 +15,13 @@ A camera "observes" a voxel when the voxel center is in front of the
 camera and its projection point lies inside that rectangle; the per-voxel
 feature is the mean heatmap score over observing cameras (zero when no
 camera observes the voxel). Center proposal scores voxels by the minimum
-over all cameras instead (`min_feature_volume`), zero unless every camera
-observes the voxel.
+over all cameras instead, zero unless every camera observes the voxel,
+summed over joints (`min_score`). Sampling each camera's joint-summed
+heatmap, one channel instead of J, gives an upper bound on that score
+(`min_score_bound`), so the proposal runs the J-channel minimum only where
+the bound reaches its threshold. `min_feature_volume` is the dense (J, X,
+Y, Z) minimum over a whole grid, the reference the pruned proposal is
+tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridSpec, unflatten_volume
+from .tensorio import has_json_type
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,9 @@ class CameraCalib:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=np.float64).reshape(3, 3))
         object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
+        params = np.concatenate(([self.fx, self.fy, self.cx, self.cy], self.rotation.ravel(), self.translation))
+        if not np.all(np.isfinite(params)):
+            raise ConfigError("camera intrinsics and extrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.image_width <= 0 or self.image_height <= 0:
@@ -67,19 +76,38 @@ class CameraCalib:
 
     @staticmethod
     def from_json(obj):
-        try:
-            return CameraCalib(
-                fx=float(obj["fx"]),
-                fy=float(obj["fy"]),
-                cx=float(obj["cx"]),
-                cy=float(obj["cy"]),
-                rotation=np.asarray(obj["R"], dtype=np.float64).reshape(3, 3),
-                translation=obj["t"],
-                image_width=int(obj["width"]),
-                image_height=int(obj["height"]),
-            )
-        except KeyError as e:
-            raise ConfigError(f"camera entry missing field {e}") from e
+        """Camera from a JSON object with exactly the keys `to_json` writes.
+        Each value must have its key's JSON type, by the rules of config
+        files: a number, a list of numbers or an integer, never a bool."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"camera entry must be a JSON object, got {type(obj).__name__}")
+        missing = sorted(_CAMERA_JSON_TYPES.keys() - obj.keys())
+        if missing:
+            raise ConfigError(f"camera entry missing fields {missing}")
+        unknown = sorted(obj.keys() - _CAMERA_JSON_TYPES.keys())
+        if unknown:
+            raise ConfigError(f"unknown camera entry keys: {unknown}")
+        for key, hint in _CAMERA_JSON_TYPES.items():
+            if not has_json_type(hint, obj[key]):
+                name = hint.__name__ if isinstance(hint, type) else hint
+                raise ConfigError(f"camera entry key {key!r} takes {name}, got {obj[key]!r}")
+        return CameraCalib(
+            fx=float(obj["fx"]),
+            fy=float(obj["fy"]),
+            cx=float(obj["cx"]),
+            cy=float(obj["cy"]),
+            rotation=np.asarray(obj["R"], dtype=np.float64).reshape(3, 3),
+            translation=obj["t"],
+            image_width=obj["width"],
+            image_height=obj["height"],
+        )
+
+
+# The JSON type of each key of a camera entry (see `has_json_type`).
+_CAMERA_JSON_TYPES = {
+    "fx": float, "fy": float, "cx": float, "cy": float,
+    "R": tuple[float, ...], "t": tuple[float, ...], "width": int, "height": int,
+}
 
 
 @dataclass(frozen=True)
@@ -190,34 +218,49 @@ def _camera_samples(cam, plane, height, width, centers, dtype):
     return top, observed
 
 
-def _reduce_cameras(cams, heatmaps, grid: GridSpec, dtype, reduce_block):
-    """Sample every camera over the grid block by block and reduce each block.
+def _reduce_cameras(cams, maps, centers, dtype, reduce_block):
+    """Sample every camera's (J, H, W) map at (n, 3) world points and reduce
+    over the cameras, VOXEL_BLOCK points at a time.
 
     `reduce_block(samples, shape)` gets an iterator over the cameras'
     `_camera_samples` results for one block and returns their reduction of
-    `shape` (J, n). Returns (J, X, Y, Z).
+    `shape` (J, block). Returns (J, n). A point's result does not depend on
+    which other points share its call.
     """
     if len(cams) == 0:
         raise ValueError("empty camera list")
-    if len(cams) != len(heatmaps):
-        raise ValueError(f"{len(cams)} cameras but {len(heatmaps)} heatmaps")
-    n_joints = heatmaps[0].n_joints
-    if any(hm.n_joints != n_joints for hm in heatmaps):
+    if len(cams) != len(maps):
+        raise ValueError(f"{len(cams)} cameras but {len(maps)} heatmaps")
+    n_joints = maps[0].shape[0]
+    if any(m.shape[0] != n_joints for m in maps):
         raise ValueError("heatmaps disagree on joint count")
 
     views = [
-        (cam, hm.values.astype(dtype, copy=False).reshape(n_joints, -1), hm.height, hm.width)
-        for cam, hm in zip(cams, heatmaps)
+        (cam, m.astype(dtype, copy=False).reshape(n_joints, -1), m.shape[1], m.shape[2])
+        for cam, m in zip(cams, maps)
     ]
-    centers = grid.voxel_centers().astype(dtype)
-    seq = np.empty((n_joints, centers.shape[0]), dtype=dtype)
+    centers = centers.astype(dtype, copy=False)
+    out = np.empty((n_joints, centers.shape[0]), dtype=dtype)
     for start in range(0, centers.shape[0], VOXEL_BLOCK):
         block = centers[start:start + VOXEL_BLOCK]
         samples = (_camera_samples(cam, plane, h, w, block, dtype) for cam, plane, h, w in views)
-        seq[:, start:start + block.shape[0]] = reduce_block(samples, (n_joints, block.shape[0]))
+        out[:, start:start + block.shape[0]] = reduce_block(samples, (n_joints, block.shape[0]))
+    return out
+
+
+def _grid_volume(cams, heatmaps, grid: GridSpec, dtype, reduce_block):
+    """`_reduce_cameras` over every voxel center of `grid`: (J, X, Y, Z)."""
+    seq = _reduce_cameras(cams, [hm.values for hm in heatmaps], grid.voxel_centers(), dtype, reduce_block)
     # The joint axis stays outermost in memory, as summing over it
     # (`volume.sum(axis=0)`) adds joints in order only for this layout.
     return unflatten_volume(seq.T, grid.resolution)
+
+
+def _minimum(samples, shape):
+    low = None
+    for values, _ in samples:
+        low = values if low is None else np.minimum(low, values, out=low)
+    return low
 
 
 def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
@@ -234,7 +277,7 @@ def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
             count += observed
         return np.where(count > 0, accum / np.maximum(count, 1.0), dtype(0.0))
 
-    return _reduce_cameras(cams, heatmaps, grid, dtype, mean)
+    return _grid_volume(cams, heatmaps, grid, dtype, mean)
 
 
 def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
@@ -242,15 +285,46 @@ def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
 
     Returns a (J, X, Y, Z) volume that is 0 wherever any camera does not
     observe the voxel: the minimum over single-camera
-    `aggregate_feature_volume` volumes, without building them.
+    `aggregate_feature_volume` volumes, without building them. Its joint
+    sum is the dense reference of the center-proposal score `min_score`.
     """
-    def minimum(samples, shape):
-        low = None
-        for values, _ in samples:
-            low = values if low is None else np.minimum(low, values, out=low)
-        return low
+    return _grid_volume(cams, heatmaps, grid, dtype, _minimum)
 
-    return _reduce_cameras(cams, heatmaps, grid, dtype, minimum)
+
+def min_score(cams, heatmaps, centers):
+    """Center-proposal score at (n, 3) world points, in float64: the sum over
+    joints of the minimum over cameras of the projected heatmap score.
+
+    Equals `min_feature_volume(...).sum(axis=0)` at the same voxel centers
+    bit for bit: the same samples, minima and joint order.
+    """
+    return _reduce_cameras(cams, [hm.values for hm in heatmaps], centers, np.float64, _minimum).sum(axis=0)
+
+
+# Relative slack of `min_score_bound` over `min_score` as computed. In exact
+# arithmetic the bound holds (a minimum of sums is at least the sum of
+# minima). Both computed sides are sums and products of nonnegative float64
+# numbers with the same bilinear weights, so each rounding moves a value by
+# at most 2**-53 of itself: with J joints the computed score exceeds the
+# computed bound by at most ~(2J + 10) * 2**-53 of it, under 1e-14 for 15
+# joints, and 1e-9 leaves five orders of magnitude. A computed bound of 0
+# gives a computed score of exactly 0: rounding is monotone, and each joint
+# map is at most the joint sum pixel by pixel. (Products that underflow
+# below 1e-307 lose relative accuracy; proposal thresholds are far above.)
+SCORE_BOUND_RTOL = 1e-9
+
+
+def min_score_bound(cams, heatmaps, centers):
+    """Upper bound on `min_score` at (n, 3) world points, in float64: the
+    minimum over cameras of the projected joint-summed heatmap.
+
+    Bilinear sampling is linear, so a camera's sample of its joint-summed
+    heatmap is the sum of its per-joint samples, and a minimum of sums is
+    at least the sum of minima:
+    `min_score <= min_score_bound * (1 + SCORE_BOUND_RTOL)` as computed.
+    """
+    sums = [hm.values.sum(axis=0, keepdims=True, dtype=np.float64) for hm in heatmaps]
+    return _reduce_cameras(cams, sums, centers, np.float64, _minimum)[0]
 
 
 def load_cameras_json(doc):

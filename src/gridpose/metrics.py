@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +35,12 @@ class EvalConfig:
     exclude_actors: tuple = ()
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        # written so that NaN fails each comparison
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         ks = tuple(float(k) for k in self.ap_thresholds)
-        if any(k <= 0 for k in ks) or list(ks) != sorted(ks):
-            raise ValueError(f"ap_thresholds must be positive ascending, got {self.ap_thresholds}")
+        if not all(0 < k < math.inf for k in ks) or list(ks) != sorted(ks):
+            raise ValueError(f"ap_thresholds must be positive, finite and ascending, got {self.ap_thresholds}")
         object.__setattr__(self, "ap_thresholds", ks)
         object.__setattr__(self, "exclude_actors", tuple(int(a) for a in self.exclude_actors))
 

@@ -2,7 +2,8 @@
 training, the attention benchmark, and the deterministic check suite.
 
 Stage one finds person centers (ground truth, or coarse local maxima of
-the aggregated volume); stage two voxelizes a person grid around each
+the per-camera minimum score, computed only where its upper bound reaches
+the threshold); stage two voxelizes a person grid around each
 center and runs the two-branch network. Toy training overfits one fixed
 synthetic scene with per-joint L1 loss normalized by the grid extent,
 which is enough to demonstrate sub-voxel localization end to end.
@@ -29,13 +30,15 @@ from .autodiff import Adam, Tensor, as_tensor, finite_diff_check, no_grad, sgd_s
 from .config import RunConfig
 from .errors import ConfigError, NumericError
 from .geometry import (
+    SCORE_BOUND_RTOL,
     Heatmap,
     aggregate_feature_volume,
-    min_feature_volume,
+    min_score,
+    min_score_bound,
     project_point,
     sample_heatmap,
 )
-from .grid import GridSpec, flatten_volume, partition_bins, unflatten_volume
+from .grid import GridSpec, flat_index, flatten_volume, partition_bins, unflatten_volume
 from .metrics import EvalConfig, ap_k, evaluate_frames, match_poses, mpjpe as frame_mpjpe, pcp3d
 from .model import ModelWeights, init_model_from_config, model_forward
 from .posehead import Pose3D, integral_regression, regress_pose
@@ -56,6 +59,46 @@ def neighborhood_max(score):
     return out
 
 
+def _centers_from_score(score, exact_score, centers, grid: GridSpec, threshold,
+                        min_separation, refine_radius):
+    """Peaks, separation suppression and refinement on an (X, Y, Z) score.
+
+    Every voxel whose score exceeds `threshold` must hold its exact score;
+    any other voxel may hold any value up to `threshold`, which changes no
+    peak and no peak score. `exact_score(index)` returns the exact scores
+    of the voxels at ascending flat indices, and `centers` is
+    `grid.voxel_centers()`. See `coarse_center_proposal` for the rest.
+    """
+    if refine_radius is None:
+        refine_radius = 0.9 * min_separation
+    is_peak = (score >= neighborhood_max(score)) & (score > threshold)
+    peak_idx = np.argwhere(is_peak)
+    if peak_idx.shape[0] == 0:
+        return np.zeros((0, 3)), np.zeros(0)
+    peak_scores = score[tuple(peak_idx.T)]
+    order = np.argsort(-peak_scores, kind="stable")
+
+    kept = []  # (voxel index, center, score), strongest first
+    for i in order:
+        pos = centers[flat_index(grid.resolution, *peak_idx[i])]
+        if all(np.linalg.norm(pos - k_pos) >= min_separation for _, k_pos, _ in kept):
+            kept.append((peak_idx[i], pos, float(peak_scores[i])))
+
+    # Voxels per axis within the refinement radius of a voxel center; the
+    # distance test below then picks the ball out of the clipped box.
+    reach = np.minimum(np.ceil(refine_radius / grid.voxel_edge), grid.resolution)
+    refined = []
+    for index, pos, _ in kept:
+        x, y, z = (np.arange(max(i - r, 0), min(i + r + 1, n))
+                   for i, r, n in zip(index, reach.astype(np.int64), grid.resolution))
+        box = flat_index(grid.resolution, x, y[:, None], z[:, None, None]).ravel()
+        near = box[np.linalg.norm(centers[box] - pos, axis=1) <= refine_radius]
+        mass = exact_score(near)
+        total = mass.sum()
+        refined.append(centers[near].T @ mass / total if total > 0 else pos)
+    return np.asarray(refined), np.asarray([s for _, _, s in kept])
+
+
 def coarse_center_proposal(volume, grid: GridSpec, threshold=0.3,
                            min_separation=1000.0, refine_radius=None):
     """Person center candidates from a coarse aggregated volume.
@@ -74,56 +117,47 @@ def coarse_center_proposal(volume, grid: GridSpec, threshold=0.3,
         raise ValueError(f"expected a (J, X, Y, Z) volume, got shape {volume.shape}")
     if tuple(volume.shape[1:]) != tuple(grid.resolution):
         raise ValueError(f"volume dims {volume.shape[1:]} do not match grid {grid.resolution}")
-    if refine_radius is None:
-        refine_radius = 0.9 * min_separation
-
     score = volume.sum(axis=0)
-    is_peak = (score >= neighborhood_max(score)) & (score > threshold)
-    peak_idx = np.argwhere(is_peak)
-    if peak_idx.shape[0] == 0:
-        return np.zeros((0, 3)), np.zeros(0)
-
-    flat_centers = grid.voxel_centers()
-    # voxel_centers is ordered z-major; transpose back to (X, Y, Z, 3)
-    centers_all = flat_centers.reshape(*reversed(grid.resolution), 3).transpose((2, 1, 0, 3))
-    peak_scores = score[tuple(peak_idx.T)]
-    order = np.argsort(-peak_scores, kind="stable")
-
-    kept_pos = []
-    kept_scores = []
-    for i in order:
-        pos = centers_all[tuple(peak_idx[i])]
-        if all(np.linalg.norm(pos - k) >= min_separation for k in kept_pos):
-            kept_pos.append(pos)
-            kept_scores.append(float(peak_scores[i]))
-
-    flat_scores = flatten_volume(score[None])[:, 0]
-    refined = []
-    for pos in kept_pos:
-        near = np.linalg.norm(flat_centers - pos, axis=1) <= refine_radius
-        mass = flat_scores[near]
-        total = mass.sum()
-        refined.append(flat_centers[near].T @ mass / total if total > 0 else pos)
-    return np.asarray(refined), np.asarray(kept_scores)
+    flat_scores = score.ravel(order="F")  # flat index x + X*y + X*Y*z
+    return _centers_from_score(score, lambda index: flat_scores[index], grid.voxel_centers(),
+                               grid, threshold, min_separation, refine_radius)
 
 
 def propose_centers(scene: SyntheticScene, cfg: RunConfig):
-    """Aggregate the whole scene space at coarse resolution and propose.
+    """Score the whole scene space at coarse resolution and propose.
 
     Scores each voxel by the per-camera minimum response instead of the
     mean: ray-intersection ghosts are bright in some views only, so
     requiring every camera to agree suppresses them, while true joints
     (always visible in the occlusion-free synthetic scenes) survive.
+
+    The centers equal `coarse_center_proposal` on `min_feature_volume` bit
+    for bit, but the per-joint score runs only where it can matter. One
+    joint-summed channel per camera gives `min_score_bound` on every voxel;
+    `min_score` runs only where that bound passes the threshold (every
+    other voxel scores at most the threshold and is read as 0), and,
+    lazily, on the voxels that each kept peak's refinement reads.
     """
     scfg = scene.config
     res = tuple(max(2, int(np.ceil(ext / cfg.coarse_voxel_mm))) for ext in scfg.space_extent)
     grid = GridSpec(center=scfg.space_center, extent=scfg.space_extent, resolution=res)
-    volume = min_feature_volume(scene.cameras, scene.heatmaps, grid)
-    centers, _ = coarse_center_proposal(
-        volume, grid, threshold=cfg.proposal_threshold,
-        min_separation=scfg.person_extent / 2.0,
+    centers = grid.voxel_centers()
+    floor = cfg.proposal_threshold * (1.0 - SCORE_BOUND_RTOL)
+    scored = min_score_bound(scene.cameras, scene.heatmaps, centers) > floor
+    flat_scores = np.zeros(grid.n_voxels)
+    flat_scores[scored] = min_score(scene.cameras, scene.heatmaps, centers[scored])
+
+    def exact_score(index):
+        todo = index[~scored[index]]
+        flat_scores[todo] = min_score(scene.cameras, scene.heatmaps, centers[todo])
+        scored[todo] = True
+        return flat_scores[index]
+
+    found, _ = _centers_from_score(
+        flat_scores.reshape(res, order="F"), exact_score, centers, grid,
+        cfg.proposal_threshold, scfg.person_extent / 2.0, None,
     )
-    return centers
+    return found
 
 
 # -- stage two: per-person inference -----------------------------------------

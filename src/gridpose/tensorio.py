@@ -7,12 +7,17 @@ manifest.json listing every tensor name. Format problems (truncated
 payloads, unknown dtype tags, sidecar/payload disagreement) raise OSError
 so the CLI can map them to its I/O exit code; `load_json_file` does the
 same for every JSON data file (sidecars, manifests, poses, cameras).
+`has_json_type` holds the JSON type rules that config files and camera
+entries share.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import types
+from dataclasses import is_dataclass
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -30,6 +35,25 @@ def load_json_file(path, parse):
             return parse(json.load(fh))
     except (ValueError, TypeError, KeyError) as exc:
         raise OSError(f"malformed data file {path}: {type(exc).__name__}: {exc}") from exc
+
+
+# The JSON types a field of each declared type accepts; bool is never a number.
+_JSON_TYPES = {int: int, float: (int, float), str: str, tuple: list, list: list}
+
+
+def has_json_type(hint, value):
+    """Whether a value read from JSON fits a field annotated `hint`; a
+    `tuple[int, ...]` field also checks each element."""
+    if isinstance(hint, types.UnionType):  # `float | None`
+        return any(has_json_type(h, value) for h in get_args(hint))
+    if hint is type(None):
+        return value is None
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[get_origin(hint) or hint]):
+        return False
+    item = get_args(hint)[:1]  # `tuple[float, ...]` -> (float,)
+    return not item or all(has_json_type(item[0], v) for v in value)
 
 
 def write_json_file(path, doc):

@@ -308,6 +308,17 @@ def _attention(workdir, **changes):
     return dict(json.loads((workdir / "run_config.json").read_text())["attention"], **changes)
 
 
+def _camera_list(workdir, **changes):
+    """The shared scene's camera entries, each with `changes` applied."""
+    doc = json.loads((workdir / "scene" / "cameras.json").read_text())
+    return [dict(entry, **changes) for entry in doc["cameras"]]
+
+
+def _cameras_with(workdir, **changes):
+    """Text of the shared scene's cameras.json with `changes` in every entry."""
+    return json.dumps({"cameras": _camera_list(workdir, **changes)})
+
+
 def _synth_bad_config(workdir, tmp_path, **overrides):
     config = _config_with(workdir, tmp_path, "scene_config.json", **overrides)
     return ["synth", "--config", config, "--out", str(tmp_path / "scene")]
@@ -327,6 +338,10 @@ class TestExitCodes:
         pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,abc"), 2,
                      id="eval-bad-threshold"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--exclude", "x"), 2, id="eval-bad-exclude"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--alpha", "nan"), 2, id="eval-alpha-nan"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--alpha", "inf"), 2, id="eval-alpha-inf"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "nan"), 2, id="eval-threshold-nan"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,inf"), 2, id="eval-threshold-inf"),
         pytest.param(lambda w, t: ["bench", "--lengths", "100,abc", "--out", str(t / "x.csv")], 2,
                      id="bench-bad-length"),
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "cameras.json", "{not json"), 4,
@@ -338,6 +353,14 @@ class TestExitCodes:
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "heatmaps/view00.json",
                                                        '{"name": "view00", "dtype": "f64", "shape": ["a"]}'),
                      4, id="infer-heatmap-sidecar-bad-shape"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "cameras.json", _cameras_with(w, fx="100")), 4,
+                     id="infer-camera-fx-string"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "cameras.json", _cameras_with(w, width=64.7)), 4,
+                     id="infer-camera-width-float"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, cameras=_camera_list(w, fx="100")), 2,
+                     id="synth-camera-fx-string"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, cameras=_camera_list(w, width=64.7)), 2,
+                     id="synth-camera-width-float"),
         pytest.param(lambda w, t: _infer_bad_config(w, t, coarse_voxel_mm=float("nan")), 2,
                      id="infer-coarse-voxel-nan"),
         pytest.param(lambda w, t: _infer_bad_config(w, t, coarse_voxel_mm=float("inf")), 2,

@@ -226,6 +226,29 @@ class TestJsonTypes:
         with pytest.raises(ConfigError, match="takes"):
             parse(doc)
 
+    @pytest.mark.parametrize("change", [
+        {"fx": "100"}, {"cy": None}, {"fy": True}, {"width": 64.7}, {"height": 64.0},
+        {"width": False}, {"R": [1, 0, 0, 0, 1, 0, 0, 0, "1"]}, {"t": [0, 0, True]}, {"t": 0},
+    ])
+    def test_mistyped_camera_value_rejected(self, change):
+        entry = dict(camera_ring(1, 3000.0, 500.0, (0.0, 0.0, 0.0), (64, 64), 100.0)[0].to_json(), **change)
+        with pytest.raises(ConfigError, match="takes"):
+            scene_config_from_json({"cameras": [entry]})
+
+    @pytest.mark.parametrize("change, match", [
+        ({"skew": 0.0}, "unknown"), ({"fx": float("nan")}, "finite"), ({"t": [0, 0, float("inf")]}, "finite"),
+    ])
+    def test_unknown_or_non_finite_camera_value_rejected(self, change, match):
+        entry = dict(camera_ring(1, 3000.0, 500.0, (0.0, 0.0, 0.0), (64, 64), 100.0)[0].to_json(), **change)
+        with pytest.raises(ConfigError, match=match):
+            scene_config_from_json({"cameras": [entry]})
+
+    def test_integer_camera_numbers_load_as_floats(self):
+        entry = dict(camera_ring(1, 3000.0, 500.0, (0.0, 0.0, 0.0), (64, 64), 100.0)[0].to_json(), fx=100, cx=32)
+        cam = scene_config_from_json({"cameras": [entry]}).cameras[0]
+        assert cam.to_json() == dict(entry, fx=100.0, cx=32.0)
+        assert type(cam.fx) is float and type(cam.image_width) is int
+
     def test_integers_fill_float_fields_and_null_fills_optional_ones(self):
         cfg = run_config_from_json({"lr": 0, "attention": {"temperature": None, "embed_dim": 16}})
         assert cfg.lr == 0 and cfg.attention.temperature == 4.0

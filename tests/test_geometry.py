@@ -20,7 +20,7 @@ from gridpose import (
     project_point,
     sample_heatmap,
 )
-from gridpose.geometry import VOXEL_BLOCK, min_feature_volume
+from gridpose.geometry import SCORE_BOUND_RTOL, VOXEL_BLOCK, min_feature_volume, min_score, min_score_bound
 
 
 def identity_camera(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0, size=(1000, 1000)):
@@ -296,3 +296,44 @@ class TestBlockedSampling:
         cams, heatmaps, grid = multi_block_views
         with pytest.raises(ValueError):
             min_feature_volume(cams, heatmaps[:2], grid)
+
+
+class TestScoreBound:
+    """`min_score_bound` (one joint-summed channel per camera) must bound the
+    15-joint `min_score` on every voxel as computed, so that center proposal
+    can skip every voxel whose bound stays below the threshold."""
+
+    @pytest.fixture(scope="class")
+    def sparse_views(self, multi_block_views):
+        """The multi-block cameras and grid with heatmaps that are 0 on 30%
+        of their pixels, so that some observed voxels score exactly 0."""
+        cams, heatmaps, grid = multi_block_views
+        rng = np.random.default_rng(5)
+        values = [hm.values * (rng.uniform(size=hm.values.shape) >= 0.3) for hm in heatmaps]
+        return cams, [Heatmap(values=v) for v in values], grid
+
+    @pytest.mark.parametrize("n_cameras", [1, 3])
+    def test_bound_covers_score(self, sparse_views, n_cameras):
+        cams, heatmaps, grid = sparse_views
+        cams, heatmaps = cams[:n_cameras], heatmaps[:n_cameras]
+        centers = grid.voxel_centers()
+        score = min_score(cams, heatmaps, centers)
+        bound = min_score_bound(cams, heatmaps, centers)
+        assert np.all(score >= 0.0) and np.any(bound > 0.0)
+        assert np.all(score <= bound * (1.0 + SCORE_BOUND_RTOL))
+        assert np.all(score[bound == 0.0] == 0.0)
+        if n_cameras == 1:
+            # one camera: bound and score agree in exact arithmetic, so the
+            # slack is all that absorbs rounding, and the bound is tight
+            assert np.any(score > bound)
+            np.testing.assert_allclose(bound, score, rtol=1e-13, atol=0.0)
+
+    def test_min_score_equals_dense_joint_sum_at_any_points(self, sparse_views):
+        cams, heatmaps, grid = sparse_views
+        dense = min_feature_volume(cams, heatmaps, grid).sum(axis=0).ravel(order="F")
+        centers = grid.voxel_centers()
+        assert np.array_equal(min_score(cams, heatmaps, centers), dense)
+        # a point's score does not depend on the points that share its blocks
+        subset = np.random.default_rng(8).permutation(grid.n_voxels)[:VOXEL_BLOCK + 100]
+        assert np.array_equal(min_score(cams, heatmaps, centers[subset]), dense[subset])
+        assert min_score(cams, heatmaps, centers[:0]).shape == (0,)

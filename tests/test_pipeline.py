@@ -2,6 +2,7 @@
 training, the attention benchmark, and the built-in check suite."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -29,6 +30,7 @@ from gridpose import (
     write_loss_csv,
 )
 from gridpose.autodiff import no_grad
+from gridpose.geometry import min_feature_volume
 from gridpose.pipeline import neighborhood_max
 from conftest import toy_run_config, toy_scene_config
 
@@ -54,6 +56,41 @@ def border_peaks(dims):
         score[index] = value
         value += 1.0
     return score
+
+
+def whole_grid_proposal(volume, grid, threshold, min_separation, refine_radius=None):
+    """Reference center proposal: the same peaks and suppression, with each
+    refinement ball picked out of every voxel of the grid."""
+    if refine_radius is None:
+        refine_radius = 0.9 * min_separation
+    score = volume.sum(axis=0)
+    peak_idx = np.argwhere((score >= windowed_max(score)) & (score > threshold))
+    flat_centers = grid.voxel_centers()
+    flat_scores = score.ravel(order="F")
+    kept = []
+    for i in np.argsort(-score[tuple(peak_idx.T)], kind="stable"):
+        pos = grid.voxel_center(peak_idx[i])
+        if all(np.linalg.norm(pos - k) >= min_separation for k, _ in kept):
+            kept.append((pos, score[tuple(peak_idx[i])]))
+    refined = []
+    for pos, _ in kept:
+        near = np.linalg.norm(flat_centers - pos, axis=1) <= refine_radius
+        mass = flat_scores[near]
+        refined.append(flat_centers[near].T @ mass / mass.sum() if mass.sum() > 0 else pos)
+    return np.asarray(refined).reshape(-1, 3), np.asarray([s for _, s in kept])
+
+
+def proposal_grid(scene, cfg):
+    """The coarse grid `propose_centers` scores."""
+    res = tuple(max(2, int(np.ceil(ext / cfg.coarse_voxel_mm))) for ext in scene.config.space_extent)
+    return GridSpec(center=scene.config.space_center, extent=scene.config.space_extent, resolution=res)
+
+
+def crowd_scene_config(seed, **overrides):
+    """Four people in a 5.6 x 5.6 m space seen by five ring cameras."""
+    base = dict(n_people=4, space_extent=(5600.0, 5600.0, 2000.0), n_cameras=5,
+                camera_radius=5600.0, camera_height=1000.0, image_size=(128, 128), focal_px=70.0)
+    return toy_scene_config(seed=seed, **dict(base, **overrides))
 
 
 class TestNeighborhoodMax:
@@ -125,6 +162,26 @@ class TestCoarseCenterProposal:
         assert list(scores) == sorted(scores, reverse=True)
         np.testing.assert_allclose(centers[0], grid.voxel_center((6, 6, 6)), atol=1e-9)
 
+    @pytest.mark.parametrize("dims, radius", [
+        ((12, 9, 7), 300.0),   # 3 voxel edges: the box's outer layer lies on the ball
+        ((12, 9, 7), 250.0),
+        ((5, 11, 8), 430.0),
+        ((9, 9, 9), 5000.0),   # the ball holds the whole grid
+        ((7, 6, 5), None),     # default radius, 0.9 of the separation
+    ])
+    def test_matches_whole_grid_refinement_oracle(self, dims, radius):
+        # peaks on every face, edge and corner, so the boxes clip on every side
+        grid = GridSpec(center=(40.0, -30.0, 10.0), extent=100.0 * np.asarray(dims), resolution=dims)
+        rng = np.random.default_rng(sum(dims))
+        volume = rng.uniform(0.0, 0.2, size=(3, *dims)) * (rng.uniform(size=(3, *dims)) < 0.5)
+        volume[0] += border_peaks(dims)
+        for min_separation in (150.0, 400.0):
+            centers, scores = coarse_center_proposal(volume, grid, threshold=0.3, min_separation=min_separation,
+                                                     refine_radius=radius)
+            want_centers, want_scores = whole_grid_proposal(volume, grid, 0.3, min_separation, radius)
+            assert len(centers) > 1
+            assert np.array_equal(centers, want_centers) and np.array_equal(scores, want_scores)
+
     def test_shape_validation(self):
         grid = GridSpec(center=(0.0, 0.0, 0.0), extent=800.0, resolution=8)
         with pytest.raises(ValueError):
@@ -152,6 +209,28 @@ class TestProposeCenters:
         dists = np.linalg.norm(centers[:, None] - scene.centers[None, :], axis=2)
         assert dists.min(axis=1).max() <= 0.25 * scene.config.person_extent
         assert set(np.argmin(dists, axis=1)) == {0, 1}
+
+    @pytest.mark.parametrize("seed, threshold, voxel_mm, overrides", [
+        (1, 0.3, 80.0, {}),
+        (2, 0.3, 80.0, {}),
+        (3, 0.3, 80.0, {"n_cameras": 3}),
+        (7, 0.0, 80.0, {}),  # every voxel with a positive bound is scored
+        (8, 1e6, 80.0, {}),  # no voxel passes: no centers
+        # the space is one person high and the coarse grid 18 voxels high,
+        # twice the refinement reach of ceil(720 / 88.9) = 9 voxels, so
+        # every refinement box is clipped in z
+        (5, 0.3, 90.0, {"space_extent": (5600.0, 5600.0, 1600.0)}),
+    ])
+    def test_equals_dense_proposal(self, seed, threshold, voxel_mm, overrides):
+        cfg = dataclasses.replace(toy_run_config(steps=0), proposal_threshold=threshold, coarse_voxel_mm=voxel_mm)
+        scene = synth_scene(crowd_scene_config(seed, **overrides))
+        grid = proposal_grid(scene, cfg)
+        volume = min_feature_volume(scene.cameras, scene.heatmaps, grid)
+        want, _ = whole_grid_proposal(volume, grid, threshold, scene.config.person_extent / 2.0)
+        dense, _ = coarse_center_proposal(volume, grid, threshold, scene.config.person_extent / 2.0)
+        centers = propose_centers(scene, cfg)
+        assert np.array_equal(centers, want) and np.array_equal(centers, dense)
+        assert (len(centers) == 0) == (threshold > volume.sum(axis=0).max())
 
     def test_zero_heatmaps_propose_nothing(self):
         scene = synth_scene(toy_scene_config())
