@@ -9,12 +9,19 @@ The encoder never materializes an L x L attention matrix. Each layer:
 4. reorders the key/value bins with the relaxed matrix (soft convex
    mixing while training, hard row-argmax at inference),
 5. lets each bin attend to a 2B-element window: its own elements plus
-   its matched bin,
-6. finishes with the usual residual + layer norm + feed-forward stack.
+   its matched bin. ``windowed_attention`` is one autodiff node: the local
+   and matched bins are scored as two B x B blocks per head that share
+   one row max and one softmax denominator, so the window is never
+   concatenated,
+6. finishes with residual + layer norm + feed-forward + residual + layer
+   norm. ``layer_norm`` (which takes the residual add as an operand) and
+   ``feed_forward`` are single autodiff nodes with closed-form backwards.
 
 Score storage per layer is therefore N_b^2 + L*2B elements instead of
-L^2; ``ScoreCounter`` instruments exactly that quantity (counting
-query-key pairs once, independent of how many heads share them).
+L^2, held as two (N_b, h, B, B) blocks that are exponentiated in place and
+kept for the backward pass; ``ScoreCounter`` instruments exactly that
+quantity (counting query-key pairs once, independent of how many heads
+share them).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat
+from .autodiff import Tensor, as_tensor
 from .conv import Conv3dLayer, conv3d_forward, init_conv3d
 from .errors import ConfigError, NotDifferentiablePathError
 from .grid import flatten_volume, merge_bins, partition_bins, unflatten_volume
@@ -151,37 +158,92 @@ def reorder_bins(bins, sink: SinkhornResult, mode="soft"):
     raise ValueError(f"unknown reorder mode {mode!r}")
 
 
+def _split_heads(x, n_heads):
+    """(N_b, B, e) array -> (N_b, h, B, d) view: one (B, d) block per bin and head."""
+    n_b, b, e = x.shape
+    return x.reshape(n_b, b, n_heads, e // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    """(N_b, h, B, d) array -> (N_b, B, h*d) array, the inverse of `_split_heads`."""
+    n_b, n_h, b, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(n_b, b, n_h * d)
+
+
+def _swap_last(x):
+    """Swap the last two axes (a view)."""
+    return x.swapaxes(-1, -2)
+
+
 def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfig,
                        w_o=None, counter: ScoreCounter | None = None):
     """Per-bin attention over the 2B-element window [local bin, matched bin].
 
     Multi-head scaled dot-product attention with scores Q K^T / sqrt(d)
     per head (d = head dim); heads are concatenated and, when given,
-    mapped through w_o. Output shape (N_b, B, e).
+    mapped through w_o. All five inputs are (N_b, B, e); output (N_b, B, e).
+
+    One autodiff node up to w_o. The 1/sqrt(d) scale is folded into Q, the
+    local and matched bins are scored as two (N_b, h, B, B) blocks that
+    share one row max and one softmax denominator (the log-sum-exp identity
+    of online softmax), and the denominator divides the summed value
+    products once. The backward pass is the softmax-attention adjoint on
+    the saved exponentiated blocks, with 1/denominator folded into the
+    output gradient.
     """
     b_q, b_k, b_v = as_tensor(b_q), as_tensor(b_k), as_tensor(b_v)
     sorted_k, sorted_v = as_tensor(sorted_k), as_tensor(sorted_v)
+    for name, t in (("b_k", b_k), ("b_v", b_v), ("sorted_k", sorted_k), ("sorted_v", sorted_v)):
+        if t.shape != b_q.shape:
+            raise ValueError(f"{name} has shape {t.shape}, query bins {b_q.shape}")
     n_b, b, e = b_q.shape
     n_h = config.n_heads
-    d = config.head_dim
     if e != config.embed_dim:
         raise ValueError(f"bins carry {e} channels but config.embed_dim is {config.embed_dim}")
 
-    k_cat = concat([b_k, sorted_k], axis=1)  # (N_b, 2B, e)
-    v_cat = concat([b_v, sorted_v], axis=1)
-    window = k_cat.shape[1]
-
-    q = b_q.reshape(n_b, b, n_h, d).transpose((0, 2, 1, 3))  # (N_b, h, B, d)
-    k = k_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 3, 1))  # (N_b, h, d, 2B)
-    v = v_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 1, 3))  # (N_b, h, 2B, d)
-
     # a Python float scale keeps f32 scores f32; an np.float64 one promotes them
-    scores = (q @ k) * float(1.0 / np.sqrt(d))  # (N_b, h, B, 2B)
+    scale = float(1.0 / np.sqrt(config.head_dim))
+    q = _split_heads(b_q.data * scale, n_h)  # (N_b, h, B, d)
+    k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
+    v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
+    p_loc = q @ _swap_last(k_loc)  # (N_b, h, B, B) scores, exponentiated in place below
+    p_match = q @ _swap_last(k_match)
+    row_max = np.maximum(p_loc.max(axis=-1, keepdims=True), p_match.max(axis=-1, keepdims=True))
+    for p in (p_loc, p_match):
+        p -= row_max
+        np.exp(p, out=p)
+    denom = p_loc.sum(axis=-1, keepdims=True) + p_match.sum(axis=-1, keepdims=True)
+    heads = p_loc @ v_loc  # (N_b, h, B, d)
+    heads += p_match @ v_match
+    heads /= denom
     if counter is not None:
-        counter.window_elements += n_b * b * window
-    attn = scores.softmax(axis=-1)
-    out = attn @ v  # (N_b, h, B, d)
-    out = out.transpose((0, 2, 1, 3)).reshape(n_b, b, e)
+        counter.window_elements += n_b * b * 2 * b
+
+    def backward(g):
+        g_heads = _split_heads(g, n_h) / denom
+        row_dot = (g_heads * heads).sum(axis=-1, keepdims=True)
+        d_q = None
+        for p, k, v, src_k, src_v in ((p_loc, k_loc, v_loc, b_k, b_v),
+                                      (p_match, k_match, v_match, sorted_k, sorted_v)):
+            if src_v.requires_grad:
+                src_v._accumulate(_merge_heads(_swap_last(p) @ g_heads))
+            if not (src_k.requires_grad or b_q.requires_grad):
+                continue
+            d_scores = g_heads @ _swap_last(v)
+            d_scores -= row_dot
+            d_scores *= p
+            if src_k.requires_grad:
+                src_k._accumulate(_merge_heads(_swap_last(d_scores) @ q))
+            if b_q.requires_grad:
+                if d_q is None:
+                    d_q = d_scores @ k
+                else:
+                    d_q += d_scores @ k
+        if b_q.requires_grad:
+            d_q *= scale
+            b_q._accumulate(_merge_heads(d_q))
+
+    out = Tensor._make(_merge_heads(heads), (b_q, b_k, b_v, sorted_k, sorted_v), backward)
     if w_o is not None:
         out = out @ as_tensor(w_o)
     return out
@@ -287,17 +349,75 @@ def init_encoder_weights(n_joints, dims, config: AttentionConfig, rng):
 # -- forward passes ------------------------------------------------------------
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    x = as_tensor(x)
-    m = x.mean(axis=-1, keepdims=True)
-    centered = x - m
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered * (var + eps) ** -0.5 * as_tensor(gain) + as_tensor(bias)
+def layer_norm(x, gain, bias, eps=1e-5, residual=None):
+    """Normalize over the last axis, then scale by `gain` and shift by `bias`.
+
+    With `residual`, normalizes x + residual (the post-norm residual add).
+    One autodiff node with the closed-form backward (Ba et al. 2016):
+    dx = (dy*gain - mean(dy*gain) - xhat * mean(dy*gain * xhat)) / std.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    inputs = (x,) if residual is None else (x, as_tensor(residual))
+    if residual is None:
+        normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    else:
+        normed = x.data + inputs[1].data
+        normed -= normed.mean(axis=-1, keepdims=True)
+    n = normed.shape[-1]
+    var = np.einsum("...i,...i->...", normed, normed)[..., None] / n
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normed *= inv_std
+    out = normed * gain.data
+    out += bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accumulate((g * normed).reshape(-1, n).sum(axis=0))
+        if bias.requires_grad:
+            bias._accumulate(g.reshape(-1, n).sum(axis=0))
+        if any(t.requires_grad for t in inputs):
+            dx = g * gain.data
+            mean_dx = dx.mean(axis=-1, keepdims=True)
+            proj = (dx * normed).mean(axis=-1, keepdims=True)
+            dx -= mean_dx
+            dx -= normed * proj
+            dx *= inv_std
+            for t in inputs:
+                if t.requires_grad:
+                    t._accumulate(dx)
+
+    return Tensor._make(out, (*inputs, gain, bias), backward)
 
 
 def feed_forward(x, weights: EncoderLayerWeights):
-    hidden = (as_tensor(x) @ weights.ff_w1 + weights.ff_b1).relu()
-    return hidden @ weights.ff_w2 + weights.ff_b2
+    """relu(x W1 + b1) W2 + b2 over the last axis, as one autodiff node."""
+    x = as_tensor(x)
+    w1, b1, w2, b2 = weights.ff_w1, weights.ff_b1, weights.ff_w2, weights.ff_b2
+    rows = x.data.reshape(-1, w1.shape[0])
+    hidden = rows @ w1.data
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
+
+    def backward(g):
+        g_rows = g.reshape(-1, w2.shape[1])
+        if b2.requires_grad:
+            b2._accumulate(g_rows.sum(axis=0))
+        if w2.requires_grad:
+            w2._accumulate(hidden.T @ g_rows)
+        if not (w1.requires_grad or b1.requires_grad or x.requires_grad):
+            return
+        d_hidden = g_rows @ w2.data.T
+        d_hidden *= hidden > 0  # relu subgradient: 0 at 0
+        if b1.requires_grad:
+            b1._accumulate(d_hidden.sum(axis=0))
+        if w1.requires_grad:
+            w1._accumulate(rows.T @ d_hidden)
+        if x.requires_grad:
+            x._accumulate((d_hidden @ w1.data.T).reshape(x.shape))
+
+    return Tensor._make(out.reshape(*x.shape[:-1], w2.shape[1]), (x, w1, b1, w2, b2), backward)
 
 
 def embed_volume(vol, weights: EncoderWeights, config: AttentionConfig):
@@ -327,9 +447,8 @@ def attention_sublayer(bins, weights: EncoderLayerWeights, config: AttentionConf
 def encoder_layer_forward(bins, weights: EncoderLayerWeights, config: AttentionConfig,
                           mode="soft", counter: ScoreCounter | None = None):
     attn = attention_sublayer(bins, weights, config, mode, counter)
-    x = layer_norm(bins + attn, weights.ln1_gain, weights.ln1_bias)
-    x = layer_norm(x + feed_forward(x, weights), weights.ln2_gain, weights.ln2_bias)
-    return x
+    x = layer_norm(bins, weights.ln1_gain, weights.ln1_bias, residual=attn)
+    return layer_norm(x, weights.ln2_gain, weights.ln2_bias, residual=feed_forward(x, weights))
 
 
 def encoder_forward(vol, weights: EncoderWeights, config: AttentionConfig,

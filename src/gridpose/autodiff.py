@@ -6,14 +6,16 @@ reachable tensor with ``requires_grad=True``. Gradients are exact
 reverse-mode; there is no higher-order support. Only the primitives the
 pose model needs are implemented: elementwise arithmetic, matmul,
 reshape/transpose/concat, reductions, relu, exp/log, log-sum-exp and
-softmax. The 3D convolution primitive lives in ``conv.py`` and plugs into
-the same graph mechanism.
+softmax. The 3D convolution (``conv.py``) and the fused windowed-attention,
+layer-norm and feed-forward nodes (``attention.py``) plug into the same
+graph mechanism through ``Tensor._make`` with hand-written backwards.
 
 Inside a ``with no_grad():`` block nothing is recorded: every op returns a
 plain leaf with no children and no backward closure, so intermediates (conv
-im2col columns, attention scores, cached softmaxes) are freed as soon as the
-next op has used them. Inference runs this way; leaves keep their
-``requires_grad`` flag, so a graph built after the block backpropagates.
+im2col columns, exponentiated attention scores, feed-forward activations)
+are freed as soon as the next op has used them. Inference runs this way;
+leaves keep their ``requires_grad`` flag, so a graph built after the block
+backpropagates.
 """
 
 from __future__ import annotations
@@ -88,8 +90,10 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy in the tensor's dtype: f32 gradients stay f32, g is never aliased
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self):
         self.grad = None

@@ -3,10 +3,17 @@
 Volumes are (C, X, Y, Z). Kernels must be odd so that zero padding of
 (k-1)/2 keeps spatial dimensions unchanged. One im2col GEMM serves the
 forward pass and both gradients; the input gradient correlates the output
-gradient with the flipped, in/out-transposed kernel (the adjoint). All
-model-math functions here accept plain ndarrays
-or autodiff Tensors and always return a Tensor (use ``.data`` for the
-raw array).
+gradient with the flipped, in/out-transposed kernel (the adjoint).
+
+The im2col gather reads a channels-last padded copy of the volume, so its
+columns are ordered (kx, ky, kz, C) and every copied run is C contiguous
+values rather than 3-element strides; the weight matrix is permuted to
+that order and its gradient permuted back. A k=1 conv needs no padding or
+windows: its columns are the volume itself, channels last. The output is
+the (L, C) GEMM result viewed as (C, X, Y, Z), so a conv that feeds the
+next one hands it channels-last memory. All model-math functions here
+accept plain ndarrays or autodiff Tensors and always return a Tensor (use
+``.data`` for the raw array).
 """
 
 from __future__ import annotations
@@ -19,13 +26,24 @@ from .autodiff import Tensor, as_tensor
 
 
 def _im2col(vol, k):
-    """(C, X, Y, Z) volume -> (X*Y*Z, C*k^3) matrix of zero-padded k^3 patches."""
+    """(C, X, Y, Z) volume -> (X*Y*Z, k^3*C) matrix of zero-padded k^3 patches.
+
+    Rows are voxels in (x, y, z) order; columns are (kx, ky, kz, C).
+    """
+    c, sx, sy, sz = vol.shape
+    if k == 1:
+        return vol.transpose(1, 2, 3, 0).reshape(sx * sy * sz, c)
     pad = (k - 1) // 2
-    vol_pad = np.pad(vol, ((0, 0), (pad, pad), (pad, pad), (pad, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(vol_pad, (k, k, k), axis=(1, 2, 3))
-    # windows: (C, X, Y, Z, k, k, k) -> rows ordered like the flattened output
-    cols = windows.transpose(1, 2, 3, 0, 4, 5, 6).reshape(vol[0].size, -1)
-    return np.ascontiguousarray(cols)
+    padded = np.zeros((sx + 2 * pad, sy + 2 * pad, sz + 2 * pad, c), dtype=vol.dtype)
+    padded[pad:pad + sx, pad:pad + sy, pad:pad + sz] = vol.transpose(1, 2, 3, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k, k), axis=(0, 1, 2))
+    # windows: (X, Y, Z, C, kx, ky, kz); the copy moves contiguous C-runs
+    return windows.transpose(0, 1, 2, 4, 5, 6, 3).reshape(sx * sy * sz, k**3 * c)
+
+
+def _weight_matrix(w):
+    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like `_im2col`."""
+    return w.transpose(0, 2, 3, 4, 1).reshape(w.shape[0], -1)
 
 
 def conv3d(x, w, b):
@@ -40,20 +58,21 @@ def conv3d(x, w, b):
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
 
-    cols = _im2col(x.data, k)  # (L, c_in*k^3)
-    w_mat = w.data.reshape(c_out, -1)
-    out_mat = cols @ w_mat.T + b.data  # (L, c_out)
+    cols = _im2col(x.data, k)  # (L, k^3*c_in)
+    out_mat = cols @ _weight_matrix(w.data).T  # (L, c_out)
+    out_mat += b.data
     out_data = out_mat.T.reshape(c_out, *x.shape[1:])
 
     def backward(g):
         g_mat = g.reshape(c_out, -1).T  # (L, c_out)
         if w.requires_grad:
-            w._accumulate((g_mat.T @ cols).reshape(w.data.shape))
+            w_grad = (g_mat.T @ cols).reshape(c_out, k, k, k, c_in)
+            w._accumulate(w_grad.transpose(0, 4, 1, 2, 3))
         if b.requires_grad:
             b._accumulate(g_mat.sum(axis=0))
         if x.requires_grad:
-            w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4).reshape(c_in, -1)
-            dx_mat = _im2col(g, k) @ w_adj.T  # (L, c_in)
+            w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            dx_mat = _im2col(g, k) @ _weight_matrix(w_adj).T  # (L, c_in)
             x._accumulate(dx_mat.T.reshape(x.data.shape))
 
     return Tensor._make(out_data, (x, w, b), backward)

@@ -3,8 +3,10 @@ windowed attention, and the full encoder stack.
 
 The key oracles: an exhaustive permutation search certifying Sinkhorn's
 hard assignment, a scalar per-bin window loop for the attention math,
-and the dense all-pairs attention that the sparse path must reproduce
-when everything fits in a single bin.
+the dense all-pairs attention that the sparse path must reproduce
+when everything fits in a single bin, and the op-by-op autodiff
+compositions that the fused windowed-attention, layer-norm and
+feed-forward nodes replace.
 """
 
 import itertools
@@ -19,8 +21,10 @@ from gridpose import (
     ScoreCounter,
     SinkhornResult,
     Tensor,
+    as_tensor,
     attention_sublayer,
     bin_means,
+    concat,
     correlation_matrix,
     dense_attention,
     embed_volume,
@@ -40,7 +44,7 @@ from gridpose import (
     windowed_attention,
 )
 from gridpose.autodiff import no_grad
-from gridpose.conv import conv3d_forward
+from gridpose.conv import conv3d, conv3d_forward
 
 
 def permutation_matrix(perm):
@@ -80,6 +84,65 @@ def windowed_oracle(bq, bk, bv, sk, sv, n_heads, w_o=None):
         out = out @ w_o
     return out
 
+
+# -- op-by-op compositions of the fused nodes (autodiff oracles) --------------
+
+
+def composed_windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o=None):
+    """Windowed attention built from autodiff primitives over a concatenated window."""
+    b_q = as_tensor(b_q)
+    n_b, b, e = b_q.shape
+    n_h, d = config.n_heads, config.head_dim
+    k_cat = concat([as_tensor(b_k), as_tensor(sorted_k)], axis=1)  # (N_b, 2B, e)
+    v_cat = concat([as_tensor(b_v), as_tensor(sorted_v)], axis=1)
+    window = k_cat.shape[1]
+    q = b_q.reshape(n_b, b, n_h, d).transpose((0, 2, 1, 3))  # (N_b, h, B, d)
+    k = k_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 3, 1))  # (N_b, h, d, 2B)
+    v = v_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 1, 3))  # (N_b, h, 2B, d)
+    attn = ((q @ k) * float(1.0 / np.sqrt(d))).softmax(axis=-1)
+    out = (attn @ v).transpose((0, 2, 1, 3)).reshape(n_b, b, e)
+    return out if w_o is None else out @ as_tensor(w_o)
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5, residual=None):
+    x = as_tensor(x)
+    if residual is not None:
+        x = x + as_tensor(residual)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered * (var + eps) ** -0.5 * as_tensor(gain) + as_tensor(bias)
+
+
+def composed_feed_forward(x, weights):
+    hidden = (as_tensor(x) @ weights.ff_w1 + weights.ff_b1).relu()
+    return hidden @ weights.ff_w2 + weights.ff_b2
+
+
+def probed_output_and_grads(fn, leaves, probe):
+    """fn()'s value and the gradients of sum(fn() * probe) for every leaf."""
+    for t in leaves.values():
+        t.zero_grad()
+    out = fn()
+    (out * Tensor(probe)).sum().backward()
+    return out.data, {name: t.grad.copy() for name, t in leaves.items()}
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
+
+
+def window_leaves(rng, n_b=3, b=4, e=6, with_wo=False):
+    names = ["b_q", "b_k", "b_v", "sorted_k", "sorted_v"]
+    leaves = {n: Tensor(rng.normal(size=(n_b, b, e)), requires_grad=True) for n in names}
+    if with_wo:
+        leaves["w_o"] = Tensor(rng.normal(size=(e, e)), requires_grad=True)
+    return leaves
+
+
+def call_window(fn, leaves, cfg):
+    args = [leaves[n] for n in ("b_q", "b_k", "b_v", "sorted_k", "sorted_v")]
+    return fn(*args, cfg, w_o=leaves.get("w_o"))
 
 class TestAttentionConfig:
     def test_temperature_defaults_to_sqrt_embed(self):
@@ -332,6 +395,197 @@ class TestWindowedAttention:
         with pytest.raises(ValueError):
             windowed_attention(*[np.zeros((2, 2, 4))] * 5, cfg)
 
+
+    def test_matched_bin_wider_than_queries_rejected(self):
+        cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
+        local = np.zeros((3, 2, 4))
+        matched = np.zeros((3, 5, 4))
+        with pytest.raises(ValueError, match="sorted_k"):
+            windowed_attention(local, local, local, matched, matched, cfg)
+
+    def test_key_value_mismatch_rejected(self):
+        cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
+        bins = np.zeros((3, 2, 4))
+        with pytest.raises(ValueError, match="sorted_v"):
+            windowed_attention(bins, bins, bins, bins, np.zeros((3, 3, 4)), cfg)
+        with pytest.raises(ValueError, match="b_v"):
+            windowed_attention(bins, bins, np.zeros((3, 2, 2)), bins, bins, cfg)
+
+
+class TestFusedNodes:
+    """Each fused node against central differences and against its composition."""
+
+    @pytest.mark.parametrize("n_heads,with_wo", [(1, False), (1, True), (2, False), (2, True)])
+    def test_windowed_attention_gradients_match_finite_differences(self, n_heads, with_wo):
+        rng = np.random.default_rng(40 + 2 * n_heads + with_wo)
+        cfg = AttentionConfig(embed_dim=6, n_heads=n_heads, bin_size=4)
+        leaves = window_leaves(rng, with_wo=with_wo)
+        probe = rng.normal(size=(3, 4, 6))
+
+        def f():
+            return (call_window(windowed_attention, leaves, cfg) * Tensor(probe)).sum()
+
+        assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
+
+    @pytest.mark.parametrize("n_heads,with_wo", [(1, False), (1, True), (2, False), (2, True)])
+    def test_windowed_attention_matches_composition(self, n_heads, with_wo):
+        rng = np.random.default_rng(50 + 2 * n_heads + with_wo)
+        cfg = AttentionConfig(embed_dim=6, n_heads=n_heads, bin_size=4)
+        leaves = window_leaves(rng, with_wo=with_wo)
+        probe = rng.normal(size=(3, 4, 6))
+        out, grads = probed_output_and_grads(
+            lambda: call_window(windowed_attention, leaves, cfg), leaves, probe)
+        want_out, want_grads = probed_output_and_grads(
+            lambda: call_window(composed_windowed_attention, leaves, cfg), leaves, probe)
+        assert_rel_close(out, want_out)
+        for name in leaves:
+            assert_rel_close(grads[name], want_grads[name])
+
+    @pytest.mark.parametrize("gap", [700.0, 1000.0])
+    def test_saturated_scores_stay_finite(self, gap):
+        # head dim 4, so scores are q.k / 2: one logit `gap` above zeros, in
+        # the matched bin for bin 0 and in the local bin for bin 1; exp(1000)
+        # overflows unless both blocks share the row max
+        rng = np.random.default_rng(60)
+        cfg = AttentionConfig(embed_dim=4, n_heads=1, bin_size=2)
+        leaves = window_leaves(rng, n_b=2, b=2, e=4)
+        leaves["b_q"].data[...] = 0.0
+        leaves["b_q"].data[:, 0, 0] = 2.0 * gap
+        for name in ("b_k", "sorted_k"):
+            leaves[name].data[...] = 0.0
+        leaves["sorted_k"].data[0, 1, 0] = 1.0
+        leaves["b_k"].data[1, 0, 0] = 1.0
+        probe = rng.normal(size=(2, 2, 4))
+        out, grads = probed_output_and_grads(
+            lambda: call_window(windowed_attention, leaves, cfg), leaves, probe)
+        want_out, want_grads = probed_output_and_grads(
+            lambda: call_window(composed_windowed_attention, leaves, cfg), leaves, probe)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out[0, 0], leaves["sorted_v"].data[0, 1], atol=1e-12)
+        np.testing.assert_allclose(out[1, 0], leaves["b_v"].data[1, 0], atol=1e-12)
+        assert_rel_close(out, want_out)
+        for name in leaves:
+            assert np.all(np.isfinite(grads[name]))
+            np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("with_residual", [False, True])
+    def test_layer_norm_gradients_match_finite_differences(self, with_residual):
+        rng = np.random.default_rng(70 + with_residual)
+        leaves = {
+            "x": Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True),
+            "gain": Tensor(rng.normal(size=5), requires_grad=True),
+            "bias": Tensor(rng.normal(size=5), requires_grad=True),
+        }
+        if with_residual:
+            leaves["residual"] = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        probe = rng.normal(size=(2, 3, 5))
+
+        def f():
+            out = layer_norm(leaves["x"], leaves["gain"], leaves["bias"], residual=leaves.get("residual"))
+            return (out * Tensor(probe)).sum()
+
+        assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
+
+    @pytest.mark.parametrize("with_residual", [False, True])
+    def test_layer_norm_matches_composition(self, with_residual):
+        rng = np.random.default_rng(80 + with_residual)
+        leaves = {
+            "x": Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True),
+            "gain": Tensor(rng.normal(size=5), requires_grad=True),
+            "bias": Tensor(rng.normal(size=5), requires_grad=True),
+        }
+        if with_residual:
+            leaves["residual"] = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        probe = rng.normal(size=(2, 3, 5))
+        results = [
+            probed_output_and_grads(
+                lambda fn=fn: fn(leaves["x"], leaves["gain"], leaves["bias"], residual=leaves.get("residual")),
+                leaves, probe)
+            for fn in (layer_norm, composed_layer_norm)
+        ]
+        (out, grads), (want_out, want_grads) = results
+        assert_rel_close(out, want_out)
+        for name in leaves:
+            assert_rel_close(grads[name], want_grads[name])
+
+    def test_feed_forward_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(90)
+        cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
+        layer = init_encoder_layer(cfg, rng)
+        layer.ff_b1.data[...] = rng.normal(size=16)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        probe = rng.normal(size=(2, 3, 4))
+        leaves = {"x": x, "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
+                  "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
+
+        def f():
+            return (feed_forward(x, layer) * Tensor(probe)).sum()
+
+        assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
+
+    def test_feed_forward_matches_composition(self):
+        rng = np.random.default_rng(91)
+        cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
+        layer = init_encoder_layer(cfg, rng)
+        layer.ff_b1.data[...] = rng.normal(size=16)
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        probe = rng.normal(size=(2, 3, 4))
+        leaves = {"x": x, "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
+                  "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
+        out, grads = probed_output_and_grads(lambda: feed_forward(x, layer), leaves, probe)
+        want_out, want_grads = probed_output_and_grads(
+            lambda: composed_feed_forward(x, layer), leaves, probe)
+        assert (out > 0).any() and (out <= 0).any()
+        assert_rel_close(out, want_out)
+        for name in leaves:
+            assert_rel_close(grads[name], want_grads[name])
+
+
+def _f32_node_cases():
+    """(name, builder) pairs; a builder takes an rng and returns (fn, leaves)."""
+
+    def window(rng):
+        cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=3)
+        leaves = window_leaves(rng, n_b=2, b=3, e=4, with_wo=True)
+        return (lambda: call_window(windowed_attention, leaves, cfg)), leaves
+
+    def norm(rng):
+        leaves = {"x": Tensor(rng.normal(size=(2, 3, 4))), "residual": Tensor(rng.normal(size=(2, 3, 4))),
+                  "gain": Tensor(rng.normal(size=4)), "bias": Tensor(rng.normal(size=4))}
+        return (lambda: layer_norm(leaves["x"], leaves["gain"], leaves["bias"],
+                                   residual=leaves["residual"])), leaves
+
+    def ffn(rng):
+        layer = init_encoder_layer(AttentionConfig(embed_dim=4, n_heads=2, bin_size=2), rng)
+        leaves = {"x": Tensor(rng.normal(size=(2, 3, 4))), "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
+                  "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
+        return (lambda: feed_forward(leaves["x"], layer)), leaves
+
+    def conv(k):
+        def build(rng):
+            leaves = {"x": Tensor(rng.normal(size=(2, 2, 3, 4))),
+                      "w": Tensor(rng.normal(size=(3, 2, k, k, k))), "b": Tensor(rng.normal(size=3))}
+            return (lambda: conv3d(leaves["x"], leaves["w"], leaves["b"])), leaves
+        return build
+
+    return [("windowed_attention", window), ("layer_norm", norm), ("feed_forward", ffn),
+            ("conv3d_k1", conv(1)), ("conv3d_k3", conv(3))]
+
+
+@pytest.mark.parametrize("name,build", _f32_node_cases(), ids=[c[0] for c in _f32_node_cases()])
+def test_float32_nodes_keep_float32(name, build):
+    fn, leaves = build(np.random.default_rng(100))
+    for t in leaves.values():
+        t.data = t.data.astype(np.float32)
+        t.requires_grad = True
+    with no_grad():
+        free = fn()
+    graph = fn()
+    assert free.data.dtype == np.float32 and graph.data.dtype == np.float32
+    assert free.data.tobytes() == graph.data.tobytes()
+    (graph * Tensor(np.ones(graph.shape, dtype=np.float32))).sum().backward()
+    for leaf_name, t in leaves.items():
+        assert t.grad is not None and t.grad.dtype == np.float32, leaf_name
 
 class TestEmbedVolume:
     def make(self, rng, n_joints=2, dims=(2, 2, 2), e=4, b=2):

@@ -216,6 +216,28 @@ class TestGraphMechanics:
         assert x.grad is None
         np.testing.assert_allclose(y.grad, x.data)
 
+    def test_first_gradient_is_a_copy_in_the_tensor_dtype(self):
+        x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        x._accumulate(g)
+        g[:] = -1.0
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
+        x._accumulate(np.ones(3))
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, [2.0, 3.0, 4.0])
+
+    def test_first_gradient_write_does_not_alias_the_upstream_gradient(self):
+        # reshape's backward hands x a view of the reshaped node's gradient,
+        # and x's second contribution is added in place
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        a, b = x.reshape(3), x.reshape(3)
+        w_a, w_b = np.array([1.0, 2.0, 3.0]), np.array([10.0, 20.0, 30.0])
+        (weighted(a, w_a) + weighted(b, w_b)).backward()
+        np.testing.assert_array_equal(a.grad, w_a)
+        np.testing.assert_array_equal(b.grad, w_b)
+        np.testing.assert_array_equal(x.grad, w_a + w_b)
+
     def test_gradients_deterministic(self):
         def grads():
             rng = np.random.default_rng(21)

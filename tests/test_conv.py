@@ -70,6 +70,14 @@ class TestConv3d:
         out = conv3d_forward(x, Conv3dLayer(Tensor(w), Tensor(b))).data
         assert np.abs(out - conv3d_oracle(x, w, b)).max() <= 1e-12
 
+    def test_pointwise_kernel_matches_naive_loop_anisotropic_dims(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 2, 3, 4))
+        w = rng.normal(size=(2, 3, 1, 1, 1))
+        b = rng.normal(size=2)
+        out = conv3d_forward(x, Conv3dLayer(Tensor(w), Tensor(b))).data
+        assert np.abs(out - conv3d_oracle(x, w, b)).max() <= 1e-12
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             Conv3dLayer(Tensor(np.zeros((1, 1, 2, 2, 2))), Tensor(np.zeros(1)))
@@ -119,6 +127,22 @@ class TestConv3d:
         (conv3d_forward(x, Conv3dLayer(Tensor(w), Tensor(np.zeros(3)))) * Tensor(g)).sum().backward()
         assert np.abs(x.grad - (m.T @ g.ravel()).reshape(shape)).max() <= 1e-12
 
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_weight_gradient_matches_oracle(self, k):
+        # The conv is linear in w: d/dw sum(conv(x, w) * g) has, at each kernel
+        # entry, the oracle's response to that entry's basis kernel dotted with g.
+        rng = np.random.default_rng(11 + k)
+        x = rng.normal(size=(2, 2, 3, 4))
+        w_shape = (3, 2, k, k, k)
+        g = rng.normal(size=(3, 2, 3, 4))
+        basis = np.eye(int(np.prod(w_shape))).reshape(-1, *w_shape)
+        expect = np.array([(conv3d_oracle(x, e, np.zeros(3)) * g).sum() for e in basis])
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        (conv3d_forward(x, Conv3dLayer(w, b)) * Tensor(g)).sum().backward()
+        assert np.abs(w.grad - expect.reshape(w_shape)).max() <= 1e-12
+        np.testing.assert_allclose(b.grad, g.reshape(3, -1).sum(axis=1), atol=1e-12)
 
 class TestResidualBlock:
     def test_all_zero_weights_give_zero_output(self):
