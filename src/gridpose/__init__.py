@@ -5,8 +5,6 @@ metrics, and a benchmark for the sparse attention's cost."""
 
 from .attention import (
     AttentionConfig,
-    EncoderLayerWeights,
-    EncoderWeights,
     ScoreCounter,
     SinkhornResult,
     attention_sublayer,
@@ -33,6 +31,8 @@ from .autodiff import (
     sgd_step,
     zero_grads,
 )
+from .bench import bench_attention, write_bench_csv
+from .checks import run_checks
 from .config import (
     RunConfig,
     SceneConfig,
@@ -44,7 +44,6 @@ from .config import (
 )
 from .conv import (
     Conv3dLayer,
-    ResidualBlock,
     conv3d_forward,
     init_conv3d,
     init_residual_block,
@@ -70,9 +69,6 @@ from .grid import (
 )
 from .metrics import (
     EvalConfig,
-    MatchResult,
-    MetricsReport,
-    PcpResult,
     ap_k,
     evaluate_frames,
     match_poses,
@@ -81,33 +77,22 @@ from .metrics import (
     pose_error,
 )
 from .model import (
-    ModelWeights,
-    init_model,
     init_model_from_config,
     load_model,
     model_forward,
     save_model,
 )
 from .pipeline import (
-    BenchRow,
-    CheckItem,
-    CheckReport,
-    InferenceResult,
-    TrainResult,
-    bench_attention,
     coarse_center_proposal,
     propose_centers,
-    run_checks,
     run_inference,
     train_toy,
-    write_bench_csv,
     write_loss_csv,
 )
 from .posehead import (
     Pose3D,
     fuse_and_head,
     integral_regression,
-    load_poses_json,
     poses_from_json,
     poses_to_json,
     regress_pose,
@@ -115,8 +100,6 @@ from .posehead import (
 )
 from .synth import (
     JOINT_NAMES,
-    SkeletonTemplate,
-    SyntheticScene,
     camera_ring,
     default_skeleton,
     load_scene,

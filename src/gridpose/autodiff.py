@@ -4,9 +4,10 @@ A ``Tensor`` wraps an ndarray and records the operations applied to it so
 that ``backward()`` on a scalar result accumulates gradients into every
 reachable tensor with ``requires_grad=True``. Gradients are exact
 reverse-mode; there is no higher-order support. Only the primitives the
-pose model needs are implemented: elementwise arithmetic, matmul,
-reshape/transpose/concat, reductions, relu, exp/log, log-sum-exp and
-softmax. The 3D convolution (``conv.py``) and the fused windowed-attention,
+pose model needs are implemented: add, subtract, multiply, matmul,
+reshape/transpose/concat, sum/mean, relu, exp, abs, log-sum-exp and
+softmax, plus the scalar power that the composed layer-norm oracle uses.
+The 3D convolution (``conv.py``) and the fused windowed-attention,
 layer-norm and feed-forward nodes (``attention.py``) plug into the same
 graph mechanism through ``Tensor._make`` with hand-written backwards.
 
@@ -60,9 +61,9 @@ def _unbroadcast(grad, shape):
 class Tensor:
     """Node in the computation graph; wraps a float ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_children", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_children", "_backward")
 
-    def __init__(self, data, requires_grad=False, name=None, _children=()):
+    def __init__(self, data, requires_grad=False, _children=()):
         arr = np.asarray(data)
         if arr.dtype != np.float32 and arr.dtype != np.float64:
             arr = arr.astype(np.float64)
@@ -71,7 +72,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._children = _children
         self._backward = None
-        self.name = name
 
     @property
     def shape(self):
@@ -86,7 +86,7 @@ class Tensor:
         return self.data.ndim
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}, name={self.name})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -97,9 +97,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        return Tensor(self.data)
 
     # -- graph construction helper ----------------------------------------
 
@@ -145,9 +142,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             a = self
@@ -168,14 +162,6 @@ class Tensor:
         return Tensor._make(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        return self * as_tensor(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) * self**-1.0
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
@@ -264,14 +250,6 @@ class Tensor:
             a._accumulate(g * out_data)
 
         return Tensor._make(out_data, (self,), backward)
-
-    def log(self):
-        a = self
-
-        def backward(g):
-            a._accumulate(g / a.data)
-
-        return Tensor._make(np.log(self.data), (self,), backward)
 
     def abs(self):
         a = self

@@ -13,6 +13,8 @@ import argparse
 import os
 import sys
 
+from .bench import bench_attention, write_bench_csv
+from .checks import run_checks
 from .config import (
     RunConfig,
     SceneConfig,
@@ -24,14 +26,7 @@ from .config import (
 from .errors import ConfigError, NumericError
 from .metrics import EvalConfig, evaluate_frames
 from .model import load_model, save_model
-from .pipeline import (
-    bench_attention,
-    run_checks,
-    run_inference,
-    train_toy,
-    write_bench_csv,
-    write_loss_csv,
-)
+from .pipeline import run_inference, train_toy, write_loss_csv
 from .posehead import poses_from_json, save_poses_json
 from .synth import load_scene, save_scene, synth_scene
 from .tensorio import load_json_file, write_json_file
@@ -147,6 +142,14 @@ def _comma_list(convert):
     return parse
 
 
+def non_negative_int(text):
+    """argparse type for seeds: numpy rejects a negative one; a rejected value exits 2."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gridpose",
@@ -156,7 +159,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic scene directory")
     p.add_argument("--config", help="scene config JSON (defaults apply when omitted)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=non_negative_int, help="override the config seed")
     p.add_argument("--out", required=True, help="output scene directory")
     p.set_defaults(func=_cmd_synth)
 
@@ -190,12 +193,12 @@ def build_parser():
     p.add_argument("--bin-size", type=int, default=128)
     p.add_argument("--embed-dim", type=int, default=256)
     p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True, help="benchmark CSV")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("check", help="run the deterministic invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", help="optional JSON report path")
     p.set_defaults(func=_cmd_check)
     return parser

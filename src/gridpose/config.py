@@ -63,6 +63,8 @@ class SceneConfig:
         self.space_center = tuple(float(v) for v in self.space_center)
         self.image_size = tuple(int(v) for v in self.image_size)
         _require_finite(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_people < 1:
             raise ConfigError(f"n_people must be >= 1, got {self.n_people}")
         if len(self.space_extent) != 3 or any(v <= 0 for v in self.space_extent):
@@ -87,10 +89,6 @@ class SceneConfig:
             raise ConfigError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
         if any(self.person_extent > v for v in self.space_extent):
             raise ConfigError("person grid does not fit inside the scene space")
-
-    def person_grid(self, center=(0.0, 0.0, 0.0)):
-        """Person-centered GridSpec template at this config's extent/resolution."""
-        return GridSpec(center=center, extent=self.person_extent, resolution=self.person_resolution)
 
 
 @dataclass
@@ -129,8 +127,8 @@ class RunConfig:
         if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
         _require_finite(self)
-        if self.train_steps < 0 or self.lr < 0:
-            raise ConfigError("train_steps and lr must be non-negative")
+        if self.train_steps < 0 or self.lr < 0 or self.seed < 0:
+            raise ConfigError("train_steps, lr and seed must be non-negative")
         if self.coarse_voxel_mm <= 0:
             raise ConfigError(f"coarse_voxel_mm must be positive, got {self.coarse_voxel_mm}")
         if self.proposal_threshold < 0:

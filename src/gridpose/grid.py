@@ -92,20 +92,6 @@ class GridSpec:
     def translated(self, delta):
         return GridSpec(self.center + _as_vec3(delta), self.extent, self.resolution)
 
-    def to_json(self):
-        return {
-            "center": [float(v) for v in self.center],
-            "extent": [float(v) for v in self.extent],
-            "resolution": list(self.resolution),
-        }
-
-    @staticmethod
-    def from_json(obj):
-        try:
-            return GridSpec(obj["center"], obj["extent"], obj["resolution"])
-        except KeyError as e:
-            raise ConfigError(f"grid spec missing field {e}") from e
-
 
 def flatten_volume(vol):
     """(C, X, Y, Z) volume -> (L, C) sequence with index i = x + X*y + X*Y*z."""

@@ -1,5 +1,4 @@
-"""Two-stage orchestration: center proposal, per-person inference, toy
-training, the attention benchmark, and the deterministic check suite.
+"""The two stages of the method, and toy training on top of them.
 
 Stage one finds person centers (ground truth, or coarse local maxima of
 the per-camera minimum score, computed only where its upper bound reaches
@@ -12,37 +11,19 @@ which is enough to demonstrate sub-voxel localization end to end.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (
-    AttentionConfig,
-    ScoreCounter,
-    attention_sublayer,
-    dense_attention,
-    encoder_layer_forward,
-    init_encoder_layer,
-    sinkhorn_normalize,
-)
-from .autodiff import Adam, Tensor, as_tensor, finite_diff_check, no_grad, sgd_step, zero_grads
+from .autodiff import Adam, Tensor, no_grad, sgd_step, zero_grads
 from .config import RunConfig
 from .errors import ConfigError, NumericError
-from .geometry import (
-    SCORE_BOUND_RTOL,
-    Heatmap,
-    aggregate_feature_volume,
-    min_score,
-    min_score_bound,
-    project_point,
-    sample_heatmap,
-)
-from .grid import GridSpec, flat_index, flatten_volume, partition_bins, unflatten_volume
-from .metrics import EvalConfig, ap_k, evaluate_frames, match_poses, mpjpe as frame_mpjpe, pcp3d
+from .geometry import SCORE_BOUND_RTOL, aggregate_feature_volume, min_score, min_score_bound
+from .grid import GridSpec, flat_index
+from .metrics import evaluate_frames, match_poses, mpjpe as frame_mpjpe
 from .model import ModelWeights, init_model_from_config, model_forward
 from .posehead import Pose3D, integral_regression, regress_pose
-from .synth import SyntheticScene, camera_ring
+from .synth import SyntheticScene
 
 
 # -- stage one: person centers -----------------------------------------------
@@ -170,8 +151,7 @@ class InferenceResult:
     report: object
 
 
-def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig,
-                  eval_config: EvalConfig = EvalConfig()):
+def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
     """Centers -> person grids -> network -> poses, evaluated against the
     scene's ground truth. Zero centers is valid and yields an empty pose
     list (AP 0, MPJPE undefined).
@@ -193,7 +173,7 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig,
             if not np.all(np.isfinite(probs.data)):
                 raise NumericError("network produced non-finite probabilities")
             poses.append(regress_pose(probs, grid, skeleton))
-    report = evaluate_frames([poses], [scene.poses], skeleton, eval_config)
+    report = evaluate_frames([poses], [scene.poses], skeleton)
     return InferenceResult(poses=poses, centers=centers, report=report)
 
 
@@ -275,253 +255,3 @@ def write_loss_csv(path, losses):
         writer.writerow(["step", "loss"])
         for step, value in enumerate(losses):
             writer.writerow([step, repr(float(value))])
-
-
-# -- attention benchmark ---------------------------------------------------------
-
-
-@dataclass
-class BenchRow:
-    length: int
-    n_bins: int
-    sparse_elements: int
-    dense_elements: int
-    sparse_seconds: float
-    dense_seconds: float | None
-
-
-DENSE_GUARD = 8192
-
-
-def bench_attention(lengths, bin_size=128, embed_dim=256, n_heads=2, seed=0,
-                    dense_guard=DENSE_GUARD):
-    """Sparse vs dense score-element counts and wall times per length.
-
-    The dense pass only runs below the memory guard; its element count
-    L^2 is always reported analytically. Inputs are float32 to keep the
-    long-sequence rows cheap.
-    """
-    rows = []
-    for length in lengths:
-        cfg = AttentionConfig(
-            embed_dim=embed_dim, n_heads=n_heads, bin_size=bin_size, n_layers=1,
-        )
-        if length % bin_size != 0:
-            raise ConfigError(f"L={length} is not divisible by bin_size {bin_size}")
-        rng = np.random.default_rng(seed)
-        seq = rng.normal(size=(length, embed_dim)).astype(np.float32)
-        layer = init_encoder_layer(cfg, rng)
-        for t in layer.parameters("w").values():
-            t.data = t.data.astype(np.float32)
-
-        counter = ScoreCounter()
-        bins = partition_bins(as_tensor(seq), bin_size)
-        with no_grad():
-            t0 = time.perf_counter()
-            encoder_layer_forward(bins, layer, cfg, mode="hard", counter=counter)
-            sparse_seconds = time.perf_counter() - t0
-
-            dense_seconds = None
-            if length <= dense_guard:
-                t0 = time.perf_counter()
-                dense_attention(as_tensor(seq), layer.w_q, layer.w_k, layer.w_v, layer.w_o, cfg)
-                dense_seconds = time.perf_counter() - t0
-        rows.append(BenchRow(
-            length=length,
-            n_bins=length // bin_size,
-            sparse_elements=counter.total,
-            dense_elements=length * length,
-            sparse_seconds=sparse_seconds,
-            dense_seconds=dense_seconds,
-        ))
-    return rows
-
-
-def write_bench_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "L", "n_bins", "sparse_score_elements", "dense_score_elements",
-            "sparse_seconds", "dense_seconds",
-        ])
-        for r in rows:
-            writer.writerow([
-                r.length, r.n_bins, r.sparse_elements, r.dense_elements,
-                f"{r.sparse_seconds:.6f}",
-                "" if r.dense_seconds is None else f"{r.dense_seconds:.6f}",
-            ])
-
-
-# -- deterministic check suite ----------------------------------------------------
-
-
-@dataclass
-class CheckItem:
-    name: str
-    passed: bool
-    value: float
-
-
-@dataclass
-class CheckReport:
-    checks: list
-
-    @property
-    def all_passed(self):
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self):
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "value": c.value}
-                for c in self.checks
-            ],
-        }
-
-
-def _check_sinkhorn(rng):
-    worst = 0.0
-    for _ in range(10):
-        r = rng.uniform(-2.0, 2.0, size=(8, 8))
-        s = sinkhorn_normalize(Tensor(r), 20).s.data
-        dev = max(np.abs(s.sum(axis=1) - 1.0).max(), np.abs(s.sum(axis=0) - 1.0).max())
-        worst = max(worst, float(dev))
-    return CheckItem("sinkhorn_doubly_stochastic", worst <= 1e-6, worst)
-
-
-def _check_permutation_recovery(rng):
-    hits = 0
-    for _ in range(10):
-        perm = rng.permutation(4)
-        p = np.eye(4)[perm]
-        r = 50.0 * p + rng.uniform(-0.1, 0.1, size=(4, 4))
-        s = sinkhorn_normalize(Tensor(r), 10).s.data
-        if np.array_equal(np.argmax(s, axis=1), perm):
-            hits += 1
-    return CheckItem("sinkhorn_permutation_recovery", hits == 10, float(hits) / 10.0)
-
-
-def _check_dense_oracle(rng):
-    cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=16, sinkhorn_iters=6, n_layers=1)
-    seq = rng.normal(size=(16, 4))
-    layer = init_encoder_layer(cfg, rng)
-    counter = ScoreCounter()
-    bins = partition_bins(Tensor(seq), 16)
-    sparse = attention_sublayer(bins, layer, cfg, mode="soft", counter=counter)
-    dense = dense_attention(Tensor(seq), layer.w_q, layer.w_k, layer.w_v, layer.w_o, cfg)
-    diff = float(np.abs(sparse.data.reshape(16, 4) - dense.data).max())
-    return CheckItem("single_bin_matches_dense_attention", diff <= 1e-10, diff)
-
-
-def _check_composed_gradient(rng):
-    cfg = RunConfig(
-        attention=AttentionConfig(embed_dim=4, n_heads=2, bin_size=2, sinkhorn_iters=3, n_layers=1),
-        n_joints=2, grid_extent=200.0, grid_resolution=2, residual_channels=(3,),
-        train_steps=0, seed=5,
-    )
-    weights = init_model_from_config(cfg)
-    grid = cfg.grid()
-    vol = rng.uniform(0.0, 1.0, size=(2, 2, 2, 2))
-    target = Tensor(rng.uniform(-80.0, 80.0, size=(2, 3)))
-    params = weights.parameters()
-    leaves = [params[k] for k in sorted(params)]
-
-    def loss_fn():
-        probs = model_forward(vol, weights, cfg.attention, mode="soft")
-        joints = integral_regression(probs, grid)
-        return ((joints - target).abs() * (1.0 / 200.0)).mean()
-
-    err = finite_diff_check(loss_fn, leaves, max_probes=4, rng=np.random.default_rng(11))
-    return CheckItem("composed_pipeline_gradient", err <= 1e-4, float(err))
-
-
-def _check_aggregation_oracle(rng):
-    cams = camera_ring(2, 900.0, 250.0, (0.0, 0.0, 0.0), (32, 24), 30.0)
-    heatmaps = [Heatmap(values=rng.uniform(0.0, 1.0, size=(2, 24, 32))) for _ in cams]
-    grid = GridSpec(center=(0.0, 0.0, 0.0), extent=500.0, resolution=4)
-    fast = aggregate_feature_volume(cams, heatmaps, grid)
-    slow = np.zeros_like(fast)
-    for j in range(2):
-        for ix in range(4):
-            for iy in range(4):
-                for iz in range(4):
-                    acc, count = 0.0, 0
-                    center = grid.voxel_center((ix, iy, iz))
-                    for cam, hm in zip(cams, heatmaps):
-                        uv = project_point(cam, center)
-                        if uv is None:
-                            continue
-                        u, v = uv
-                        if not (0 <= u <= cam.image_width - 1 and 0 <= v <= cam.image_height - 1):
-                            continue
-                        acc += sample_heatmap(hm, j, (u, v))
-                        count += 1
-                    slow[j, ix, iy, iz] = acc / count if count else 0.0
-    diff = float(np.abs(fast - slow).max())
-    return CheckItem("aggregation_matches_scalar_loop", diff <= 1e-12, diff)
-
-
-def _check_integral_delta():
-    grid = GridSpec(center=(10.0, -5.0, 3.0), extent=400.0, resolution=4)
-    probs = np.zeros((1, 4, 4, 4))
-    probs[0, 1, 2, 3] = 1.0
-    joint = integral_regression(probs, grid).data[0]
-    err = float(np.abs(joint - grid.voxel_center((1, 2, 3))).max())
-    return CheckItem("integral_regression_delta_exact", err <= 1e-9, err)
-
-
-def _check_flatten_roundtrip(rng):
-    vol = rng.normal(size=(3, 4, 5, 6))
-    back = unflatten_volume(flatten_volume(vol), (4, 5, 6))
-    same = bool(np.array_equal(back, vol))
-    return CheckItem("flatten_unflatten_roundtrip", same, 0.0 if same else 1.0)
-
-
-def _check_metrics_brute_force(rng):
-    skeleton = [(0, 1), (1, 2)]
-    worst = 0.0
-    for _ in range(5):
-        gts = [Pose3D(joints=rng.normal(scale=400.0, size=(3, 3))) for _ in range(2)]
-        preds = [Pose3D(joints=g.joints + rng.normal(scale=60.0, size=(3, 3))) for g in gts]
-        match = match_poses(preds, gts)
-        costs = np.array([
-            [np.mean(np.linalg.norm(p.joints - g.joints, axis=1)) for p in preds]
-            for g in gts
-        ])
-        # greedy on a 2x2 cost matrix: global minimum first, remainder second
-        g0, p0 = np.unravel_index(np.argmin(costs), costs.shape)
-        pairs = [(int(g0), int(p0)), (1 - int(g0), 1 - int(p0))]
-        accs = []
-        for g, p in pairs:
-            ok = total = 0
-            for a, b in skeleton:
-                limb = np.linalg.norm(gts[g].joints[a] - gts[g].joints[b])
-                if limb == 0:
-                    continue
-                total += 1
-                ea = np.linalg.norm(preds[p].joints[a] - gts[g].joints[a])
-                eb = np.linalg.norm(preds[p].joints[b] - gts[g].joints[b])
-                ok += (ea + eb) / 2.0 <= 0.5 * limb
-            accs.append(ok / total)
-        worst = max(worst, abs(pcp3d(match, 0.5, skeleton).average - float(np.mean(accs))))
-        errs = [costs[g, p] for g, p in pairs]
-        expect_ap = float(np.mean([e < 100.0 for e in errs]))
-        worst = max(worst, abs(ap_k(match, 100.0) - expect_ap))
-    return CheckItem("metrics_match_brute_force", worst == 0.0, worst)
-
-
-def run_checks(seed=0):
-    """Seeded, timing-free invariant suite; byte-stable across runs."""
-    rng = np.random.default_rng(seed)
-    checks = [
-        _check_sinkhorn(rng),
-        _check_permutation_recovery(rng),
-        _check_dense_oracle(rng),
-        _check_composed_gradient(rng),
-        _check_aggregation_oracle(rng),
-        _check_integral_delta(),
-        _check_flatten_roundtrip(rng),
-        _check_metrics_brute_force(rng),
-    ]
-    return CheckReport(checks=checks)

@@ -3,14 +3,17 @@
 The two feature volumes (transformer branch and residual conv branch) are
 concatenated along channels, mapped to one logit volume per joint by a
 1x1x1 conv, and normalized with a per-joint softmax over all voxels. The
-joint estimate is the probability-weighted average of voxel centers, in
-world millimeters, which keeps sub-voxel resolution and stays inside the
-grid (it is a convex combination of centers).
+joint estimate is the probability-weighted average of voxel centers, which
+keeps sub-voxel resolution and stays inside the grid (it is a convex
+combination of centers). The average is taken over offsets from the grid
+center, which is added back afterwards, so that rounding in the
+probabilities scales with the grid's extent rather than with its distance
+from the world origin (integral regression in a local frame, after Sun et
+al. 2018, arXiv 1711.08229).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +92,8 @@ def integral_regression(probs, grid: GridSpec):
 
     Accepts (J, X, Y, Z) probabilities (Tensor or array) and returns a
     (J, 3) Tensor of world-mm coordinates; differentiable w.r.t. probs.
-    Probability volumes must be normalized per joint.
+    Probability volumes must be normalized per joint. The average runs
+    over offsets from `grid.center`, added back at the end.
     """
     probs = as_tensor(probs)
     if probs.ndim != 4:
@@ -102,8 +106,8 @@ def integral_regression(probs, grid: GridSpec):
     if np.any(probs.data < -1e-12) or np.max(np.abs(sums - 1.0)) > tol:
         raise ValueError("probabilities must be non-negative and sum to 1 per joint")
     flat = flatten_volume(probs)  # (L, J), ordered like voxel_centers()
-    centers = Tensor(grid.voxel_centers())  # (L, 3)
-    return flat.transpose((1, 0)) @ centers
+    offsets = Tensor(grid.voxel_centers() - grid.center)  # (L, 3)
+    return flat.transpose((1, 0)) @ offsets + grid.center
 
 
 def regress_pose(probs, grid: GridSpec, skeleton=None):
@@ -163,8 +167,3 @@ def poses_from_json(doc):
 
 def save_poses_json(path, poses, skeleton=None):
     write_json_file(path, poses_to_json(poses, skeleton))
-
-
-def load_poses_json(path):
-    with open(path) as fh:
-        return poses_from_json(json.load(fh))

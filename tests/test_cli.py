@@ -344,6 +344,17 @@ class TestExitCodes:
         pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,inf"), 2, id="eval-threshold-inf"),
         pytest.param(lambda w, t: ["bench", "--lengths", "100,abc", "--out", str(t / "x.csv")], 2,
                      id="bench-bad-length"),
+        pytest.param(lambda w, t: ["bench", "--lengths", "0", "--out", str(t / "x.csv")], 2,
+                     id="bench-zero-length"),
+        pytest.param(lambda w, t: ["bench", "--lengths=-128", "--out", str(t / "x.csv")], 2,
+                     id="bench-negative-length"),
+        pytest.param(lambda w, t: ["synth", "--seed", "-1", "--out", str(t / "scene")], 2,
+                     id="synth-seed-flag-negative"),
+        pytest.param(lambda w, t: ["bench", "--seed", "-1", "--out", str(t / "x.csv")], 2,
+                     id="bench-seed-negative"),
+        pytest.param(lambda w, t: ["check", "--seed", "-1"], 2, id="check-seed-negative"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, seed=-1), 2, id="synth-seed-negative"),
+        pytest.param(lambda w, t: _train_bad_config(w, t, seed=-3), 2, id="train-toy-seed-negative"),
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "cameras.json", "{not json"), 4,
                      id="infer-cameras-invalid-json"),
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "ground_truth.json", "{not json"), 4,

@@ -61,6 +61,7 @@ class TestSceneConfig:
         assert cfg.image_size == (64, 48)
 
     @pytest.mark.parametrize("bad", [
+        dict(seed=-1),
         dict(n_people=0),
         dict(space_extent=(1000.0, 1000.0)),
         dict(space_extent=(1000.0, -1.0, 800.0)),
@@ -79,12 +80,6 @@ class TestSceneConfig:
         kwargs.update(bad)
         with pytest.raises(ConfigError):
             SceneConfig(**kwargs)
-
-    def test_person_grid_template(self):
-        cfg = SceneConfig(person_extent=1600.0, person_resolution=16)
-        grid = cfg.person_grid(center=(10.0, 20.0, 30.0))
-        assert grid.resolution == (16, 16, 16)
-        np.testing.assert_array_equal(grid.extent, (1600.0, 1600.0, 1600.0))
 
     def test_json_roundtrip(self):
         cfg = SceneConfig(seed=7, n_people=3, space_extent=(6000.0, 6000.0, 2400.0),
@@ -151,6 +146,7 @@ class TestRunConfig:
         dict(proposal_threshold=float("inf")),
         dict(lr=float("nan")),
         dict(lr=float("inf")),
+        dict(seed=-3),
     ])
     def test_invalid_rejected(self, bad):
         with pytest.raises(ConfigError):
@@ -305,6 +301,14 @@ class TestSchemas:
         doc["optimizer"] = "lbfgs"
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, self.load("run_config.schema.json"))
+
+    @pytest.mark.parametrize("name, doc", [
+        ("run_config.schema.json", run_config_to_json(RunConfig())),
+        ("scene_config.schema.json", scene_config_to_json(SceneConfig())),
+    ])
+    def test_schema_rejects_negative_seed(self, name, doc):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(doc, seed=-1), self.load(name))
 
     def assert_schema_matches(self, cls, schema):
         """Same keys as `cls`'s fields, and each key's schema type matches

@@ -68,13 +68,6 @@ class TestGridSpec:
             shifted.voxel_centers(), grid.voxel_centers() + delta, atol=1e-12
         )
 
-    def test_json_round_trip(self):
-        grid = GridSpec(center=(1, 2, 3), extent=(10, 20, 30), resolution=(2, 3, 4))
-        back = GridSpec.from_json(grid.to_json())
-        np.testing.assert_array_equal(back.center, grid.center)
-        np.testing.assert_array_equal(back.extent, grid.extent)
-        assert back.resolution == grid.resolution
-
 
 class TestFlatten:
     def test_flat_index_examples(self):

@@ -304,6 +304,19 @@ class TestRunInference:
         for a, b in zip(f32.poses, f64.poses):
             assert np.abs(a.joints - b.joints).max() <= 1e-3
 
+    @pytest.mark.parametrize("shift_mm", [0.0, 5000.0, 20000.0])
+    def test_f32_drift_does_not_grow_away_from_the_origin(self, shift_mm):
+        """Integral regression averages offsets from the grid center, so the
+        f32 rounding of the probabilities is not scaled by the scene's
+        distance from the world origin."""
+        scene = synth_scene(toy_scene_config(space_center=(shift_mm, 0.0, 0.0)))
+        cfg = toy_run_config(steps=0)
+        f64 = run_inference(scene, init_model_from_config(cfg), cfg)
+        cfg.dtype = "f32"
+        f32 = run_inference(scene, init_model_from_config(cfg), cfg)
+        assert len(f32.poses) == len(f64.poses) == 1
+        assert np.abs(f32.poses[0].joints - f64.poses[0].joints).max() <= 1e-3
+
 
 class TestTrainToy:
     def test_zero_lr_keeps_loss_constant(self):
@@ -398,6 +411,11 @@ class TestBenchAttention:
         with pytest.raises(ConfigError):
             bench_attention([1000], bin_size=64, embed_dim=16)
 
+    @pytest.mark.parametrize("length", [0, -128])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(ConfigError, match="positive multiples"):
+            bench_attention([64, length], bin_size=64, embed_dim=16)
+
     def test_write_bench_csv(self, tmp_path):
         rows = bench_attention([1024, 16384], bin_size=64, embed_dim=16, n_heads=1)
         path = tmp_path / "bench.csv"
@@ -417,6 +435,18 @@ class TestRunChecks:
         assert len(report.checks) >= 5
         names = [c.name for c in report.checks]
         assert len(names) == len(set(names))
+
+    def test_check_names_and_order(self):
+        assert [c.name for c in run_checks(0).checks] == [
+            "sinkhorn_doubly_stochastic",
+            "sinkhorn_permutation_recovery",
+            "single_bin_matches_dense_attention",
+            "composed_pipeline_gradient",
+            "aggregation_matches_scalar_loop",
+            "integral_regression_delta_exact",
+            "flatten_unflatten_roundtrip",
+            "metrics_match_brute_force",
+        ]
 
     def test_deterministic_given_seed(self):
         a = run_checks(seed=0).to_dict()

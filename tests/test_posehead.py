@@ -12,12 +12,12 @@ from gridpose import (
     fuse_and_head,
     init_conv3d,
     integral_regression,
-    load_poses_json,
     poses_from_json,
     poses_to_json,
     regress_pose,
     save_poses_json,
 )
+from gridpose.tensorio import load_json_file
 
 
 def delta_probs(n_joints, dims, voxels):
@@ -202,12 +202,12 @@ class TestPose3D:
 
         path = tmp_path / "poses.json"
         save_poses_json(path, poses, skeleton)
-        loaded, skel2 = load_poses_json(path)
+        loaded, skel2 = load_json_file(path, poses_from_json)
         assert skel2 == skeleton
         np.testing.assert_allclose(loaded[0].joints, poses[0].joints, atol=1e-12)
 
     def test_malformed_pose_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"not_poses": []}')
-        with pytest.raises(ValueError):
-            load_poses_json(path)
+        with pytest.raises(OSError, match="malformed data file"):
+            load_json_file(path, poses_from_json)
