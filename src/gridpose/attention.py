@@ -420,10 +420,10 @@ def feed_forward(x, weights: EncoderLayerWeights):
     return Tensor._make(out.reshape(*x.shape[:-1], w2.shape[1]), (x, w1, b1, w2, b2), backward)
 
 
-def embed_volume(vol, weights: EncoderWeights, config: AttentionConfig):
-    """Conv embedding + positional table + flatten + bin partition."""
-    emb = conv3d_forward(vol, weights.embed_conv)  # (e, X, Y, Z)
-    seq = flatten_volume(emb)
+def embed_volume(emb, weights: EncoderWeights, config: AttentionConfig):
+    """The embed conv's output (e, X, Y, Z) + positional table, flattened
+    and partitioned into bins."""
+    seq = flatten_volume(as_tensor(emb))
     if weights.pos_table.shape != seq.shape:
         raise ValueError(
             f"positional table {weights.pos_table.shape} does not match sequence {seq.shape}"
@@ -451,12 +451,18 @@ def encoder_layer_forward(bins, weights: EncoderLayerWeights, config: AttentionC
     return layer_norm(x, weights.ln2_gain, weights.ln2_bias, residual=feed_forward(x, weights))
 
 
+def encode_bins(bins, weights: EncoderWeights, config: AttentionConfig, dims,
+                mode="soft", counter: ScoreCounter | None = None):
+    """Branch (1) past its embedding: the encoder layers over `embed_volume`'s
+    bins, then back to a (e, X, Y, Z) volume of spatial `dims`."""
+    for layer in weights.layers:
+        bins = encoder_layer_forward(bins, layer, config, mode, counter)
+    return unflatten_volume(merge_bins(bins), dims)
+
+
 def encoder_forward(vol, weights: EncoderWeights, config: AttentionConfig,
                     mode="soft", counter: ScoreCounter | None = None):
     """Full branch-(1) pass: volume (j, X, Y, Z) -> features (e, X, Y, Z)."""
     vol = as_tensor(vol)
-    dims = vol.shape[1:]
-    bins = embed_volume(vol, weights, config)
-    for layer in weights.layers:
-        bins = encoder_layer_forward(bins, layer, config, mode, counter)
-    return unflatten_volume(merge_bins(bins), dims)
+    bins = embed_volume(conv3d_forward(vol, weights.embed_conv), weights, config)
+    return encode_bins(bins, weights, config, vol.shape[1:], mode, counter)

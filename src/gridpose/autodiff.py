@@ -5,7 +5,7 @@ that ``backward()`` on a scalar result accumulates gradients into every
 reachable tensor with ``requires_grad=True``. Gradients are exact
 reverse-mode; there is no higher-order support. Only the primitives the
 pose model needs are implemented: add, subtract, multiply, matmul,
-reshape/transpose/concat, sum/mean, relu, exp, abs, log-sum-exp and
+reshape/transpose/concat/split, sum/mean, relu, exp, abs, log-sum-exp and
 softmax, plus the scalar power that the composed layer-norm oracle uses.
 The 3D convolution (``conv.py``) and the fused windowed-attention,
 layer-norm and feed-forward nodes (``attention.py``) plug into the same
@@ -94,6 +94,12 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
+
+    def _accumulate_at(self, index, g):
+        """Add `g` into the `index` slice of the gradient, which starts at zero."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad[index] += g
 
     def zero_grad(self):
         self.grad = None
@@ -333,6 +339,25 @@ def concat(tensors, axis=0):
                 t._accumulate(g[tuple(idx)])
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+
+
+def split(x, sizes, axis=0):
+    """Cut `x` along `axis` into consecutive pieces of `sizes`, the inverse
+    of `concat`. Each piece is a view of `x` and its own graph node, whose
+    gradient lands in its slice of `x`'s gradient."""
+    x = as_tensor(x)
+    if sum(sizes) != x.shape[axis]:
+        raise ValueError(f"pieces of sizes {tuple(sizes)} do not split an axis of length {x.shape[axis]}")
+    offsets = np.cumsum([0, *sizes])
+    pieces = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        index = (slice(None),) * axis + (slice(lo, hi),)
+
+        def backward(g, index=index):
+            x._accumulate_at(index, g)
+
+        pieces.append(Tensor._make(x.data[index], (x,), backward))
+    return pieces
 
 
 # -- gradient verification ------------------------------------------------

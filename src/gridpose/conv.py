@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, as_tensor, concat, split
 
 
 def _im2col(vol, k):
@@ -126,6 +126,22 @@ def conv3d_forward(vol, layer: Conv3dLayer):
     return conv3d(vol, layer.w, layer.b)
 
 
+def conv3d_stacked(vol, layers):
+    """Apply conv layers of one kernel size to the same volume as a single
+    `conv3d`: one im2col of `vol` and one GEMM (in training also one
+    weight-gradient GEMM), with the weights and biases stacked along c_out.
+    Returns the outputs split back per layer, in the order of `layers`.
+
+    Each output holds the same dot products as that layer's own
+    `conv3d_forward`; whether they round alike depends on the BLAS kernel
+    each GEMM shape selects. With OpenBLAS they are equal bit for bit at
+    person-grid sizes for layers of two or more channels. A one-channel
+    layer (which numpy hands to gemv) and volumes of a few hundred voxels
+    (OpenBLAS's small-matrix kernel) differ in the last bits."""
+    out = conv3d(vol, concat([layer.w for layer in layers]), concat([layer.b for layer in layers]))
+    return split(out, [layer.c_out for layer in layers])
+
+
 @dataclass
 class ResidualBlock:
     """Two k=3 convs summed with a k=1 skip projection, then ReLU."""
@@ -166,8 +182,14 @@ def init_residual_block(c_in, c_out, rng):
     )
 
 
-def residual_forward(vol, block: ResidualBlock):
-    """ReLU(conv2(conv1(vol)) + skip(vol))."""
-    main = conv3d_forward(conv3d_forward(vol, block.conv1), block.conv2)
+def residual_from_conv1(vol, h, block: ResidualBlock):
+    """The residual block past its first conv: ReLU(conv2(h) + skip(vol)),
+    where h = conv1(vol)."""
+    main = conv3d_forward(h, block.conv2)
     shortcut = conv3d_forward(vol, block.skip)
     return (main + shortcut).relu()
+
+
+def residual_forward(vol, block: ResidualBlock):
+    """ReLU(conv2(conv1(vol)) + skip(vol))."""
+    return residual_from_conv1(vol, conv3d_forward(vol, block.conv1), block)

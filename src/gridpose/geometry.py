@@ -17,11 +17,12 @@ feature is the mean heatmap score over observing cameras (zero when no
 camera observes the voxel). Center proposal scores voxels by the minimum
 over all cameras instead, zero unless every camera observes the voxel,
 summed over joints (`min_score`). Sampling each camera's joint-summed
-heatmap, one channel instead of J, gives an upper bound on that score
-(`min_score_bound`), so the proposal runs the J-channel minimum only where
-the bound reaches its threshold. `min_feature_volume` is the dense (J, X,
-Y, Z) minimum over a whole grid, the reference the pruned proposal is
-tested against.
+heatmap, one channel instead of J, gives an upper bound on that score;
+`min_score_bound` returns the mask of points where the bound exceeds a
+floor, sieving the points camera by camera, so the proposal runs the
+J-channel minimum only where the bound reaches its threshold.
+`min_feature_volume` is the dense (J, X, Y, Z) minimum over a whole grid,
+the reference the pruned proposal is tested against.
 """
 
 from __future__ import annotations
@@ -218,15 +219,9 @@ def _camera_samples(cam, plane, height, width, centers, dtype):
     return top, observed
 
 
-def _reduce_cameras(cams, maps, centers, dtype, reduce_block):
-    """Sample every camera's (J, H, W) map at (n, 3) world points and reduce
-    over the cameras, VOXEL_BLOCK points at a time.
-
-    `reduce_block(samples, shape)` gets an iterator over the cameras'
-    `_camera_samples` results for one block and returns their reduction of
-    `shape` (J, block). Returns (J, n). A point's result does not depend on
-    which other points share its call.
-    """
+def _camera_views(cams, maps, dtype):
+    """Check that `cams` and their (J, H, W) `maps` pair up; returns one
+    (camera, (J, H*W) plane, H, W) view per camera."""
     if len(cams) == 0:
         raise ValueError("empty camera list")
     if len(cams) != len(maps):
@@ -234,11 +229,22 @@ def _reduce_cameras(cams, maps, centers, dtype, reduce_block):
     n_joints = maps[0].shape[0]
     if any(m.shape[0] != n_joints for m in maps):
         raise ValueError("heatmaps disagree on joint count")
-
-    views = [
+    return [
         (cam, m.astype(dtype, copy=False).reshape(n_joints, -1), m.shape[1], m.shape[2])
         for cam, m in zip(cams, maps)
     ]
+
+
+def _reduce_views(views, centers, dtype, reduce_block):
+    """Sample every camera view at (n, 3) world points and reduce over the
+    views, VOXEL_BLOCK points at a time.
+
+    `reduce_block(samples, shape)` gets an iterator over the views'
+    `_camera_samples` results for one block and returns their reduction of
+    `shape` (J, block). Returns (J, n). A point's result does not depend on
+    which other points share its call.
+    """
+    n_joints = views[0][1].shape[0]
     centers = centers.astype(dtype, copy=False)
     out = np.empty((n_joints, centers.shape[0]), dtype=dtype)
     for start in range(0, centers.shape[0], VOXEL_BLOCK):
@@ -246,6 +252,11 @@ def _reduce_cameras(cams, maps, centers, dtype, reduce_block):
         samples = (_camera_samples(cam, plane, h, w, block, dtype) for cam, plane, h, w in views)
         out[:, start:start + block.shape[0]] = reduce_block(samples, (n_joints, block.shape[0]))
     return out
+
+
+def _reduce_cameras(cams, maps, centers, dtype, reduce_block):
+    """`_reduce_views` over every camera's (J, H, W) map."""
+    return _reduce_views(_camera_views(cams, maps, dtype), centers, dtype, reduce_block)
 
 
 def _grid_volume(cams, heatmaps, grid: GridSpec, dtype, reduce_block):
@@ -301,30 +312,44 @@ def min_score(cams, heatmaps, centers):
     return _reduce_cameras(cams, [hm.values for hm in heatmaps], centers, np.float64, _minimum).sum(axis=0)
 
 
-# Relative slack of `min_score_bound` over `min_score` as computed. In exact
-# arithmetic the bound holds (a minimum of sums is at least the sum of
-# minima). Both computed sides are sums and products of nonnegative float64
-# numbers with the same bilinear weights, so each rounding moves a value by
-# at most 2**-53 of itself: with J joints the computed score exceeds the
-# computed bound by at most ~(2J + 10) * 2**-53 of it, under 1e-14 for 15
-# joints, and 1e-9 leaves five orders of magnitude. A computed bound of 0
+# Relative slack of the bound behind `min_score_bound` over `min_score` as
+# computed. In exact arithmetic the bound holds (a minimum of sums is at
+# least the sum of minima). Both computed sides are sums and products of
+# nonnegative float64 numbers with the same bilinear weights, so each
+# rounding moves a value by at most 2**-53 of itself: with J joints the
+# computed score exceeds the computed bound by at most ~(2J + 10) * 2**-53
+# of it, under 1e-14 for 15 joints, and 1e-9 leaves five orders of
+# magnitude. A computed bound of 0
 # gives a computed score of exactly 0: rounding is monotone, and each joint
 # map is at most the joint sum pixel by pixel. (Products that underflow
 # below 1e-307 lose relative accuracy; proposal thresholds are far above.)
 SCORE_BOUND_RTOL = 1e-9
 
 
-def min_score_bound(cams, heatmaps, centers):
-    """Upper bound on `min_score` at (n, 3) world points, in float64: the
-    minimum over cameras of the projected joint-summed heatmap.
+def min_score_bound(cams, heatmaps, centers, floor):
+    """Mask of the (n, 3) world points where an upper bound on `min_score`,
+    the minimum over cameras of the projected joint-summed heatmap,
+    exceeds `floor`.
 
     Bilinear sampling is linear, so a camera's sample of its joint-summed
     heatmap is the sum of its per-joint samples, and a minimum of sums is
     at least the sum of minima:
-    `min_score <= min_score_bound * (1 + SCORE_BOUND_RTOL)` as computed.
+    `min_score <= bound * (1 + SCORE_BOUND_RTOL)` as computed.
+
+    The cameras sieve the points one after another: the first samples
+    every point, each later one only the points that all earlier ones
+    put above `floor`, since a minimum exceeds `floor` only if every
+    sample does. A point's sample does not depend on the points sharing
+    its call, so the mask equals the dense minimum over all cameras
+    compared with `floor`.
     """
     sums = [hm.values.sum(axis=0, keepdims=True, dtype=np.float64) for hm in heatmaps]
-    return _reduce_cameras(cams, sums, centers, np.float64, _minimum)[0]
+    alive = np.arange(centers.shape[0])
+    for view in _camera_views(cams, sums, np.float64):
+        alive = alive[_reduce_views([view], centers[alive], np.float64, _minimum)[0] > floor]
+    mask = np.zeros(centers.shape[0], dtype=bool)
+    mask[alive] = True
+    return mask
 
 
 def load_cameras_json(doc):

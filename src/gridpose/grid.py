@@ -89,9 +89,6 @@ class GridSpec:
         centers[..., 2] = z[:, None, None]
         return centers.reshape(self.n_voxels, 3)
 
-    def translated(self, delta):
-        return GridSpec(self.center + _as_vec3(delta), self.extent, self.resolution)
-
 
 def flatten_volume(vol):
     """(C, X, Y, Z) volume -> (L, C) sequence with index i = x + X*y + X*Y*z."""

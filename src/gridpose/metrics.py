@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .posehead import Pose3D
 from .tensorio import write_json_file
 
@@ -42,7 +43,10 @@ class EvalConfig:
         if not all(0 < k < math.inf for k in ks) or list(ks) != sorted(ks):
             raise ValueError(f"ap_thresholds must be positive, finite and ascending, got {self.ap_thresholds}")
         object.__setattr__(self, "ap_thresholds", ks)
-        object.__setattr__(self, "exclude_actors", tuple(int(a) for a in self.exclude_actors))
+        actors = tuple(int(a) for a in self.exclude_actors)
+        if any(a < 0 for a in actors):
+            raise ConfigError(f"excluded actor indices must be non-negative, got {self.exclude_actors}")
+        object.__setattr__(self, "exclude_actors", actors)
 
 
 def pose_error(pred: Pose3D, gt: Pose3D):

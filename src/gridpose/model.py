@@ -2,6 +2,8 @@
 
 Branch (1): conv embedding + positional table + sparse-attention encoder.
 Branch (2): a chain of residual 3D conv blocks on the raw feature volume.
+The two k=3 convs that read the raw volume (the embedding and the first
+block's conv1) run as one stacked conv.
 The branches are concatenated along channels and a 1x1x1 head produces
 per-joint voxel probabilities; integral regression turns those into mm
 coordinates.
@@ -16,10 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionConfig, EncoderWeights, encoder_forward, init_encoder_weights
+from .attention import AttentionConfig, EncoderWeights, embed_volume, encode_bins, init_encoder_weights
 from .autodiff import as_tensor
 from .config import RunConfig
-from .conv import Conv3dLayer, init_conv3d, init_residual_block, residual_forward
+from .conv import (
+    Conv3dLayer, conv3d_forward, conv3d_stacked, init_conv3d, init_residual_block,
+    residual_forward, residual_from_conv1,
+)
 from .posehead import fuse_and_head
 from .tensorio import load_tensor_set, save_tensor_set
 
@@ -62,11 +67,29 @@ def init_model_from_config(cfg: RunConfig):
 
 def model_forward(vol, weights: ModelWeights, attention: AttentionConfig,
                   mode="soft", counter=None):
-    """Feature volume (J, X, Y, Z) -> per-joint voxel probabilities (J, X, Y, Z)."""
+    """Feature volume (J, X, Y, Z) -> per-joint voxel probabilities (J, X, Y, Z).
+
+    Both branches open with a k=3 conv of `vol`: the encoder's embed conv
+    and the first residual block's conv1. They run as one
+    `conv3d_stacked` call, so `vol` is gathered into im2col columns once.
+    The result equals `encoder_forward` and a chain of `residual_forward`
+    fed into `fuse_and_head`, bit for bit wherever `conv3d_stacked` rounds
+    like the separate convs.
+    """
     vol = as_tensor(vol)
-    x_t = encoder_forward(vol, weights.encoder, attention, mode=mode, counter=counter)
-    x_c = vol
-    for block in weights.residual_blocks:
+    encoder, blocks = weights.encoder, weights.residual_blocks
+    if blocks:
+        emb, h = conv3d_stacked(vol, (encoder.embed_conv, blocks[0].conv1))
+        x_c = residual_from_conv1(vol, h, blocks[0])
+        del h
+    else:
+        emb, x_c = conv3d_forward(vol, encoder.embed_conv), vol
+    bins = embed_volume(emb, encoder, attention)
+    # emb and h view one array; without a graph, dropping both frees it
+    # before the encoder, whose working set is the forward pass's peak
+    del emb
+    x_t = encode_bins(bins, encoder, attention, vol.shape[1:], mode=mode, counter=counter)
+    for block in blocks[1:]:
         x_c = residual_forward(x_c, block)
     return fuse_and_head(x_t, x_c, weights.head)
 

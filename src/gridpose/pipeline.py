@@ -2,10 +2,12 @@
 
 Stage one finds person centers (ground truth, or coarse local maxima of
 the per-camera minimum score, computed only where its upper bound reaches
-the threshold); stage two voxelizes a person grid around each
-center and runs the two-branch network. Toy training overfits one fixed
-synthetic scene with per-joint L1 loss normalized by the grid extent,
-which is enough to demonstrate sub-voxel localization end to end.
+the threshold, a bound that each camera samples only where the earlier
+ones leave it above the threshold); stage two voxelizes a person grid
+around each center and runs the two-branch network, whose two opening
+convs share one im2col. Toy training overfits one fixed synthetic scene
+with per-joint L1 loss normalized by the grid extent, which is enough to
+demonstrate sub-voxel localization end to end.
 """
 
 from __future__ import annotations
@@ -113,10 +115,11 @@ def propose_centers(scene: SyntheticScene, cfg: RunConfig):
     (always visible in the occlusion-free synthetic scenes) survive.
 
     The centers equal `coarse_center_proposal` on `min_feature_volume` bit
-    for bit, but the per-joint score runs only where it can matter. One
-    joint-summed channel per camera gives `min_score_bound` on every voxel;
-    `min_score` runs only where that bound passes the threshold (every
-    other voxel scores at most the threshold and is read as 0), and,
+    for bit, but the per-joint score runs only where it can matter.
+    `min_score_bound` samples one joint-summed channel per camera, each
+    camera only at the voxels that the earlier ones left above the
+    threshold; `min_score` runs only where that bound passes the threshold
+    (every other voxel scores at most the threshold and is read as 0), and,
     lazily, on the voxels that each kept peak's refinement reads.
     """
     scfg = scene.config
@@ -124,7 +127,7 @@ def propose_centers(scene: SyntheticScene, cfg: RunConfig):
     grid = GridSpec(center=scfg.space_center, extent=scfg.space_extent, resolution=res)
     centers = grid.voxel_centers()
     floor = cfg.proposal_threshold * (1.0 - SCORE_BOUND_RTOL)
-    scored = min_score_bound(scene.cameras, scene.heatmaps, centers) > floor
+    scored = min_score_bound(scene.cameras, scene.heatmaps, centers, floor)
     flat_scores = np.zeros(grid.n_voxels)
     flat_scores[scored] = min_score(scene.cameras, scene.heatmaps, centers[scored])
 

@@ -596,33 +596,32 @@ class TestEmbedVolume:
     def test_zero_volume_embeds_to_positional_table(self):
         rng = np.random.default_rng(13)
         cfg, weights = self.make(rng)
-        bins = embed_volume(np.zeros((2, 2, 2, 2)), weights, cfg)
+        emb = conv3d_forward(np.zeros((2, 2, 2, 2)), weights.embed_conv)  # zero-initialized bias
+        bins = embed_volume(emb, weights, cfg)
         np.testing.assert_allclose(merge_bins(bins).data, weights.pos_table.data, atol=1e-15)
 
     def test_zero_positional_table_leaves_conv_output(self):
         rng = np.random.default_rng(14)
         cfg, weights = self.make(rng)
         weights.pos_table.data[...] = 0.0
-        vol = rng.normal(size=(2, 2, 2, 2))
-        bins = embed_volume(vol, weights, cfg)
-        expect = flatten_volume(conv3d_forward(vol, weights.embed_conv).data)
-        np.testing.assert_allclose(merge_bins(bins).data, expect, atol=1e-15)
+        emb = conv3d_forward(rng.normal(size=(2, 2, 2, 2)), weights.embed_conv)
+        bins = embed_volume(emb, weights, cfg)
+        np.testing.assert_allclose(merge_bins(bins).data, flatten_volume(emb.data), atol=1e-15)
 
     def test_matches_manual_composition(self):
         rng = np.random.default_rng(15)
         cfg, weights = self.make(rng)
-        vol = rng.normal(size=(2, 2, 2, 2))
-        bins = embed_volume(vol, weights, cfg)
+        emb = conv3d_forward(rng.normal(size=(2, 2, 2, 2)), weights.embed_conv)
+        bins = embed_volume(emb, weights, cfg)
         assert bins.shape == (4, 2, 4)
-        seq = flatten_volume(conv3d_forward(vol, weights.embed_conv).data)
-        expect = partition_bins(seq + weights.pos_table.data, 2)
+        expect = partition_bins(flatten_volume(emb.data) + weights.pos_table.data, 2)
         np.testing.assert_allclose(bins.data, expect, atol=1e-15)
 
     def test_positional_table_shape_mismatch_rejected(self):
         rng = np.random.default_rng(16)
         cfg, weights = self.make(rng)
         with pytest.raises(ValueError):
-            embed_volume(np.zeros((2, 4, 2, 2)), weights, cfg)
+            embed_volume(np.zeros((4, 4, 2, 2)), weights, cfg)
 
     def test_indivisible_grid_rejected_at_init(self):
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=3)
@@ -637,7 +636,7 @@ class TestEncoder:
         weights = init_encoder_weights(2, (2, 2, 2), cfg, rng)
         vol = rng.normal(size=(2, 2, 2, 2))
         out = encoder_forward(vol, weights, cfg)
-        embed = merge_bins(embed_volume(vol, weights, cfg))
+        embed = merge_bins(embed_volume(conv3d_forward(vol, weights.embed_conv), weights, cfg))
         np.testing.assert_allclose(out.data, unflatten_volume(embed, (2, 2, 2)).data, atol=1e-15)
 
     def test_zero_attention_layer_reduces_to_norm_ffn(self):

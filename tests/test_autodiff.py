@@ -22,7 +22,7 @@ from gridpose import (
     sinkhorn_normalize,
     zero_grads,
 )
-from gridpose.autodiff import no_grad
+from gridpose.autodiff import no_grad, split
 from conftest import toy_run_config
 
 TIGHT = 1e-7  # 64-bit central differences on smooth ops
@@ -135,6 +135,33 @@ class TestPrimitiveGradients:
         b = Tensor(self.rng.normal(size=(4, 3)), requires_grad=True)
         w = self.rng.normal(size=(6, 3))
         self.check(lambda: weighted(concat([a, b], axis=0), w), {"a": a, "b": b})
+
+    @pytest.mark.parametrize("axis, sizes", [(0, (1, 3)), (1, (2, 1, 2)), (2, (3,))])
+    def test_split(self, axis, sizes):
+        x = Tensor(self.rng.normal(size=(4, 5, 3)), requires_grad=True)
+        ws = [self.rng.normal(size=p.shape) for p in split(x, sizes, axis=axis)]
+
+        def loss():
+            pieces = split(x, sizes, axis=axis)
+            # the first piece feeds the loss twice; the last one, when there
+            # are several, not at all (its slice of the gradient stays 0)
+            total = weighted(pieces[0], ws[0]) + weighted(pieces[0] * pieces[0], ws[0])
+            for piece, w in zip(pieces[1:-1], ws[1:-1]):
+                total = total + weighted(piece, w)
+            return total
+
+        self.check(loss, {"x": x})
+        if len(sizes) > 1:
+            last = (slice(None),) * axis + (slice(x.shape[axis] - sizes[-1], None),)
+            assert np.all(x.grad[last] == 0.0)
+
+    def test_split_pieces_view_input(self):
+        x = np.arange(24.0).reshape(4, 6)
+        a, b = split(x, (2, 4), axis=1)
+        assert np.array_equal(concat([a, b], axis=1).data, x)
+        assert np.shares_memory(a.data, x) and np.shares_memory(b.data, x)
+        with pytest.raises(ValueError):
+            split(x, (2, 3), axis=1)
 
 
 class TestClosedFormGradients:

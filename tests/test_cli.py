@@ -338,6 +338,7 @@ class TestExitCodes:
         pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,abc"), 2,
                      id="eval-bad-threshold"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--exclude", "x"), 2, id="eval-bad-exclude"),
+        pytest.param(lambda w, t: _eval_flag(w, t, "--exclude", "-1"), 2, id="eval-exclude-negative"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--alpha", "nan"), 2, id="eval-alpha-nan"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--alpha", "inf"), 2, id="eval-alpha-inf"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "nan"), 2, id="eval-threshold-nan"),

@@ -12,6 +12,7 @@ from gridpose import (
     init_residual_block,
     residual_forward,
 )
+from gridpose.conv import conv3d_stacked
 
 
 def conv3d_oracle(x, w, b):
@@ -188,3 +189,38 @@ class TestResidualBlock:
         err = finite_diff_check(f, leaves, eps=1e-5, max_probes=30,
                                 rng=np.random.default_rng(0))
         assert err <= 1e-5
+
+
+class TestStackedConv:
+    """`conv3d_stacked` runs layers that read one volume as one conv: each
+    output equals that layer's own conv bit for bit at person-grid sizes,
+    and the gradients of the stacked weights reach each layer."""
+
+    @pytest.mark.parametrize("k, c_outs", [
+        (3, (32, 32)), (3, (128, 32)), (3, (5, 2, 7)), (3, (4,)), (1, (3, 2)),
+    ])
+    def test_outputs_equal_separate_convs(self, k, c_outs):
+        rng = np.random.default_rng(40)
+        layers = [init_conv3d(15, c, k, rng) for c in c_outs]
+        for layer in layers:
+            layer.b.data[...] = rng.normal(size=layer.c_out)
+        x = rng.uniform(size=(15, 16, 16, 16))
+        outs = conv3d_stacked(x, layers)
+        assert len(outs) == len(layers)
+        for out, layer in zip(outs, layers):
+            assert np.array_equal(out.data, conv3d_forward(x, layer).data)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(41)
+        layers = [init_conv3d(2, c, 3, rng) for c in (3, 2)]
+        x = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=True)
+        probes = [rng.normal(size=(layer.c_out, 3, 3, 3)) for layer in layers]
+
+        def f():
+            outs = conv3d_stacked(x, layers)
+            return sum((out * Tensor(p)).sum() for out, p in zip(outs, probes))
+
+        leaves = {"x": x}
+        for i, layer in enumerate(layers):
+            leaves.update(layer.parameters(f"layer{i}"))
+        assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7

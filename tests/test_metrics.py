@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gridpose import (
+    ConfigError,
     EvalConfig,
     Pose3D,
     ap_k,
@@ -292,6 +293,10 @@ class TestEvalConfig:
             EvalConfig(ap_thresholds=(-1.0, 25.0))
         with pytest.raises(ValueError):
             EvalConfig(alpha=0.0)
+
+    def test_negative_excluded_actor_rejected(self):
+        with pytest.raises(ConfigError):
+            EvalConfig(exclude_actors=(0, -1))
 
 
 class TestEvaluateFrames:

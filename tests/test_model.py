@@ -1,0 +1,99 @@
+"""`model_forward` runs the encoder's embed conv and the first residual
+block's conv1 as one stacked conv. Its oracle is the separate-branch
+composition it replaces: `encoder_forward`, a chain of `residual_forward`
+and `fuse_and_head`. The model has the toy shapes (16^3 grid, e=32, 15
+joints), at which the stacked GEMM rounds each output like the separate
+ones (see `conv3d_stacked`).
+"""
+
+import numpy as np
+import pytest
+
+from gridpose import AttentionConfig, Tensor, encoder_forward, model_forward, residual_forward
+from gridpose import conv
+from gridpose.autodiff import no_grad
+from gridpose.model import init_model
+from gridpose.posehead import fuse_and_head
+
+ATTENTION = AttentionConfig(embed_dim=32, n_heads=2, bin_size=64, sinkhorn_iters=8, n_layers=1)
+DIMS = (16, 16, 16)
+N_JOINTS = 15
+
+
+def composed_model(vol, weights, attention, mode="soft"):
+    x_t = encoder_forward(vol, weights.encoder, attention, mode=mode)
+    x_c = vol
+    for block in weights.residual_blocks:
+        x_c = residual_forward(x_c, block)
+    return fuse_and_head(x_t, x_c, weights.head)
+
+
+def make(residual_channels, dtype=np.float64, seed=0):
+    rng = np.random.default_rng(seed)
+    weights = init_model(N_JOINTS, DIMS, ATTENTION, residual_channels, rng)
+    for t in weights.parameters().values():
+        t.data = t.data.astype(dtype)
+    vol = rng.uniform(0.0, 1.0, size=(N_JOINTS, *DIMS)).astype(dtype)
+    return weights, vol
+
+
+RESIDUAL_CHANNELS = [(), (32,), (32, 16)]
+
+
+@pytest.mark.parametrize("residual_channels", RESIDUAL_CHANNELS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("mode", ["soft", "hard"])
+def test_no_grad_equals_composition_bit_for_bit(residual_channels, dtype, mode):
+    weights, vol = make(residual_channels, dtype)
+    with no_grad():
+        got = model_forward(vol, weights, ATTENTION, mode=mode)
+        want = composed_model(vol, weights, ATTENTION, mode=mode)
+    assert got.data.dtype == dtype
+    assert np.array_equal(got.data, want.data)
+
+
+def probed_gradients(forward, weights, vol, probe):
+    """Forward value and every gradient (parameters and volume) of sum(out * probe)."""
+    leaves = {"vol": vol, **weights.parameters()}
+    for t in leaves.values():
+        t.zero_grad()
+    out = forward(vol, weights, ATTENTION)
+    (out * Tensor(probe)).sum().backward()
+    return out.data.copy(), {name: t.grad.copy() for name, t in leaves.items()}
+
+
+@pytest.mark.parametrize("residual_channels", RESIDUAL_CHANNELS)
+def test_graph_gradients_match_composition(residual_channels):
+    weights, vol = make(residual_channels, seed=1)
+    vol = Tensor(vol, requires_grad=True)
+    probe = np.random.default_rng(2).normal(size=(N_JOINTS, *DIMS))
+    got_out, got = probed_gradients(model_forward, weights, vol, probe)
+    want_out, want = probed_gradients(composed_model, weights, vol, probe)
+    assert np.array_equal(got_out, want_out)
+    assert got.keys() == want.keys()
+    for name in want:
+        scale = np.abs(want[name]).max()
+        assert scale > 0.0, name
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("residual_channels", RESIDUAL_CHANNELS)
+def test_one_conv_call_fewer_with_the_same_work(residual_channels, monkeypatch):
+    """Stacking saves one conv3d call (one im2col of the volume) and no
+    multiply-add; with no residual block the embed conv runs alone."""
+    weights, vol = make(residual_channels)
+    calls = []
+
+    def counting_conv3d(x, w, b):
+        calls.append(int(np.prod(x.shape[1:])) * int(np.prod(w.shape)))
+        return original(x, w, b)
+
+    original = conv.conv3d
+    monkeypatch.setattr(conv, "conv3d", counting_conv3d)
+    with no_grad():
+        model_forward(vol, weights, ATTENTION)
+        stacked = list(calls)
+        calls.clear()
+        composed_model(vol, weights, ATTENTION)
+    assert len(stacked) == len(calls) - (1 if residual_channels else 0)
+    assert sum(stacked) == sum(calls)

@@ -126,7 +126,8 @@ class TestIntegralRegression:
         probs = probs.reshape(3, 8, 8, 8)
         delta = np.array([100.0, -50.0, 25.0])
         a = integral_regression(probs, grid).data
-        b = integral_regression(probs, grid.translated(delta)).data
+        moved = GridSpec(grid.center + delta, grid.extent, grid.resolution)
+        b = integral_regression(probs, moved).data
         np.testing.assert_allclose(b - a, np.tile(delta, (3, 1)), atol=1e-9)
 
     def test_unnormalized_probabilities_rejected(self):
