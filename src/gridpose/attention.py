@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor
 from .conv import Conv3dLayer, conv3d_forward, init_conv3d
-from .errors import ConfigError, NotDifferentiablePathError
+from .errors import ConfigError, NotDifferentiablePathError, NumericError
 from .grid import flatten_volume, merge_bins, partition_bins, unflatten_volume
 
 
@@ -124,7 +124,7 @@ def sinkhorn_normalize(r, n_iters):
     if r.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {r.shape}")
     if not np.all(np.isfinite(r.data)):
-        raise ValueError("sinkhorn input must be finite")
+        raise NumericError("sinkhorn input must be finite")
     if n_iters < 1:
         raise ValueError(f"need at least one iteration, got {n_iters}")
     log_s = r

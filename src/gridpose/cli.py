@@ -91,10 +91,10 @@ def _cmd_eval(args):
     gts, skeleton = load_json_file(args.gt, poses_from_json)
     if skeleton is None:
         raise ConfigError("ground-truth pose file carries no skeleton; PCP needs limb pairs")
-    try:
-        eval_cfg = EvalConfig(alpha=args.alpha, ap_thresholds=args.thresholds, exclude_actors=args.exclude)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    pred_n, gt_n = {p.joints.shape[0] for p in preds}, {p.joints.shape[0] for p in gts}
+    if preds and gts and len(pred_n | gt_n) > 1:
+        raise OSError(f"joint counts disagree: {args.pred} has {sorted(pred_n)}, {args.gt} has {sorted(gt_n)}")
+    eval_cfg = EvalConfig(alpha=args.alpha, ap_thresholds=args.thresholds, exclude_actors=args.exclude)
     report = evaluate_frames([preds], [gts], skeleton, eval_cfg)
     report.write_json(args.out)
     if args.csv:

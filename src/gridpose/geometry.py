@@ -18,11 +18,11 @@ camera observes the voxel). Center proposal scores voxels by the minimum
 over all cameras instead, zero unless every camera observes the voxel,
 summed over joints (`min_score`). Sampling each camera's joint-summed
 heatmap, one channel instead of J, gives an upper bound on that score;
-`min_score_bound` returns the mask of points where the bound exceeds a
-floor, sieving the points camera by camera, so the proposal runs the
-J-channel minimum only where the bound reaches its threshold.
-`min_feature_volume` is the dense (J, X, Y, Z) minimum over a whole grid,
-the reference the pruned proposal is tested against.
+`min_score_bound` returns the mask of points where the bound may pass a
+threshold, sieving the points camera by camera, so the proposal runs the
+J-channel minimum only there; `min_feature_volume`, the dense minimum
+over a whole grid, is its reference. Sampling is float64, and a finished
+volume is rounded once to the dtype asked for.
 """
 
 from __future__ import annotations
@@ -183,21 +183,21 @@ def sample_heatmap(hm: Heatmap, joint: int, pixel):
 VOXEL_BLOCK = 8192
 
 
-def _camera_samples(cam, plane, height, width, centers, dtype):
+def _camera_samples(cam, plane, height, width, centers):
     """Bilinear samples of one camera's (J, H*W) heatmap at (n, 3) voxel centers.
 
-    Returns (samples (J, n), observed (n,)); samples are 0 where the camera
-    does not observe the voxel.
+    Returns (samples (J, n), observed (n,)) in float64; samples are 0 where
+    the camera does not observe the voxel.
     """
-    p_cam = centers @ cam.rotation.T.astype(dtype) + cam.translation.astype(dtype)
+    p_cam = centers @ cam.rotation.T + cam.translation
     depth = p_cam[:, 2]
     front = depth > 0
-    depth = np.where(front, depth, dtype(1.0))
-    u = dtype(cam.fx) * p_cam[:, 0] / depth + dtype(cam.cx)
-    v = dtype(cam.fy) * p_cam[:, 1] / depth + dtype(cam.cy)
+    depth = np.where(front, depth, 1.0)
+    u = cam.fx * p_cam[:, 0] / depth + cam.cx
+    v = cam.fy * p_cam[:, 1] / depth + cam.cy
     observed = front & (u >= 0.0) & (u <= width - 1) & (v >= 0.0) & (v <= height - 1)
-    u = np.where(observed, u, dtype(0.0))
-    v = np.where(observed, v, dtype(0.0))
+    u = np.where(observed, u, 0.0)
+    v = np.where(observed, v, 0.0)
 
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)
@@ -219,7 +219,7 @@ def _camera_samples(cam, plane, height, width, centers, dtype):
     return top, observed
 
 
-def _camera_views(cams, maps, dtype):
+def _camera_views(cams, maps):
     """Check that `cams` and their (J, H, W) `maps` pair up; returns one
     (camera, (J, H*W) plane, H, W) view per camera."""
     if len(cams) == 0:
@@ -229,42 +229,43 @@ def _camera_views(cams, maps, dtype):
     n_joints = maps[0].shape[0]
     if any(m.shape[0] != n_joints for m in maps):
         raise ValueError("heatmaps disagree on joint count")
-    return [
-        (cam, m.astype(dtype, copy=False).reshape(n_joints, -1), m.shape[1], m.shape[2])
-        for cam, m in zip(cams, maps)
-    ]
+    return [(cam, m.reshape(n_joints, -1), m.shape[1], m.shape[2]) for cam, m in zip(cams, maps)]
 
 
-def _reduce_views(views, centers, dtype, reduce_block):
+def _reduce_views(views, centers, reduce_block):
     """Sample every camera view at (n, 3) world points and reduce over the
     views, VOXEL_BLOCK points at a time.
 
     `reduce_block(samples, shape)` gets an iterator over the views'
     `_camera_samples` results for one block and returns their reduction of
-    `shape` (J, block). Returns (J, n). A point's result does not depend on
-    which other points share its call.
+    `shape` (J, block). Returns (J, n) in float64. A point's result does
+    not depend on which other points share its call.
     """
     n_joints = views[0][1].shape[0]
-    centers = centers.astype(dtype, copy=False)
-    out = np.empty((n_joints, centers.shape[0]), dtype=dtype)
+    out = np.empty((n_joints, centers.shape[0]))
     for start in range(0, centers.shape[0], VOXEL_BLOCK):
         block = centers[start:start + VOXEL_BLOCK]
-        samples = (_camera_samples(cam, plane, h, w, block, dtype) for cam, plane, h, w in views)
+        samples = (_camera_samples(cam, plane, h, w, block) for cam, plane, h, w in views)
         out[:, start:start + block.shape[0]] = reduce_block(samples, (n_joints, block.shape[0]))
     return out
 
 
-def _reduce_cameras(cams, maps, centers, dtype, reduce_block):
-    """`_reduce_views` over every camera's (J, H, W) map."""
-    return _reduce_views(_camera_views(cams, maps, dtype), centers, dtype, reduce_block)
-
-
-def _grid_volume(cams, heatmaps, grid: GridSpec, dtype, reduce_block):
-    """`_reduce_cameras` over every voxel center of `grid`: (J, X, Y, Z)."""
-    seq = _reduce_cameras(cams, [hm.values for hm in heatmaps], grid.voxel_centers(), dtype, reduce_block)
+def _grid_volume(cams, heatmaps, grid: GridSpec, reduce_block):
+    """`_reduce_views` over every voxel center of `grid`: (J, X, Y, Z)."""
+    views = _camera_views(cams, [hm.values for hm in heatmaps])
+    seq = _reduce_views(views, grid.voxel_centers(), reduce_block)
     # The joint axis stays outermost in memory, as summing over it
     # (`volume.sum(axis=0)`) adds joints in order only for this layout.
     return unflatten_volume(seq.T, grid.resolution)
+
+
+def _mean(samples, shape):
+    accum = np.zeros(shape)
+    count = np.zeros(shape[1])
+    for values, observed in samples:
+        accum += values
+        count += observed
+    return np.where(count > 0, accum / np.maximum(count, 1.0), 0.0)
 
 
 def _minimum(samples, shape):
@@ -280,15 +281,7 @@ def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
     Returns a (J, X, Y, Z) volume. Voxels observed by no camera get 0;
     the divisor is the per-voxel count of observing cameras.
     """
-    def mean(samples, shape):
-        accum = np.zeros(shape, dtype=dtype)
-        count = np.zeros(shape[1], dtype=dtype)
-        for values, observed in samples:
-            accum += values
-            count += observed
-        return np.where(count > 0, accum / np.maximum(count, 1.0), dtype(0.0))
-
-    return _grid_volume(cams, heatmaps, grid, dtype, mean)
+    return _grid_volume(cams, heatmaps, grid, _mean).astype(dtype, copy=False)
 
 
 def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
@@ -299,7 +292,7 @@ def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
     `aggregate_feature_volume` volumes, without building them. Its joint
     sum is the dense reference of the center-proposal score `min_score`.
     """
-    return _grid_volume(cams, heatmaps, grid, dtype, _minimum)
+    return _grid_volume(cams, heatmaps, grid, _minimum).astype(dtype, copy=False)
 
 
 def min_score(cams, heatmaps, centers):
@@ -309,44 +302,45 @@ def min_score(cams, heatmaps, centers):
     Equals `min_feature_volume(...).sum(axis=0)` at the same voxel centers
     bit for bit: the same samples, minima and joint order.
     """
-    return _reduce_cameras(cams, [hm.values for hm in heatmaps], centers, np.float64, _minimum).sum(axis=0)
+    return _reduce_views(_camera_views(cams, [hm.values for hm in heatmaps]), centers, _minimum).sum(axis=0)
 
 
 # Relative slack of the bound behind `min_score_bound` over `min_score` as
-# computed. In exact arithmetic the bound holds (a minimum of sums is at
-# least the sum of minima). Both computed sides are sums and products of
-# nonnegative float64 numbers with the same bilinear weights, so each
-# rounding moves a value by at most 2**-53 of itself: with J joints the
-# computed score exceeds the computed bound by at most ~(2J + 10) * 2**-53
-# of it, under 1e-14 for 15 joints, and 1e-9 leaves five orders of
-# magnitude. A computed bound of 0
-# gives a computed score of exactly 0: rounding is monotone, and each joint
-# map is at most the joint sum pixel by pixel. (Products that underflow
-# below 1e-307 lose relative accuracy; proposal thresholds are far above.)
+# computed. Both computed sides are sums and products of nonnegative
+# float64 numbers with the same bilinear weights, so each rounding moves a
+# value by at most 2**-53 of itself: with J joints the computed score
+# exceeds the computed bound by at most ~(2J + 10) * 2**-53 of it, under
+# 1e-14 for 15 joints, and 1e-9 leaves five orders of magnitude. A computed
+# bound of 0 gives a computed score of exactly 0: rounding is monotone, and
+# each joint map is at most the joint sum pixel by pixel. (Products that
+# underflow below 1e-307 lose relative accuracy; proposal thresholds are
+# far above.)
 SCORE_BOUND_RTOL = 1e-9
 
 
-def min_score_bound(cams, heatmaps, centers, floor):
+def min_score_bound(cams, heatmaps, centers, threshold):
     """Mask of the (n, 3) world points where an upper bound on `min_score`,
     the minimum over cameras of the projected joint-summed heatmap,
-    exceeds `floor`.
+    exceeds the floor `threshold * (1 - SCORE_BOUND_RTOL)`; every point
+    outside the mask scores at most `threshold`.
 
     Bilinear sampling is linear, so a camera's sample of its joint-summed
     heatmap is the sum of its per-joint samples, and a minimum of sums is
-    at least the sum of minima:
-    `min_score <= bound * (1 + SCORE_BOUND_RTOL)` as computed.
+    at least the sum of minima: in exact arithmetic `min_score <= bound`,
+    and as computed `min_score <= bound * (1 + SCORE_BOUND_RTOL)`.
 
     The cameras sieve the points one after another: the first samples
     every point, each later one only the points that all earlier ones
-    put above `floor`, since a minimum exceeds `floor` only if every
+    put above the floor, since a minimum exceeds the floor only if every
     sample does. A point's sample does not depend on the points sharing
     its call, so the mask equals the dense minimum over all cameras
-    compared with `floor`.
+    compared with the floor.
     """
+    floor = threshold * (1.0 - SCORE_BOUND_RTOL)
     sums = [hm.values.sum(axis=0, keepdims=True, dtype=np.float64) for hm in heatmaps]
     alive = np.arange(centers.shape[0])
-    for view in _camera_views(cams, sums, np.float64):
-        alive = alive[_reduce_views([view], centers[alive], np.float64, _minimum)[0] > floor]
+    for view in _camera_views(cams, sums):
+        alive = alive[_reduce_views([view], centers[alive], _minimum)[0] > floor]
     mask = np.zeros(centers.shape[0], dtype=bool)
     mask[alive] = True
     return mask

@@ -38,10 +38,10 @@ class EvalConfig:
     def __post_init__(self):
         # written so that NaN fails each comparison
         if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         ks = tuple(float(k) for k in self.ap_thresholds)
         if not all(0 < k < math.inf for k in ks) or list(ks) != sorted(ks):
-            raise ValueError(f"ap_thresholds must be positive, finite and ascending, got {self.ap_thresholds}")
+            raise ConfigError(f"ap_thresholds must be positive, finite and ascending, got {self.ap_thresholds}")
         object.__setattr__(self, "ap_thresholds", ks)
         actors = tuple(int(a) for a in self.exclude_actors)
         if any(a < 0 for a in actors):

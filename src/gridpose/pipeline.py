@@ -2,12 +2,11 @@
 
 Stage one finds person centers (ground truth, or coarse local maxima of
 the per-camera minimum score, computed only where its upper bound reaches
-the threshold, a bound that each camera samples only where the earlier
-ones leave it above the threshold); stage two voxelizes a person grid
-around each center and runs the two-branch network, whose two opening
-convs share one im2col. Toy training overfits one fixed synthetic scene
-with per-joint L1 loss normalized by the grid extent, which is enough to
-demonstrate sub-voxel localization end to end.
+the threshold); stage two voxelizes a person grid around each center and
+runs the two-branch network, whose two opening convs share one im2col.
+Toy training overfits one fixed synthetic scene with per-joint L1 loss
+normalized by the grid extent, which is enough to demonstrate sub-voxel
+localization end to end.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 from .autodiff import Adam, Tensor, no_grad, sgd_step, zero_grads
 from .config import RunConfig
 from .errors import ConfigError, NumericError
-from .geometry import SCORE_BOUND_RTOL, aggregate_feature_volume, min_score, min_score_bound
+from .geometry import aggregate_feature_volume, min_score, min_score_bound
 from .grid import GridSpec, flat_index
 from .metrics import evaluate_frames, match_poses, mpjpe as frame_mpjpe
 from .model import ModelWeights, init_model_from_config, model_forward
@@ -115,19 +114,17 @@ def propose_centers(scene: SyntheticScene, cfg: RunConfig):
     (always visible in the occlusion-free synthetic scenes) survive.
 
     The centers equal `coarse_center_proposal` on `min_feature_volume` bit
-    for bit, but the per-joint score runs only where it can matter.
-    `min_score_bound` samples one joint-summed channel per camera, each
-    camera only at the voxels that the earlier ones left above the
-    threshold; `min_score` runs only where that bound passes the threshold
-    (every other voxel scores at most the threshold and is read as 0), and,
-    lazily, on the voxels that each kept peak's refinement reads.
+    for bit, but the per-joint score runs only where it can matter:
+    `min_score` runs where `min_score_bound` leaves a voxel that may pass
+    the threshold (every other voxel scores at most the threshold and is
+    read as 0) and, lazily, on the voxels that each kept peak's refinement
+    reads.
     """
     scfg = scene.config
     res = tuple(max(2, int(np.ceil(ext / cfg.coarse_voxel_mm))) for ext in scfg.space_extent)
     grid = GridSpec(center=scfg.space_center, extent=scfg.space_extent, resolution=res)
     centers = grid.voxel_centers()
-    floor = cfg.proposal_threshold * (1.0 - SCORE_BOUND_RTOL)
-    scored = min_score_bound(scene.cameras, scene.heatmaps, centers, floor)
+    scored = min_score_bound(scene.cameras, scene.heatmaps, centers, cfg.proposal_threshold)
     flat_scores = np.zeros(grid.n_voxels)
     flat_scores[scored] = min_score(scene.cameras, scene.heatmaps, centers[scored])
 
@@ -147,6 +144,12 @@ def propose_centers(scene: SyntheticScene, cfg: RunConfig):
 # -- stage two: per-person inference -----------------------------------------
 
 
+def _check_joint_count(scene: SyntheticScene, cfg: RunConfig):
+    n_scene = scene.heatmaps[0].n_joints
+    if cfg.n_joints != n_scene:
+        raise ConfigError(f"run config has n_joints = {cfg.n_joints}, but the scene's heatmaps have {n_scene}")
+
+
 @dataclass
 class InferenceResult:
     poses: list
@@ -162,6 +165,7 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
     The network runs under `no_grad`: no autodiff graph is kept, so each
     intermediate is freed once used, and the hard reorder mode runs even
     on weights that require grad."""
+    _check_joint_count(scene, cfg)
     if cfg.center_source == "ground_truth":
         centers = np.asarray(scene.centers)
     else:
@@ -199,6 +203,7 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
     aggregated once up front. Loss turning non-finite aborts with a
     NumericError diagnostic.
     """
+    _check_joint_count(scene, cfg)
     if cfg.center_source != "ground_truth":
         raise ConfigError("toy training requires center_source = 'ground_truth'")
     if cfg.reorder_mode != "soft":

@@ -267,6 +267,7 @@ def test_criterion_07_metrics_oracles(criterion_log):
             ok, f"20 two-person frames exact, boundary displacement correct, {seconds:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_toy_overfit(criterion_log, toy_overfit):
     result = toy_overfit["result"]
     seconds = toy_overfit["seconds"]

@@ -18,6 +18,7 @@ from gridpose import (
     AttentionConfig,
     ConfigError,
     NotDifferentiablePathError,
+    NumericError,
     ScoreCounter,
     SinkhornResult,
     Tensor,
@@ -272,7 +273,7 @@ class TestSinkhorn:
             sinkhorn_normalize(Tensor(np.zeros((2, 2, 2))), 1)
         with pytest.raises(ValueError):
             sinkhorn_normalize(Tensor(np.zeros((2, 2))), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             sinkhorn_normalize(Tensor(np.array([[np.nan, 0.0], [0.0, 0.0]])), 1)
 
     def test_gradients_flow_through_iterations(self):

@@ -133,6 +133,16 @@ class TestTrainToy:
                      "--out", str(tmp_path / "x")]) == 3
 
 
+    def test_joint_count_mismatch_exits_2(self, workdir, tmp_path, capsys):
+        assert main(_train_bad_config(workdir, tmp_path, n_joints=10)) == 2
+        err = capsys.readouterr().err
+        assert "n_joints = 10" in err and "have 15" in err
+
+    def test_diverging_sgd_exits_3(self, workdir, tmp_path, capsys):
+        assert main(_train_bad_config(workdir, tmp_path, optimizer="sgd", lr=1e300)) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+
 class TestInfer:
     def test_outputs(self, workdir):
         infer = workdir / "infer"
@@ -166,6 +176,26 @@ class TestInfer:
                      "--weights", str(tmp_path / "w"),
                      "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "x")]) == 3
+
+    def test_nan_encoder_weight_exits_3(self, workdir, tmp_path, capsys):
+        weights = init_model_from_config(toy_run_config(steps=0))
+        weights.parameters()["encoder.layer0.w_q"].data[0, 0] = np.nan
+        save_model(tmp_path / "w", weights)
+        assert main(["infer", "--scene", str(workdir / "scene"),
+                     "--weights", str(tmp_path / "w"),
+                     "--config", str(workdir / "run_config.json"),
+                     "--out", str(tmp_path / "x")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_joint_count_mismatch_exits_2(self, workdir, tmp_path, capsys):
+        config = _config_with(workdir, tmp_path, "run_config.json", n_joints=10)
+        cfg = toy_run_config(steps=0)
+        cfg.n_joints = 10
+        save_model(tmp_path / "w", init_model_from_config(cfg))
+        assert main(["infer", "--scene", str(workdir / "scene"), "--weights", str(tmp_path / "w"),
+                     "--config", config, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "n_joints = 10" in err and "have 15" in err
 
     def test_hard_reorder_config_exits_0(self, workdir, tmp_path):
         doc = run_config_to_json(toy_run_config(steps=TRAIN_STEPS))
@@ -230,6 +260,14 @@ class TestEval:
         gt = str(workdir / "scene" / "ground_truth.json")
         assert main(["eval", "--pred", gt, "--gt", gt,
                      "--thresholds", "50,25", "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_joint_count_mismatch_exits_4(self, workdir, tmp_path, capsys):
+        gt = workdir / "scene" / "ground_truth.json"
+        pred = tmp_path / "pred10.json"
+        save_poses_json(pred, [Pose3D(joints=p.joints[:10]) for p in load_scene(workdir / "scene").poses])
+        assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "x.json")]) == 4
+        err = capsys.readouterr().err
+        assert f"{pred} has [10]" in err and f"{gt} has [15]" in err
 
     def test_missing_pred_file_exits_4(self, workdir, tmp_path):
         assert main(["eval", "--pred", str(tmp_path / "absent.json"),

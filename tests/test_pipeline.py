@@ -358,6 +358,7 @@ class TestTrainToy:
         with pytest.raises(NumericError):
             train_toy(scene, toy_run_config(steps=1))
 
+    @pytest.mark.slow
     def test_overfit_regression_baseline(self, toy_overfit):
         result = toy_overfit["result"]
         assert len(result.losses) == toy_overfit["cfg"].train_steps + 1
@@ -365,6 +366,7 @@ class TestTrainToy:
         assert result.losses[-1] < 0.01 * result.losses[0]
         assert result.final_mpjpe is not None
 
+    @pytest.mark.slow
     def test_second_seed_also_converges(self, toy_overfit):
         scene = synth_scene(toy_scene_config(seed=9))
         result = train_toy(scene, toy_run_config())
@@ -372,6 +374,7 @@ class TestTrainToy:
         assert result.losses[0] != first.losses[0]
         assert result.losses[-1] < 0.05 * result.losses[0]
 
+    @pytest.mark.slow
     def test_trained_weights_reproduce_mpjpe_through_inference(self, toy_overfit):
         result = run_inference(toy_overfit["scene"], toy_overfit["result"].weights,
                                toy_overfit["cfg"])
