@@ -22,7 +22,8 @@ heatmap, one channel instead of J, gives an upper bound on that score;
 threshold, sieving the points camera by camera, so the proposal runs the
 J-channel minimum only there; `min_feature_volume`, the dense minimum
 over a whole grid, is its reference. Sampling is float64, and a finished
-volume is rounded once to the dtype asked for.
+volume is rounded once to the dtype asked for, with the entries that
+round to subnormal numbers set to 0.
 """
 
 from __future__ import annotations
@@ -250,13 +251,21 @@ def _reduce_views(views, centers, reduce_block):
     return out
 
 
-def _grid_volume(cams, heatmaps, grid: GridSpec, reduce_block):
-    """`_reduce_views` over every voxel center of `grid`: (J, X, Y, Z)."""
+def _grid_volume(cams, heatmaps, grid: GridSpec, reduce_block, dtype):
+    """`_reduce_views` over every voxel center of `grid`: (J, X, Y, Z),
+    rounded once to `dtype`. Entries that the rounding leaves below
+    `dtype`'s smallest normal number are set to 0: arithmetic on subnormal
+    operands is many times slower on x86, and Gaussian heatmap tails put
+    thousands of them in a float32 person grid."""
     views = _camera_views(cams, [hm.values for hm in heatmaps])
     seq = _reduce_views(views, grid.voxel_centers(), reduce_block)
     # The joint axis stays outermost in memory, as summing over it
     # (`volume.sum(axis=0)`) adds joints in order only for this layout.
-    return unflatten_volume(seq.T, grid.resolution)
+    volume = unflatten_volume(seq.T, grid.resolution)
+    narrow = volume.astype(dtype, copy=False)
+    if narrow is not volume:
+        narrow[np.abs(narrow) < np.finfo(dtype).tiny] = 0.0
+    return narrow
 
 
 def _mean(samples, shape):
@@ -281,7 +290,7 @@ def aggregate_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
     Returns a (J, X, Y, Z) volume. Voxels observed by no camera get 0;
     the divisor is the per-voxel count of observing cameras.
     """
-    return _grid_volume(cams, heatmaps, grid, _mean).astype(dtype, copy=False)
+    return _grid_volume(cams, heatmaps, grid, _mean, dtype)
 
 
 def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
@@ -292,7 +301,7 @@ def min_feature_volume(cams, heatmaps, grid: GridSpec, dtype=np.float64):
     `aggregate_feature_volume` volumes, without building them. Its joint
     sum is the dense reference of the center-proposal score `min_score`.
     """
-    return _grid_volume(cams, heatmaps, grid, _minimum).astype(dtype, copy=False)
+    return _grid_volume(cams, heatmaps, grid, _minimum, dtype)
 
 
 def min_score(cams, heatmaps, centers):

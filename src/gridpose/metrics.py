@@ -69,19 +69,6 @@ class MatchResult:
     gt_to_pred: list
     errors: list
 
-    @property
-    def n_preds(self):
-        return len(self.preds)
-
-    @property
-    def matched_pred_indices(self):
-        return [p for p in self.gt_to_pred if p is not None]
-
-    @property
-    def unmatched_pred_indices(self):
-        used = set(self.matched_pred_indices)
-        return [i for i in range(len(self.preds)) if i not in used]
-
 
 def match_poses(preds, gts):
     """Greedily pair ground truths with their most similar predictions.
@@ -107,36 +94,6 @@ def match_poses(preds, gts):
     return MatchResult(preds=list(preds), gts=list(gts), gt_to_pred=gt_to_pred, errors=errors)
 
 
-def _limb_counts(match: MatchResult, alpha, skeleton, exclude=()):
-    """Per-actor (correct, total) limb tallies for one frame.
-
-    Unmatched ground truths count every usable limb as incorrect.
-    Returns (counts dict actor -> [correct, total], defects list).
-    """
-    counts = {}
-    defects = []
-    for actor, gt in enumerate(match.gts):
-        if actor in exclude:
-            continue
-        correct = total = 0
-        p = match.gt_to_pred[actor]
-        pred = match.preds[p] if p is not None else None
-        for limb_idx, (a, b) in enumerate(skeleton):
-            length = float(np.linalg.norm(gt.joints[a] - gt.joints[b]))
-            if length == 0.0:
-                defects.append({"actor": actor, "limb": limb_idx})
-                continue
-            total += 1
-            if pred is None:
-                continue
-            err_a = np.linalg.norm(pred.joints[a] - gt.joints[a])
-            err_b = np.linalg.norm(pred.joints[b] - gt.joints[b])
-            if (err_a + err_b) / 2.0 <= alpha * length:
-                correct += 1
-        counts[actor] = [correct, total]
-    return counts, defects
-
-
 @dataclass
 class PcpResult:
     per_actor: dict
@@ -150,22 +107,14 @@ def pcp3d(match: MatchResult, alpha, skeleton):
     Actors are ground-truth positions within the frame. The average is
     over actors that have at least one usable limb.
     """
-    counts, defects = _limb_counts(match, alpha, skeleton)
-    per_actor = {
-        actor: (c / t if t > 0 else None) for actor, (c, t) in counts.items()
-    }
-    valid = [v for v in per_actor.values() if v is not None]
-    average = float(np.mean(valid)) if valid else None
-    return PcpResult(per_actor=per_actor, average=average, defects=defects)
+    report = _tally([match], skeleton, alpha)
+    return PcpResult(per_actor=report.pcp_per_actor, average=report.pcp_average, defects=report.defects)
 
 
 def mpjpe(match: MatchResult):
     """Mean joint error over this frame's matched poses, or None when
     nothing matched (undefined, deliberately not 0)."""
-    errs = [e for e in match.errors if e is not None]
-    if not errs:
-        return None
-    return float(np.mean(errs))
+    return _tally([match]).mpjpe
 
 
 def ap_k(matches, k):
@@ -178,16 +127,7 @@ def ap_k(matches, k):
         matches = [matches]
     if k <= 0:
         raise ValueError(f"threshold must be positive, got {k}")
-    n_preds = sum(m.n_preds for m in matches)
-    if n_preds == 0:
-        return 0.0
-    correct = sum(
-        1
-        for m in matches
-        for e in m.errors
-        if e is not None and e < k
-    )
-    return correct / n_preds
+    return _tally(matches, ap_thresholds=(k,)).ap[k]
 
 
 # -- frame-set evaluation ----------------------------------------------------
@@ -238,6 +178,62 @@ def _fmt(v):
     return "" if v is None else repr(float(v))
 
 
+def _tally(matches, skeleton=(), alpha=0.5, ap_thresholds=(), exclude=()):
+    """PCP, MPJPE and AP over matched frames, pooled; the one place they
+    are computed.
+
+    PCP pools each actor's limb counts over the frames. Unmatched ground
+    truths count every usable limb as incorrect. MPJPE is the mean over
+    frames of each frame's mean matched error. AP_K divides the matches
+    below K mm by the predictions. Excluded actors are dropped from all
+    three, and so are the predictions matched to them.
+    """
+    limb_counts = {}
+    defects = []
+    frame_errs = []
+    ap_total_preds = 0
+    ap_correct = dict.fromkeys(ap_thresholds, 0)
+    for match in matches:
+        ap_total_preds += len(match.preds)
+        kept_errs = []
+        for actor, (gt, p, err) in enumerate(zip(match.gts, match.gt_to_pred, match.errors)):
+            if actor in exclude:
+                ap_total_preds -= p is not None
+                continue
+            if err is not None:
+                kept_errs.append(err)
+            counts = limb_counts.setdefault(actor, [0, 0])
+            for limb_idx, (a, b) in enumerate(skeleton):
+                length = float(np.linalg.norm(gt.joints[a] - gt.joints[b]))
+                if length == 0.0:
+                    defects.append({"actor": actor, "limb": limb_idx})
+                    continue
+                counts[1] += 1
+                if p is None:
+                    continue
+                err_a = np.linalg.norm(match.preds[p].joints[a] - gt.joints[a])
+                err_b = np.linalg.norm(match.preds[p].joints[b] - gt.joints[b])
+                if (err_a + err_b) / 2.0 <= alpha * length:
+                    counts[0] += 1
+        if kept_errs:
+            frame_errs.append(float(np.mean(kept_errs)))
+        for k in ap_correct:  # a repeated threshold counts once
+            ap_correct[k] += sum(1 for e in kept_errs if e < k)
+
+    pcp_per_actor = {a: (c / t if t > 0 else None) for a, (c, t) in limb_counts.items()}
+    valid = [v for v in pcp_per_actor.values() if v is not None]
+    return MetricsReport(
+        pcp_per_actor=pcp_per_actor,
+        pcp_average=float(np.mean(valid)) if valid else None,
+        mpjpe=float(np.mean(frame_errs)) if frame_errs else None,
+        ap={k: (c / ap_total_preds if ap_total_preds else 0.0) for k, c in ap_correct.items()},
+        n_frames=len(matches),
+        n_gt_poses=sum(len(m.gts) for m in matches),
+        n_pred_poses=sum(len(m.preds) for m in matches),
+        defects=defects,
+    )
+
+
 def evaluate_frames(pred_frames, gt_frames, skeleton, config: EvalConfig = EvalConfig()):
     """Evaluate prediction lists against ground-truth lists frame by frame.
 
@@ -248,48 +244,5 @@ def evaluate_frames(pred_frames, gt_frames, skeleton, config: EvalConfig = EvalC
     """
     if len(pred_frames) != len(gt_frames):
         raise ValueError(f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames")
-    exclude = set(config.exclude_actors)
-    limb_counts = {}
-    defects = []
-    frame_errs = []
-    ap_total_preds = 0
-    ap_correct = {k: 0 for k in config.ap_thresholds}
-    n_gt = n_pred = 0
-
-    for preds, gts in zip(pred_frames, gt_frames):
-        n_gt += len(gts)
-        n_pred += len(preds)
-        match = match_poses(preds, gts)
-        counts, frame_defects = _limb_counts(match, config.alpha, skeleton, exclude=exclude)
-        defects.extend(frame_defects)
-        for actor, (c, t) in counts.items():
-            acc = limb_counts.setdefault(actor, [0, 0])
-            acc[0] += c
-            acc[1] += t
-
-        kept_errs = [
-            e for g, e in enumerate(match.errors)
-            if e is not None and g not in exclude
-        ]
-        if kept_errs:
-            frame_errs.append(float(np.mean(kept_errs)))
-
-        excluded_matched = sum(
-            1 for g, p in enumerate(match.gt_to_pred) if p is not None and g in exclude
-        )
-        ap_total_preds += match.n_preds - excluded_matched
-        for k in config.ap_thresholds:
-            ap_correct[k] += sum(1 for e in kept_errs if e < k)
-
-    pcp_per_actor = {a: (c / t if t > 0 else None) for a, (c, t) in limb_counts.items()}
-    valid = [v for v in pcp_per_actor.values() if v is not None]
-    return MetricsReport(
-        pcp_per_actor=pcp_per_actor,
-        pcp_average=float(np.mean(valid)) if valid else None,
-        mpjpe=float(np.mean(frame_errs)) if frame_errs else None,
-        ap={k: (ap_correct[k] / ap_total_preds if ap_total_preds else 0.0) for k in config.ap_thresholds},
-        n_frames=len(gt_frames),
-        n_gt_poses=n_gt,
-        n_pred_poses=n_pred,
-        defects=defects,
-    )
+    matches = [match_poses(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
+    return _tally(matches, skeleton, config.alpha, config.ap_thresholds, set(config.exclude_actors))

@@ -170,7 +170,6 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
         centers = np.asarray(scene.centers)
     else:
         centers = propose_centers(scene, cfg)
-    skeleton = scene.skeleton
     poses = []
     for center in centers:
         grid = cfg.grid(center)
@@ -179,8 +178,8 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
             probs = model_forward(vol, weights, cfg.attention, mode=cfg.reorder_mode)
             if not np.all(np.isfinite(probs.data)):
                 raise NumericError("network produced non-finite probabilities")
-            poses.append(regress_pose(probs, grid, skeleton))
-    report = evaluate_frames([poses], [scene.poses], skeleton)
+            poses.append(regress_pose(probs, grid))
+    report = evaluate_frames([poses], [scene.poses], scene.skeleton)
     return InferenceResult(poses=poses, centers=centers, report=report)
 
 
@@ -200,8 +199,9 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
 
     Requires ground-truth centers and the soft (differentiable) reorder
     mode. The feature volumes are constant across steps, so they are
-    aggregated once up front. Loss turning non-finite aborts with a
-    NumericError diagnostic.
+    aggregated once up front. A numeric failure in any step, the loss
+    turning non-finite included, aborts with a NumericError that names the
+    step and the optimizer.
     """
     _check_joint_count(scene, cfg)
     if cfg.center_source != "ground_truth":
@@ -236,23 +236,27 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
     losses = []
     final_joints = None
     for step in range(cfg.train_steps + 1):
-        zero_grads(param_list)
-        loss, step_joints = evaluate_loss()
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise NumericError(f"training loss became non-finite at step {step}")
-        losses.append(value)
-        final_joints = step_joints
-        if step == cfg.train_steps:
-            break
-        loss.backward()
-        if adam is not None:
-            adam.step()
-        else:
-            sgd_step(param_list, cfg.lr)
+        try:
+            # a diverging run fails with one NumericError, not numpy warnings
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                zero_grads(param_list)
+                loss, step_joints = evaluate_loss()
+                value = float(loss.data)
+                if not np.isfinite(value):
+                    raise NumericError("training loss became non-finite")
+                losses.append(value)
+                final_joints = step_joints
+                if step == cfg.train_steps:
+                    break
+                loss.backward()
+                if adam is not None:
+                    adam.step()
+                else:
+                    sgd_step(param_list, cfg.lr)
+        except NumericError as exc:
+            raise NumericError(f"{cfg.optimizer} training (lr {cfg.lr:g}) failed at step {step}: {exc}") from exc
 
-    skeleton = scene.skeleton
-    poses = [Pose3D(joints=j, skeleton=skeleton) for j in final_joints]
+    poses = [Pose3D(joints=j) for j in final_joints]
     match = match_poses(poses, scene.poses)
     return TrainResult(weights=weights, losses=losses, final_mpjpe=frame_mpjpe(match), poses=poses)
 

@@ -110,7 +110,7 @@ def integral_regression(probs, grid: GridSpec):
     return flat.transpose((1, 0)) @ offsets + grid.center
 
 
-def regress_pose(probs, grid: GridSpec, skeleton=None):
+def regress_pose(probs, grid: GridSpec):
     """Inference wrapper: probabilities -> Pose3D.
 
     Confidence per joint is the peak voxel probability, a cheap proxy for
@@ -119,7 +119,7 @@ def regress_pose(probs, grid: GridSpec, skeleton=None):
     probs = as_tensor(probs)
     joints = integral_regression(probs, grid).data
     confidence = probs.data.reshape(probs.shape[0], -1).max(axis=1)
-    return Pose3D(joints=joints, confidence=confidence, skeleton=skeleton)
+    return Pose3D(joints=joints, confidence=confidence)
 
 
 # -- pose JSON -----------------------------------------------------------------
@@ -129,13 +129,9 @@ def poses_to_json(poses, skeleton=None):
     """Serialize poses to the pose-file dict.
 
     Layout: {"poses": [{"joints": [[x, y, z] * J], "confidence": [...]}],
-    "skeleton": [[a, b], ...]}. Confidence is omitted per pose when absent.
+    "skeleton": [[a, b], ...]}. Confidence is omitted per pose when absent,
+    and the skeleton when `skeleton` is None.
     """
-    if skeleton is None:
-        for pose in poses:
-            if pose.skeleton is not None:
-                skeleton = pose.skeleton
-                break
     entries = []
     for pose in poses:
         entry = {"joints": [[float(v) for v in row] for row in pose.joints]}

@@ -253,15 +253,25 @@ def load_scene(directory):
     """Inverse of `save_scene`. Person centers are joint centroids."""
     cfg = load_json_config(os.path.join(directory, "scene_config.json"), scene_config_from_json)
     cameras = load_json_file(os.path.join(directory, "cameras.json"), load_cameras_json)
-    poses, _ = load_json_file(os.path.join(directory, "ground_truth.json"), poses_from_json)
+    poses, skeleton = load_json_file(os.path.join(directory, "ground_truth.json"), poses_from_json)
+    if skeleton is None:
+        raise OSError(f"ground-truth poses in {directory} carry no skeleton; PCP needs limb pairs")
     arrays = load_tensor_set(os.path.join(directory, "heatmaps"))
     heatmaps = []
     for name in sorted(arrays):
         try:
-            heatmaps.append(Heatmap(values=arrays[name]))
+            hm = Heatmap(values=arrays[name])
         except ValueError as exc:
             raise OSError(f"heatmap dump {name!r} in {directory}: {exc}") from exc
-    if len(heatmaps) != len(cameras):
-        raise OSError(f"{len(heatmaps)} heatmap dumps for {len(cameras)} cameras")
+        if heatmaps and hm.n_joints != heatmaps[0].n_joints:
+            raise OSError(f"heatmap dump {name!r} in {directory} has {hm.n_joints} joints, "
+                          f"the first dump has {heatmaps[0].n_joints}")
+        heatmaps.append(hm)
+    if not cameras or len(heatmaps) != len(cameras):
+        raise OSError(f"{len(heatmaps)} heatmap dumps for {len(cameras)} cameras in {directory}")
+    gt_joints = {pose.n_joints for pose in poses}
+    if gt_joints - {heatmaps[0].n_joints}:
+        raise OSError(f"ground-truth poses in {directory} have {sorted(gt_joints)} joints, "
+                      f"its heatmaps have {heatmaps[0].n_joints}")
     centers = np.asarray([pose.joints.mean(axis=0) for pose in poses])
     return SyntheticScene(config=cfg, cameras=cameras, poses=poses, centers=centers, heatmaps=heatmaps)

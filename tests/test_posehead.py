@@ -162,9 +162,8 @@ class TestRegressPose:
         probs = np.zeros((2, 2, 2, 2))
         probs[0, 0, 0, 0] = 1.0
         probs[1] = 1.0 / 8.0
-        pose = regress_pose(Tensor(probs), grid, skeleton=[(0, 1)])
+        pose = regress_pose(Tensor(probs), grid)
         np.testing.assert_allclose(pose.confidence, [1.0, 1.0 / 8.0])
-        assert pose.skeleton == [(0, 1)]
 
     def test_joints_match_integral_regression(self):
         rng = np.random.default_rng(8)
