@@ -18,10 +18,13 @@ The encoder never materializes an L x L attention matrix. Each layer:
    ``feed_forward`` are single autodiff nodes with closed-form backwards.
 
 Score storage per layer is therefore N_b^2 + L*2B elements instead of
-L^2, held as two (N_b, h, B, B) blocks that are exponentiated in place and
-kept for the backward pass; ``ScoreCounter`` instruments exactly that
-quantity (counting query-key pairs once, independent of how many heads
-share them).
+L^2; ``ScoreCounter`` instruments exactly that quantity (counting
+query-key pairs once, independent of how many heads share them). The
+window's blocks are computed a few bins at a time and exponentiated in
+place, and the feed-forward runs over row tiles. When a graph is
+recorded, the tiles fill full-size (N_b, h, B, B) blocks and hidden
+layer, which the backward pass reads; without one, a single tile's
+blocks and hidden rows are held at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import Tensor, as_tensor, recording, tile_store
 from .conv import Conv3dLayer, conv3d_forward, init_conv3d
 from .errors import ConfigError, NotDifferentiablePathError, NumericError
 from .grid import flatten_volume, merge_bins, partition_bins, unflatten_volume
@@ -175,6 +178,13 @@ def _swap_last(x):
     return x.swapaxes(-1, -2)
 
 
+# Bins per tile of `windowed_attention`. A tile's two (tile, h, B, B) score
+# blocks stay in cache from the scores through the value products, and a
+# no-grad call never holds a full-size block; at 108 bins of 128 (e=128,
+# 2 heads) tiles of 1 or 2 bins were the fastest.
+WINDOW_TILE_BINS = 2
+
+
 def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfig,
                        w_o=None, counter: ScoreCounter | None = None):
     """Per-bin attention over the 2B-element window [local bin, matched bin].
@@ -183,13 +193,15 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     per head (d = head dim); heads are concatenated and, when given,
     mapped through w_o. All five inputs are (N_b, B, e); output (N_b, B, e).
 
-    One autodiff node up to w_o. The 1/sqrt(d) scale is folded into Q, the
-    local and matched bins are scored as two (N_b, h, B, B) blocks that
-    share one row max and one softmax denominator (the log-sum-exp identity
-    of online softmax), and the denominator divides the summed value
-    products once. The backward pass is the softmax-attention adjoint on
-    the saved exponentiated blocks, with 1/denominator folded into the
-    output gradient.
+    One autodiff node up to w_o, computed `WINDOW_TILE_BINS` bins at a
+    time. Per tile, the 1/sqrt(d) scale is folded into Q, the local and
+    matched bins are scored as two (tile, h, B, B) blocks that share one
+    row max and one softmax denominator (the log-sum-exp identity of online
+    softmax), and the denominator divides the summed value products once.
+    When a graph is recorded, the tiles fill full-size scaled queries,
+    exponentiated blocks, heads and denominators for the backward pass,
+    the softmax-attention adjoint with 1/denominator folded into the output
+    gradient; otherwise they are tile-sized and reused.
     """
     b_q, b_k, b_v = as_tensor(b_q), as_tensor(b_k), as_tensor(b_v)
     sorted_k, sorted_v = as_tensor(sorted_k), as_tensor(sorted_v)
@@ -197,27 +209,45 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         if t.shape != b_q.shape:
             raise ValueError(f"{name} has shape {t.shape}, query bins {b_q.shape}")
     n_b, b, e = b_q.shape
-    n_h = config.n_heads
+    n_h, d = config.n_heads, config.head_dim
     if e != config.embed_dim:
         raise ValueError(f"bins carry {e} channels but config.embed_dim is {config.embed_dim}")
 
+    inputs = (b_q, b_k, b_v, sorted_k, sorted_v)
+    keep = recording(*inputs)
+    dtype = np.result_type(*(t.data for t in inputs))
+    tile = WINDOW_TILE_BINS
     # a Python float scale keeps f32 scores f32; an np.float64 one promotes them
     scale = float(1.0 / np.sqrt(config.head_dim))
-    q = _split_heads(b_q.data * scale, n_h)  # (N_b, h, B, d)
     k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
     v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
-    p_loc = q @ _swap_last(k_loc)  # (N_b, h, B, B) scores, exponentiated in place below
-    p_match = q @ _swap_last(k_match)
-    row_max = np.maximum(p_loc.max(axis=-1, keepdims=True), p_match.max(axis=-1, keepdims=True))
-    for p in (p_loc, p_match):
-        p -= row_max
-        np.exp(p, out=p)
-    denom = p_loc.sum(axis=-1, keepdims=True) + p_match.sum(axis=-1, keepdims=True)
-    heads = p_loc @ v_loc  # (N_b, h, B, d)
-    heads += p_match @ v_match
-    heads /= denom
+    q_store, rows = tile_store(keep, (n_b, b, e), tile, dtype)
+    p_loc, _ = tile_store(keep, (n_b, n_h, b, b), tile, dtype)  # exponentiated in place
+    p_match, _ = tile_store(keep, (n_b, n_h, b, b), tile, dtype)
+    heads, _ = tile_store(keep, (n_b, n_h, b, d), tile, dtype)
+    denom, _ = tile_store(keep, (n_b, n_h, b, 1), tile, dtype)
+    out = np.empty((n_b, b, e), dtype=dtype)
+    for lo in range(0, n_b, tile):
+        hi = min(lo + tile, n_b)
+        r = rows(lo, hi)
+        np.multiply(b_q.data[lo:hi], scale, out=q_store[r])
+        q_t = _split_heads(q_store[r], n_h)  # (tile, h, B, d)
+        p_loc_t, p_match_t = p_loc[r], p_match[r]
+        np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
+        np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
+        row_max = np.maximum(p_loc_t.max(axis=-1, keepdims=True), p_match_t.max(axis=-1, keepdims=True))
+        for p in (p_loc_t, p_match_t):
+            p -= row_max
+            np.exp(p, out=p)
+        np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[r])
+        heads_t = heads[r]
+        np.matmul(p_loc_t, v_loc[lo:hi], out=heads_t)
+        heads_t += p_match_t @ v_match[lo:hi]
+        heads_t /= denom[r]
+        _split_heads(out[lo:hi], n_h)[...] = heads_t
     if counter is not None:
         counter.window_elements += n_b * b * 2 * b
+    q = _split_heads(q_store, n_h)
 
     def backward(g):
         g_heads = _split_heads(g, n_h) / denom
@@ -243,7 +273,7 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
             d_q *= scale
             b_q._accumulate(_merge_heads(d_q))
 
-    out = Tensor._make(_merge_heads(heads), (b_q, b_k, b_v, sorted_k, sorted_v), backward)
+    out = Tensor._make(out, inputs, backward)
     if w_o is not None:
         out = out @ as_tensor(w_o)
     return out
@@ -389,16 +419,30 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     return Tensor._make(out, (*inputs, gain, bias), backward)
 
 
+# Rows per tile of `feed_forward`. Without a graph only one tile's
+# (rows, 4e) hidden layer is held; 2048 rows keep the GEMMs large.
+FEED_FORWARD_TILE_ROWS = 2048
+
+
 def feed_forward(x, weights: EncoderLayerWeights):
-    """relu(x W1 + b1) W2 + b2 over the last axis, as one autodiff node."""
+    """relu(x W1 + b1) W2 + b2 over the last axis, as one autodiff node,
+    computed `FEED_FORWARD_TILE_ROWS` rows at a time. The hidden layer is
+    kept whole only when a graph is recorded."""
     x = as_tensor(x)
     w1, b1, w2, b2 = weights.ff_w1, weights.ff_b1, weights.ff_w2, weights.ff_b2
     rows = x.data.reshape(-1, w1.shape[0])
-    hidden = rows @ w1.data
-    hidden += b1.data
-    np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2.data
-    out += b2.data
+    n, tile = rows.shape[0], FEED_FORWARD_TILE_ROWS
+    dtype = np.result_type(rows, w1.data, w2.data)
+    hidden, tile_rows = tile_store(recording(x, w1, b1, w2, b2), (n, w1.shape[1]), tile, dtype)
+    out = np.empty((n, w2.shape[1]), dtype=dtype)
+    for lo in range(0, n, tile):
+        hi = min(lo + tile, n)
+        h = hidden[tile_rows(lo, hi)]
+        np.matmul(rows[lo:hi], w1.data, out=h)
+        h += b1.data
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, w2.data, out=out[lo:hi])
+        out[lo:hi] += b2.data
 
     def backward(g):
         g_rows = g.reshape(-1, w2.shape[1])

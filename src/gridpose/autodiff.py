@@ -12,11 +12,15 @@ layer-norm and feed-forward nodes (``attention.py``) plug into the same
 graph mechanism through ``Tensor._make`` with hand-written backwards.
 
 Inside a ``with no_grad():`` block nothing is recorded: every op returns a
-plain leaf with no children and no backward closure, so intermediates (conv
-im2col columns, exponentiated attention scores, feed-forward activations)
-are freed as soon as the next op has used them. Inference runs this way;
-leaves keep their ``requires_grad`` flag, so a graph built after the block
-backpropagates.
+plain leaf with no children and no backward closure, and is freed as soon
+as the next op has used it. ``recording(*tensors)`` tells a node whether
+its result will be part of a graph, so the fused nodes keep the
+intermediates their backward reads (conv im2col columns, exponentiated
+attention scores, feed-forward activations) only then; otherwise they work
+through them one tile at a time. Inference runs this way; leaves keep their
+``requires_grad`` flag, so a graph built after the block backpropagates.
+A graph lives as long as its output: training drops each step's loss once
+the optimizer has stepped, before the next forward pass.
 """
 
 from __future__ import annotations
@@ -43,6 +47,25 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = previous
+
+
+def recording(*tensors):
+    """Whether an op on `tensors` records a graph node: grad mode is on and
+    one of them requires grad."""
+    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
+
+
+def tile_store(keep, shape, tile, dtype):
+    """Storage for a node's per-tile results along axis 0: the whole `shape`
+    when `keep` (the backward pass will read it), else room for one tile of
+    `tile` entries, reused by every tile. Returns (array, rows), where
+    `rows(lo, hi)` is the slice of the array that entries lo..hi go to."""
+    store = np.empty((shape[0] if keep else min(tile, shape[0]), *shape[1:]), dtype=dtype)
+
+    def rows(lo, hi):
+        return slice(lo, hi) if keep else slice(0, hi - lo)
+
+    return store, rows
 
 
 def _unbroadcast(grad, shape):
@@ -108,7 +131,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, children, backward):
-        if not (_grad_mode.enabled and any(c.requires_grad for c in children)):
+        if not recording(*children):
             return Tensor(data)
         out = Tensor(data, requires_grad=True, _children=tuple(c for c in children if c.requires_grad))
         out._backward = backward

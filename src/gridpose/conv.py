@@ -8,8 +8,11 @@ gradient with the flipped, in/out-transposed kernel (the adjoint).
 The im2col gather reads a channels-last padded copy of the volume, so its
 columns are ordered (kx, ky, kz, C) and every copied run is C contiguous
 values rather than 3-element strides; the weight matrix is permuted to
-that order and its gradient permuted back. A k=1 conv needs no padding or
-windows: its columns are the volume itself, channels last. The output is
+that order and its gradient permuted back. The forward pass and the input
+gradient gather and multiply the matrix one slab of whole x-planes at a
+time; only a recorded graph keeps the whole matrix, which the weight
+gradient reads. A k=1 conv needs no padding or windows: its columns are
+the volume itself, channels last. The output is
 the (L, C) GEMM result viewed as (C, X, Y, Z), so a conv that feeds the
 next one hands it channels-last memory. All model-math functions here
 accept plain ndarrays or autodiff Tensors and always return a Tensor (use
@@ -22,34 +25,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, split
+from .autodiff import Tensor, as_tensor, concat, recording, split, tile_store
 
 
-def _im2col(vol, k):
-    """(C, X, Y, Z) volume -> (X*Y*Z, k^3*C) matrix of zero-padded k^3 patches.
+# Voxels (im2col rows) gathered per GEMM of a k > 1 conv: whole x-planes,
+# at least this many, so a no-grad conv holds one slab of columns instead of
+# the whole (L, k^3*C) matrix. Slabs of 512 rows made OpenBLAS round some
+# GEMM shapes differently (stacked layers stopped equaling separate ones);
+# from 1024 rows on they round like the whole product.
+CONV_SLAB_ROWS = 1024
 
-    Rows are voxels in (x, y, z) order; columns are (kx, ky, kz, C).
+
+def _im2col_gemm(vol, k, w_mat, keep_cols=False):
+    """The product of `vol`'s im2col matrix with `w_mat`.T.
+
+    vol: (C, X, Y, Z); w_mat: (c_out, k^3*C), columns ordered like the
+    im2col matrix, whose rows are voxels in (x, y, z) order and whose
+    columns are the zero-padded k^3 patch as (kx, ky, kz, C). Returns the
+    (X*Y*Z, c_out) product and, when `keep_cols`, the im2col matrix (else
+    None). A k=1 conv's im2col matrix is the volume itself, channels last.
+    For k > 1 the patches are gathered and multiplied one slab of
+    `CONV_SLAB_ROWS` or more rows at a time, into a single slab-sized buffer
+    unless the whole matrix is kept.
     """
     c, sx, sy, sz = vol.shape
+    plane = sy * sz
+    w_t = w_mat.T
     if k == 1:
-        return vol.transpose(1, 2, 3, 0).reshape(sx * sy * sz, c)
+        cols = vol.transpose(1, 2, 3, 0).reshape(sx * plane, c)
+        return cols @ w_t, (cols if keep_cols else None)
     pad = (k - 1) // 2
     padded = np.zeros((sx + 2 * pad, sy + 2 * pad, sz + 2 * pad, c), dtype=vol.dtype)
     padded[pad:pad + sx, pad:pad + sy, pad:pad + sz] = vol.transpose(1, 2, 3, 0)
+    # (X, Y, Z, C, kx, ky, kz) windows read as (X, Y, Z, kx, ky, kz, C): the
+    # gather copies contiguous C-runs
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k, k), axis=(0, 1, 2))
-    # windows: (X, Y, Z, C, kx, ky, kz); the copy moves contiguous C-runs
-    return windows.transpose(0, 1, 2, 4, 5, 6, 3).reshape(sx * sy * sz, k**3 * c)
+    windows = windows.transpose(0, 1, 2, 4, 5, 6, 3)
+    planes = -(-CONV_SLAB_ROWS // plane)
+    cols, rows = tile_store(keep_cols, (sx * plane, k**3 * c), planes * plane, vol.dtype)
+    out = np.empty((sx * plane, w_mat.shape[0]), dtype=np.result_type(vol, w_mat))
+    for x0 in range(0, sx, planes):
+        x1 = min(x0 + planes, sx)
+        slab = cols[rows(x0 * plane, x1 * plane)]
+        slab.reshape(x1 - x0, sy, sz, k, k, k, c)[...] = windows[x0:x1]
+        np.matmul(slab, w_t, out=out[x0 * plane:x1 * plane])
+    return out, (cols if keep_cols else None)
 
 
 def _weight_matrix(w):
-    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like `_im2col`."""
+    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like `_im2col_gemm`."""
     return w.transpose(0, 2, 3, 4, 1).reshape(w.shape[0], -1)
 
 
 def conv3d(x, w, b):
     """Same-padded 3D cross-correlation as an autodiff graph node.
 
-    x: (c_in, X, Y, Z), w: (c_out, c_in, k, k, k), b: (c_out,).
+    x: (c_in, X, Y, Z), w: (c_out, c_in, k, k, k), b: (c_out,). The im2col
+    matrix is kept for the weight gradient only when a graph is recorded.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2]
@@ -58,8 +90,7 @@ def conv3d(x, w, b):
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
 
-    cols = _im2col(x.data, k)  # (L, k^3*c_in)
-    out_mat = cols @ _weight_matrix(w.data).T  # (L, c_out)
+    out_mat, cols = _im2col_gemm(x.data, k, _weight_matrix(w.data), recording(x, w, b))  # (L, c_out)
     out_mat += b.data
     out_data = out_mat.T.reshape(c_out, *x.shape[1:])
 
@@ -72,7 +103,7 @@ def conv3d(x, w, b):
             b._accumulate(g_mat.sum(axis=0))
         if x.requires_grad:
             w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            dx_mat = _im2col(g, k) @ _weight_matrix(w_adj).T  # (L, c_in)
+            dx_mat, _ = _im2col_gemm(g, k, _weight_matrix(w_adj))  # (L, c_in)
             x._accumulate(dx_mat.T.reshape(x.data.shape))
 
     return Tensor._make(out_data, (x, w, b), backward)

@@ -4,14 +4,17 @@ The toy overfit run is the one genuinely expensive artifact in the
 suite (a few hundred Adam steps on a 16^3 person grid), so it is built
 once per session and shared between the pipeline regression tests and
 the acceptance suite. The acceptance tests also register one summary
-line each, printed at the end of the run.
+line each, printed at the end of the run. `assert_tiles_exact` is the
+oracle of the tiled nodes: their result as one whole tile.
 """
 
 import time
 
+import numpy as np
 import pytest
 
-from gridpose import AttentionConfig, RunConfig, SceneConfig, synth_scene, train_toy
+from gridpose import AttentionConfig, RunConfig, SceneConfig, Tensor, synth_scene, train_toy
+from gridpose.autodiff import no_grad
 
 ACCEPTANCE_LINES = []
 
@@ -74,3 +77,33 @@ def toy_overfit():
     result = train_toy(scene, cfg)
     seconds = time.perf_counter() - t0
     return {"scene": scene, "cfg": cfg, "result": result, "seconds": seconds}
+
+
+def assert_tiles_exact(monkeypatch, module, tile_constant, fn, leaves, probe):
+    """A tiled node equals the same node run as one tile, bit for bit.
+
+    `fn()` builds the node's output from `leaves` (all float32 or all
+    float64). It runs with `module.<tile_constant>` as it is and again with
+    the constant raised to cover the whole input, each time without a graph
+    and with one whose backward gets sum(out * probe). Within each run the
+    no-grad and graph outputs must be byte-equal and keep the leaves'
+    dtype; across the runs the outputs and every leaf gradient must be equal.
+    """
+    dtype = next(iter(leaves.values())).data.dtype
+    runs = []
+    for tile in (getattr(module, tile_constant), 2**62):
+        monkeypatch.setattr(module, tile_constant, tile)
+        with no_grad():
+            free = fn()
+        for t in leaves.values():
+            t.zero_grad()
+        graph = fn()
+        (graph * Tensor(probe.astype(dtype))).sum().backward()
+        assert free.data.dtype == dtype and graph.data.dtype == dtype
+        assert free.data.tobytes() == graph.data.tobytes()
+        runs.append((graph.data, {name: t.grad for name, t in leaves.items()}))
+    (tiled, tiled_grads), (whole, whole_grads) = runs
+    assert np.array_equal(tiled, whole)
+    for name in leaves:
+        assert tiled_grads[name].dtype == dtype, name
+        assert np.array_equal(tiled_grads[name], whole_grads[name]), name

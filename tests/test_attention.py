@@ -4,12 +4,13 @@ windowed attention, and the full encoder stack.
 The key oracles: an exhaustive permutation search certifying Sinkhorn's
 hard assignment, a scalar per-bin window loop for the attention math,
 the dense all-pairs attention that the sparse path must reproduce
-when everything fits in a single bin, and the op-by-op autodiff
+when everything fits in a single bin, the op-by-op autodiff
 compositions that the fused windowed-attention, layer-norm and
-feed-forward nodes replace.
+feed-forward nodes replace, and each tiled node run as one whole tile.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,8 +45,10 @@ from gridpose import (
     unflatten_volume,
     windowed_attention,
 )
+from gridpose import attention
 from gridpose.autodiff import no_grad
 from gridpose.conv import conv3d, conv3d_forward
+from conftest import assert_tiles_exact
 
 
 def permutation_matrix(perm):
@@ -587,6 +590,60 @@ def test_float32_nodes_keep_float32(name, build):
     (graph * Tensor(np.ones(graph.shape, dtype=np.float32))).sum().backward()
     for leaf_name, t in leaves.items():
         assert t.grad is not None and t.grad.dtype == np.float32, leaf_name
+
+
+class TestTiling:
+    """The tiled fused nodes at sizes that span several tiles: exact against
+    one whole tile, without a graph exact against graph mode, f32 kept f32,
+    and a no-grad window that never holds a full-size score block."""
+
+    # infer_encoder's encoder: a 24^3 grid in bins of 128, e=128, 2 heads
+    N_BINS, BIN, EMBED, HEADS = 108, 128, 128, 2
+
+    def window_case(self, dtype):
+        rng = np.random.default_rng(110)
+        cfg = AttentionConfig(embed_dim=self.EMBED, n_heads=self.HEADS, bin_size=self.BIN)
+        leaves = window_leaves(rng, n_b=self.N_BINS, b=self.BIN, e=self.EMBED, with_wo=True)
+        leaves["w_o"].data *= 1.0 / np.sqrt(self.EMBED)
+        for t in leaves.values():
+            t.data = t.data.astype(dtype)
+        probe = rng.normal(size=(self.N_BINS, self.BIN, self.EMBED))
+        return (lambda: call_window(windowed_attention, leaves, cfg)), leaves, probe
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_windowed_attention_tiles_equal_one_tile(self, monkeypatch, dtype):
+        assert self.N_BINS > attention.WINDOW_TILE_BINS
+        fn, leaves, probe = self.window_case(dtype)
+        assert_tiles_exact(monkeypatch, attention, "WINDOW_TILE_BINS", fn, leaves, probe)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_feed_forward_tiles_equal_one_tile(self, monkeypatch, dtype):
+        rng = np.random.default_rng(111)
+        layer = init_encoder_layer(AttentionConfig(embed_dim=16, n_heads=2, bin_size=2), rng)
+        layer.ff_b1.data[...] = rng.normal(size=64)
+        layer.ff_b2.data[...] = rng.normal(size=16)
+        x = Tensor(rng.normal(size=(3, 1700, 16)), requires_grad=True)  # 5100 rows, last tile partial
+        leaves = {"x": x, "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
+                  "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
+        assert 5100 > 2 * attention.FEED_FORWARD_TILE_ROWS
+        for t in leaves.values():
+            t.data = t.data.astype(dtype)
+        assert_tiles_exact(monkeypatch, attention, "FEED_FORWARD_TILE_ROWS",
+                           lambda: feed_forward(x, layer), leaves, rng.normal(size=(3, 1700, 16)))
+
+    def test_no_grad_window_holds_no_full_score_block(self):
+        fn, leaves, _ = self.window_case(np.float64)
+        block_bytes = self.N_BINS * self.HEADS * self.BIN * self.BIN * 8  # 28.3 MB
+        with no_grad():
+            fn()  # warm-up
+            tracemalloc.start()
+            try:
+                out = fn()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - out.data.nbytes < block_bytes
+
 
 class TestEmbedVolume:
     def make(self, rng, n_joints=2, dims=(2, 2, 2), e=4, b=2):

@@ -12,7 +12,10 @@ from gridpose import (
     init_residual_block,
     residual_forward,
 )
+from gridpose import conv
+from gridpose.autodiff import concat
 from gridpose.conv import conv3d_stacked
+from conftest import assert_tiles_exact
 
 
 def conv3d_oracle(x, w, b):
@@ -224,3 +227,34 @@ class TestStackedConv:
         for i, layer in enumerate(layers):
             leaves.update(layer.parameters(f"layer{i}"))
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
+
+
+class TestSlabTiling:
+    """A k=3 conv gathers its im2col matrix one slab of x-planes at a time,
+    in the forward pass and for the input gradient: exact against one
+    whole slab at person-grid sizes, for one layer, a narrow layer and a
+    stacked pair."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("c_in, c_outs", [(15, (32,)), (32, (2,)), (15, (32, 2))],
+                             ids=["single", "narrow", "stacked"])
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_slabs_equal_one_slab(self, monkeypatch, n, c_in, c_outs, dtype):
+        assert n**3 > 2 * conv.CONV_SLAB_ROWS
+        rng = np.random.default_rng(50 + n + len(c_outs))
+        layers = [init_conv3d(c_in, c, 3, rng) for c in c_outs]
+        x = Tensor(rng.uniform(size=(c_in, n, n, n)), requires_grad=True)
+        leaves = {"x": x}
+        for i, layer in enumerate(layers):
+            layer.b.data[...] = rng.normal(size=layer.c_out)
+            leaves.update(layer.parameters(f"layer{i}"))
+        for t in leaves.values():
+            t.data = t.data.astype(dtype)
+
+        def fn():
+            if len(layers) == 1:
+                return conv3d_forward(x, layers[0])
+            return concat(conv3d_stacked(x, layers))
+
+        probe = rng.normal(size=(sum(c_outs), n, n, n))
+        assert_tiles_exact(monkeypatch, conv, "CONV_SLAB_ROWS", fn, leaves, probe)

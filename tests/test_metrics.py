@@ -372,24 +372,65 @@ class TestEvaluateFrames:
         assert lines[0] == "metric,value"
         assert any(line.startswith("mpjpe_mm,") for line in lines)
 
-    def test_single_frame_equals_frame_metrics(self):
-        """With one frame and no exclusions the report is exactly pcp3d,
-        mpjpe and ap_k, which the oracles above check."""
+    def test_matches_brute_force_over_frames_with_exclusions(self):
+        """Multi-frame reports against an oracle built from the greedy
+        matching oracle and scalar per-limb, per-pose and per-threshold
+        counts, with some actors excluded."""
         rng = np.random.default_rng(21)
-        cfg = EvalConfig()
-        for _ in range(30):
-            gts = [random_pose(rng) for _ in range(rng.integers(1, 4))]
-            preds = [pose(g.joints + rng.normal(size=(4, 3)) * rng.uniform(5, 400)) for g in gts]
-            preds = preds[:rng.integers(0, len(preds) + 1)]  # some ground truths unmatched
-            preds += [random_pose(rng) for _ in range(rng.integers(0, 2))]  # and a false positive
-            rng.shuffle(preds)
-            report = evaluate_frames([preds], [gts], SKELETON3, cfg)
-            match = match_poses(preds, gts)
-            pcp = pcp3d(match, cfg.alpha, SKELETON3)
-            assert report.pcp_per_actor == pcp.per_actor
-            assert report.pcp_average == pcp.average
-            assert report.mpjpe == mpjpe(match)
-            assert report.ap == {k: ap_k(match, k) for k in cfg.ap_thresholds}
+        for trial in range(20):
+            cfg = EvalConfig(exclude_actors=((), (1,), (0, 2))[trial % 3])
+            pred_frames, gt_frames = [], []
+            for _ in range(int(rng.integers(1, 5))):
+                gts = [random_pose(rng) for _ in range(rng.integers(1, 4))]
+                preds = [pose(g.joints + rng.normal(size=(4, 3)) * rng.uniform(5, 400)) for g in gts]
+                preds = preds[:rng.integers(0, len(preds) + 1)]  # some ground truths unmatched
+                preds += [random_pose(rng) for _ in range(rng.integers(0, 2))]  # false positives
+                rng.shuffle(preds)
+                pred_frames.append(preds)
+                gt_frames.append(gts)
+            report = evaluate_frames(pred_frames, gt_frames, SKELETON3, cfg)
+
+            limbs = {}  # actor -> [correct, usable]
+            frame_mpjpe, hits = [], dict.fromkeys(cfg.ap_thresholds, 0)
+            n_preds = 0
+            for preds, gts in zip(pred_frames, gt_frames):
+                assign = greedy_match_oracle(preds, gts)
+                n_preds += len(preds) - sum(1 for g in assign if g in cfg.exclude_actors)
+                errs = []
+                for g, gt in enumerate(gts):
+                    if g in cfg.exclude_actors:
+                        continue
+                    counts = limbs.setdefault(g, [0, 0])
+                    for a, b in SKELETON3:
+                        counts[1] += 1
+                        if g in assign:
+                            da = np.linalg.norm(preds[assign[g]].joints[a] - gt.joints[a])
+                            db = np.linalg.norm(preds[assign[g]].joints[b] - gt.joints[b])
+                            counts[0] += 0.5 * (da + db) <= cfg.alpha * np.linalg.norm(gt.joints[a] - gt.joints[b])
+                    if g in assign:
+                        joint_errs = [np.linalg.norm(preds[assign[g]].joints[j] - gt.joints[j])
+                                      for j in range(4)]
+                        errs.append(sum(joint_errs) / 4)
+                if errs:
+                    frame_mpjpe.append(sum(errs) / len(errs))
+                for k in hits:
+                    hits[k] += sum(1 for e in errs if e < k)
+
+            per_actor = {g: c / t for g, (c, t) in limbs.items()}
+            assert report.pcp_per_actor == per_actor
+            if per_actor:
+                assert report.pcp_average == pytest.approx(sum(per_actor.values()) / len(per_actor),
+                                                           rel=1e-12)
+            else:
+                assert report.pcp_average is None
+            if frame_mpjpe:
+                assert report.mpjpe == pytest.approx(sum(frame_mpjpe) / len(frame_mpjpe), rel=1e-12)
+            else:
+                assert report.mpjpe is None
+            assert report.ap == {k: (h / n_preds if n_preds else 0.0) for k, h in hits.items()}
+            assert report.n_frames == len(gt_frames)
+            assert report.n_gt_poses == sum(len(g) for g in gt_frames)
+            assert report.n_pred_poses == sum(len(p) for p in pred_frames)
 
     def test_repeated_threshold_counts_once(self):
         rng = np.random.default_rng(22)
