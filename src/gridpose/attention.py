@@ -21,10 +21,10 @@ Score storage per layer is therefore N_b^2 + L*2B elements instead of
 L^2; ``ScoreCounter`` instruments exactly that quantity (counting
 query-key pairs once, independent of how many heads share them). The
 window's blocks are computed a few bins at a time and exponentiated in
-place, and the feed-forward runs over row tiles. When a graph is
-recorded, the tiles fill full-size (N_b, h, B, B) blocks and hidden
-layer, which the backward pass reads; without one, a single tile's
-blocks and hidden rows are held at a time.
+place, and the feed-forward runs over row tiles. A graph keeps only the
+window's full-size blocks ``p_loc``/``p_match`` and denominators ``denom``
+and the feed-forward's hidden layer, until ``Tensor.backward`` has run
+their backwards; without one, a tile's blocks and hidden rows are reused.
 """
 
 from __future__ import annotations
@@ -186,22 +186,23 @@ WINDOW_TILE_BINS = 2
 
 
 def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfig,
-                       w_o=None, counter: ScoreCounter | None = None):
+                       w_o, counter: ScoreCounter | None = None):
     """Per-bin attention over the 2B-element window [local bin, matched bin].
 
     Multi-head scaled dot-product attention with scores Q K^T / sqrt(d)
-    per head (d = head dim); heads are concatenated and, when given,
-    mapped through w_o. All five inputs are (N_b, B, e); output (N_b, B, e).
+    per head (d = head dim); heads are concatenated and mapped through
+    w_o. All five inputs are (N_b, B, e); output (N_b, B, e).
 
     One autodiff node up to w_o, computed `WINDOW_TILE_BINS` bins at a
     time. Per tile, the 1/sqrt(d) scale is folded into Q, the local and
     matched bins are scored as two (tile, h, B, B) blocks that share one
     row max and one softmax denominator (the log-sum-exp identity of online
-    softmax), and the denominator divides the summed value products once.
-    When a graph is recorded, the tiles fill full-size scaled queries,
-    exponentiated blocks, heads and denominators for the backward pass,
-    the softmax-attention adjoint with 1/denominator folded into the output
-    gradient; otherwise they are tile-sized and reused.
+    softmax), and the denominator divides the summed value products in the
+    output. A graph keeps full-size `p_loc`, `p_match` and `denom` only, until
+    the backward pass (the softmax-attention adjoint with 1/denominator
+    folded into the output gradient) has run; it reads the heads back from
+    the output and recomputes the scaled queries. Without a graph they are
+    tile-sized.
     """
     b_q, b_k, b_v = as_tensor(b_q), as_tensor(b_k), as_tensor(b_v)
     sorted_k, sorted_v = as_tensor(sorted_k), as_tensor(sorted_v)
@@ -209,7 +210,7 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         if t.shape != b_q.shape:
             raise ValueError(f"{name} has shape {t.shape}, query bins {b_q.shape}")
     n_b, b, e = b_q.shape
-    n_h, d = config.n_heads, config.head_dim
+    n_h = config.n_heads
     if e != config.embed_dim:
         raise ValueError(f"bins carry {e} channels but config.embed_dim is {config.embed_dim}")
 
@@ -221,17 +222,15 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     scale = float(1.0 / np.sqrt(config.head_dim))
     k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
     v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
-    q_store, rows = tile_store(keep, (n_b, b, e), tile, dtype)
-    p_loc, _ = tile_store(keep, (n_b, n_h, b, b), tile, dtype)  # exponentiated in place
+    p_loc, rows = tile_store(keep, (n_b, n_h, b, b), tile, dtype)  # exponentiated in place
     p_match, _ = tile_store(keep, (n_b, n_h, b, b), tile, dtype)
-    heads, _ = tile_store(keep, (n_b, n_h, b, d), tile, dtype)
     denom, _ = tile_store(keep, (n_b, n_h, b, 1), tile, dtype)
     out = np.empty((n_b, b, e), dtype=dtype)
+    heads = _split_heads(out, n_h)  # (N_b, h, B, d) view
     for lo in range(0, n_b, tile):
         hi = min(lo + tile, n_b)
         r = rows(lo, hi)
-        np.multiply(b_q.data[lo:hi], scale, out=q_store[r])
-        q_t = _split_heads(q_store[r], n_h)  # (tile, h, B, d)
+        q_t = _split_heads(b_q.data[lo:hi] * scale, n_h)  # (tile, h, B, d)
         p_loc_t, p_match_t = p_loc[r], p_match[r]
         np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
         np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
@@ -240,18 +239,17 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
             p -= row_max
             np.exp(p, out=p)
         np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[r])
-        heads_t = heads[r]
-        np.matmul(p_loc_t, v_loc[lo:hi], out=heads_t)
+        # summed in a contiguous temporary: one pass over the strided output
+        heads_t = p_loc_t @ v_loc[lo:hi]
         heads_t += p_match_t @ v_match[lo:hi]
-        heads_t /= denom[r]
-        _split_heads(out[lo:hi], n_h)[...] = heads_t
+        np.divide(heads_t, denom[r], out=heads[lo:hi])
     if counter is not None:
         counter.window_elements += n_b * b * 2 * b
-    q = _split_heads(q_store, n_h)
 
     def backward(g):
         g_heads = _split_heads(g, n_h) / denom
         row_dot = (g_heads * heads).sum(axis=-1, keepdims=True)
+        q = _split_heads(b_q.data * scale, n_h)
         d_q = None
         for p, k, v, src_k, src_v in ((p_loc, k_loc, v_loc, b_k, b_v),
                                       (p_match, k_match, v_match, sorted_k, sorted_v)):
@@ -273,10 +271,7 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
             d_q *= scale
             b_q._accumulate(_merge_heads(d_q))
 
-    out = Tensor._make(out, inputs, backward)
-    if w_o is not None:
-        out = out @ as_tensor(w_o)
-    return out
+    return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 
 
 def dense_attention(seq, w_q, w_k, w_v, w_o, config: AttentionConfig):
@@ -379,23 +374,22 @@ def init_encoder_weights(n_joints, dims, config: AttentionConfig, rng):
 # -- forward passes ------------------------------------------------------------
 
 
-def layer_norm(x, gain, bias, eps=1e-5, residual=None):
-    """Normalize over the last axis, then scale by `gain` and shift by `bias`.
+LAYER_NORM_EPS = 1e-5
 
-    With `residual`, normalizes x + residual (the post-norm residual add).
+
+def layer_norm(x, gain, bias, residual):
+    """Normalize x + residual (the post-norm residual add) over the last
+    axis, then scale by `gain` and shift by `bias`.
+
     One autodiff node with the closed-form backward (Ba et al. 2016):
     dx = (dy*gain - mean(dy*gain) - xhat * mean(dy*gain * xhat)) / std.
     """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    inputs = (x,) if residual is None else (x, as_tensor(residual))
-    if residual is None:
-        normed = x.data - x.data.mean(axis=-1, keepdims=True)
-    else:
-        normed = x.data + inputs[1].data
-        normed -= normed.mean(axis=-1, keepdims=True)
+    x, gain, bias, residual = as_tensor(x), as_tensor(gain), as_tensor(bias), as_tensor(residual)
+    normed = x.data + residual.data
+    normed -= normed.mean(axis=-1, keepdims=True)
     n = normed.shape[-1]
     var = np.einsum("...i,...i->...", normed, normed)[..., None] / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed *= inv_std
     out = normed * gain.data
     out += bias.data
@@ -405,18 +399,18 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
             gain._accumulate((g * normed).reshape(-1, n).sum(axis=0))
         if bias.requires_grad:
             bias._accumulate(g.reshape(-1, n).sum(axis=0))
-        if any(t.requires_grad for t in inputs):
+        if x.requires_grad or residual.requires_grad:
             dx = g * gain.data
             mean_dx = dx.mean(axis=-1, keepdims=True)
             proj = (dx * normed).mean(axis=-1, keepdims=True)
             dx -= mean_dx
             dx -= normed * proj
             dx *= inv_std
-            for t in inputs:
+            for t in (x, residual):
                 if t.requires_grad:
                     t._accumulate(dx)
 
-    return Tensor._make(out, (*inputs, gain, bias), backward)
+    return Tensor._make(out, (x, residual, gain, bias), backward)
 
 
 # Rows per tile of `feed_forward`. Without a graph only one tile's

@@ -19,8 +19,9 @@ intermediates their backward reads (conv im2col columns, exponentiated
 attention scores, feed-forward activations) only then; otherwise they work
 through them one tile at a time. Inference runs this way; leaves keep their
 ``requires_grad`` flag, so a graph built after the block backpropagates.
-A graph lives as long as its output: training drops each step's loss once
-the optimizer has stepped, before the next forward pass.
+``backward()`` releases the graph as it goes: a node's closure, saved
+arrays, links and, unless it is a leaf, gradient are dropped once its own
+backward has run, so a graph is differentiated once.
 """
 
 from __future__ import annotations
@@ -343,6 +344,8 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                # all its consumers have run before it; leaves keep gradients
+                node._backward, node._children, node.grad = None, (), None
 
 
 def as_tensor(x):
@@ -425,10 +428,11 @@ def finite_diff_check(f, leaves, eps=1e-5, max_probes=None, rng=None, atol=1e-9)
         an_flat = analytic[name].reshape(-1)
         for i in idxs:
             orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = float(f().data)
-            flat[i] = orig - eps
-            f_minus = float(f().data)
+            with no_grad():  # the probes read only values
+                flat[i] = orig + eps
+                f_plus = float(f().data)
+                flat[i] = orig - eps
+                f_minus = float(f().data)
             flat[i] = orig
             fd = (f_plus - f_minus) / (2 * eps)
             ad = an_flat[i]

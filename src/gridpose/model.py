@@ -14,7 +14,7 @@ directly through the raw tensor dump format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .attention import AttentionConfig, EncoderWeights, embed_volume, encode_bin
 from .autodiff import as_tensor
 from .config import RunConfig
 from .conv import (
-    Conv3dLayer, conv3d_forward, conv3d_stacked, init_conv3d, init_residual_block,
-    residual_forward, residual_from_conv1,
+    Conv3dLayer, conv3d_stacked, init_conv3d, init_residual_block, residual_forward, residual_from_conv1,
 )
+from .errors import ConfigError
 from .posehead import fuse_and_head
 from .tensorio import load_tensor_set, save_tensor_set
 
@@ -32,8 +32,8 @@ from .tensorio import load_tensor_set, save_tensor_set
 @dataclass
 class ModelWeights:
     encoder: EncoderWeights
-    residual_blocks: list = field(default_factory=list)
-    head: Conv3dLayer = None
+    residual_blocks: list  # at least one ResidualBlock
+    head: Conv3dLayer
 
     def parameters(self):
         params = self.encoder.parameters("encoder")
@@ -45,6 +45,8 @@ class ModelWeights:
 
 def init_model(n_joints, grid_dims, attention: AttentionConfig, residual_channels, rng):
     """Seeded weight init; draw order is fixed so a seed pins every tensor."""
+    if not residual_channels:
+        raise ConfigError("residual_channels must name at least one block")
     encoder = init_encoder_weights(n_joints, grid_dims, attention, rng)
     blocks = []
     c = n_joints
@@ -70,20 +72,18 @@ def model_forward(vol, weights: ModelWeights, attention: AttentionConfig,
     """Feature volume (J, X, Y, Z) -> per-joint voxel probabilities (J, X, Y, Z).
 
     Both branches open with a k=3 conv of `vol`: the encoder's embed conv
-    and the first residual block's conv1. They run as one
-    `conv3d_stacked` call, so `vol` is gathered into im2col columns once.
-    The result equals `encoder_forward` and a chain of `residual_forward`
-    fed into `fuse_and_head`, bit for bit wherever `conv3d_stacked` rounds
-    like the separate convs.
+    and the first residual block's conv1 (`init_model` gives every model
+    at least one block). They run as one `conv3d_stacked` call, so `vol`
+    is gathered into im2col columns once. The result equals
+    `encoder_forward` and a chain of `residual_forward` fed into
+    `fuse_and_head`, bit for bit wherever `conv3d_stacked` rounds like the
+    separate convs. `Tensor.backward` releases a graph node by node.
     """
     vol = as_tensor(vol)
     encoder, blocks = weights.encoder, weights.residual_blocks
-    if blocks:
-        emb, h = conv3d_stacked(vol, (encoder.embed_conv, blocks[0].conv1))
-        x_c = residual_from_conv1(vol, h, blocks[0])
-        del h
-    else:
-        emb, x_c = conv3d_forward(vol, encoder.embed_conv), vol
+    emb, h = conv3d_stacked(vol, (encoder.embed_conv, blocks[0].conv1))
+    x_c = residual_from_conv1(vol, h, blocks[0])
+    del h
     bins = embed_volume(emb, encoder, attention)
     # emb and h view one array; without a graph, dropping both frees it
     # before the encoder, whose working set is the forward pass's peak

@@ -253,7 +253,6 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
                     adam.step()
                 else:
                     sgd_step(param_list, cfg.lr)
-                loss = None  # frees this step's graph before the next forward pass
         except NumericError as exc:
             raise NumericError(f"{cfg.optimizer} training (lr {cfg.lr:g}) failed at step {step}: {exc}") from exc
 

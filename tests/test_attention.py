@@ -92,7 +92,7 @@ def windowed_oracle(bq, bk, bv, sk, sv, n_heads, w_o=None):
 # -- op-by-op compositions of the fused nodes (autodiff oracles) --------------
 
 
-def composed_windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o=None):
+def composed_windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o):
     """Windowed attention built from autodiff primitives over a concatenated window."""
     b_q = as_tensor(b_q)
     n_b, b, e = b_q.shape
@@ -105,13 +105,11 @@ def composed_windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o=N
     v = v_cat.reshape(n_b, window, n_h, d).transpose((0, 2, 1, 3))  # (N_b, h, 2B, d)
     attn = ((q @ k) * float(1.0 / np.sqrt(d))).softmax(axis=-1)
     out = (attn @ v).transpose((0, 2, 1, 3)).reshape(n_b, b, e)
-    return out if w_o is None else out @ as_tensor(w_o)
+    return out @ as_tensor(w_o)
 
 
-def composed_layer_norm(x, gain, bias, eps=1e-5, residual=None):
-    x = as_tensor(x)
-    if residual is not None:
-        x = x + as_tensor(residual)
+def composed_layer_norm(x, gain, bias, residual, eps=1e-5):
+    x = as_tensor(x) + as_tensor(residual)
     centered = x - x.mean(axis=-1, keepdims=True)
     var = (centered * centered).mean(axis=-1, keepdims=True)
     return centered * (var + eps) ** -0.5 * as_tensor(gain) + as_tensor(bias)
@@ -136,17 +134,20 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
 
 
-def window_leaves(rng, n_b=3, b=4, e=6, with_wo=False):
+def window_leaves(rng, n_b=3, b=4, e=6, trained_wo=False):
     names = ["b_q", "b_k", "b_v", "sorted_k", "sorted_v"]
     leaves = {n: Tensor(rng.normal(size=(n_b, b, e)), requires_grad=True) for n in names}
-    if with_wo:
+    if trained_wo:
         leaves["w_o"] = Tensor(rng.normal(size=(e, e)), requires_grad=True)
     return leaves
 
 
 def call_window(fn, leaves, cfg):
+    """The window over `leaves`; without a trained w_o it gets a constant
+    identity, which leaves its heads exact (x @ I == x bit for bit)."""
     args = [leaves[n] for n in ("b_q", "b_k", "b_v", "sorted_k", "sorted_v")]
-    return fn(*args, cfg, w_o=leaves.get("w_o"))
+    identity = np.eye(cfg.embed_dim, dtype=args[0].data.dtype)
+    return fn(*args, cfg, w_o=leaves.get("w_o", identity))
 
 class TestAttentionConfig:
     def test_temperature_defaults_to_sqrt_embed(self):
@@ -366,7 +367,7 @@ class TestWindowedAttention:
         b_v = np.array([[[1.0, 0.0]], [[0.5, 0.5]]])
         sorted_k = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
         sorted_v = np.array([[[0.0, 1.0]], [[0.0, 1.0]]])
-        out = windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, cfg).data
+        out = windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, cfg, np.eye(2)).data
         np.testing.assert_allclose(out[0, 0], [1.0, 0.0], atol=1e-9)  # local wins
         np.testing.assert_allclose(out[1, 0], [0.0, 1.0], atol=1e-9)  # sorted wins
 
@@ -374,7 +375,7 @@ class TestWindowedAttention:
         rng = np.random.default_rng(10)
         cfg = AttentionConfig(embed_dim=4, n_heads=1, bin_size=2)
         args = [rng.normal(size=(4, 2, 4)) for _ in range(5)]
-        out = windowed_attention(*args, cfg).data
+        out = windowed_attention(*args, cfg, np.eye(4)).data
         np.testing.assert_allclose(out, windowed_oracle(*args, n_heads=1), atol=1e-12)
 
     def test_matches_scalar_window_loop_two_heads_with_wo(self):
@@ -390,14 +391,14 @@ class TestWindowedAttention:
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
         args = [rng.normal(size=(3, 2, 4)) for _ in range(5)]
         counter = ScoreCounter()
-        windowed_attention(*args, cfg, counter=counter)
+        windowed_attention(*args, cfg, np.eye(4), counter=counter)
         assert counter.window_elements == 3 * 2 * 4  # N_b * B * 2B, heads share
         assert counter.correlation_elements == 0
 
     def test_embed_dim_mismatch_rejected(self):
         cfg = AttentionConfig(embed_dim=8, n_heads=2, bin_size=2)
         with pytest.raises(ValueError):
-            windowed_attention(*[np.zeros((2, 2, 4))] * 5, cfg)
+            windowed_attention(*[np.zeros((2, 2, 4))] * 5, cfg, np.eye(4))
 
 
     def test_matched_bin_wider_than_queries_rejected(self):
@@ -405,25 +406,25 @@ class TestWindowedAttention:
         local = np.zeros((3, 2, 4))
         matched = np.zeros((3, 5, 4))
         with pytest.raises(ValueError, match="sorted_k"):
-            windowed_attention(local, local, local, matched, matched, cfg)
+            windowed_attention(local, local, local, matched, matched, cfg, np.eye(4))
 
     def test_key_value_mismatch_rejected(self):
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
         bins = np.zeros((3, 2, 4))
         with pytest.raises(ValueError, match="sorted_v"):
-            windowed_attention(bins, bins, bins, bins, np.zeros((3, 3, 4)), cfg)
+            windowed_attention(bins, bins, bins, bins, np.zeros((3, 3, 4)), cfg, np.eye(4))
         with pytest.raises(ValueError, match="b_v"):
-            windowed_attention(bins, bins, np.zeros((3, 2, 2)), bins, bins, cfg)
+            windowed_attention(bins, bins, np.zeros((3, 2, 2)), bins, bins, cfg, np.eye(4))
 
 
 class TestFusedNodes:
     """Each fused node against central differences and against its composition."""
 
-    @pytest.mark.parametrize("n_heads,with_wo", [(1, False), (1, True), (2, False), (2, True)])
-    def test_windowed_attention_gradients_match_finite_differences(self, n_heads, with_wo):
-        rng = np.random.default_rng(40 + 2 * n_heads + with_wo)
+    @pytest.mark.parametrize("n_heads,trained_wo", [(1, False), (1, True), (2, False), (2, True)])
+    def test_windowed_attention_gradients_match_finite_differences(self, n_heads, trained_wo):
+        rng = np.random.default_rng(40 + 2 * n_heads + trained_wo)
         cfg = AttentionConfig(embed_dim=6, n_heads=n_heads, bin_size=4)
-        leaves = window_leaves(rng, with_wo=with_wo)
+        leaves = window_leaves(rng, trained_wo=trained_wo)
         probe = rng.normal(size=(3, 4, 6))
 
         def f():
@@ -431,11 +432,11 @@ class TestFusedNodes:
 
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
 
-    @pytest.mark.parametrize("n_heads,with_wo", [(1, False), (1, True), (2, False), (2, True)])
-    def test_windowed_attention_matches_composition(self, n_heads, with_wo):
-        rng = np.random.default_rng(50 + 2 * n_heads + with_wo)
+    @pytest.mark.parametrize("n_heads,trained_wo", [(1, False), (1, True), (2, False), (2, True)])
+    def test_windowed_attention_matches_composition(self, n_heads, trained_wo):
+        rng = np.random.default_rng(50 + 2 * n_heads + trained_wo)
         cfg = AttentionConfig(embed_dim=6, n_heads=n_heads, bin_size=4)
-        leaves = window_leaves(rng, with_wo=with_wo)
+        leaves = window_leaves(rng, trained_wo=trained_wo)
         probe = rng.normal(size=(3, 4, 6))
         out, grads = probed_output_and_grads(
             lambda: call_window(windowed_attention, leaves, cfg), leaves, probe)
@@ -472,39 +473,42 @@ class TestFusedNodes:
             assert np.all(np.isfinite(grads[name]))
             np.testing.assert_allclose(grads[name], want_grads[name], rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("with_residual", [False, True])
-    def test_layer_norm_gradients_match_finite_differences(self, with_residual):
-        rng = np.random.default_rng(70 + with_residual)
+    @staticmethod
+    def norm_leaves(rng, trained_residual):
+        """x, gain, bias and, when `trained_residual`, a residual leaf; without
+        one, `call_norm` adds a constant zero residual (x + 0 == x exactly)."""
         leaves = {
             "x": Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True),
             "gain": Tensor(rng.normal(size=5), requires_grad=True),
             "bias": Tensor(rng.normal(size=5), requires_grad=True),
         }
-        if with_residual:
+        if trained_residual:
             leaves["residual"] = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        return leaves
+
+    @staticmethod
+    def call_norm(fn, leaves):
+        residual = leaves.get("residual", np.zeros(leaves["x"].shape))
+        return fn(leaves["x"], leaves["gain"], leaves["bias"], residual=residual)
+
+    @pytest.mark.parametrize("trained_residual", [False, True])
+    def test_layer_norm_gradients_match_finite_differences(self, trained_residual):
+        rng = np.random.default_rng(70 + trained_residual)
+        leaves = self.norm_leaves(rng, trained_residual)
         probe = rng.normal(size=(2, 3, 5))
 
         def f():
-            out = layer_norm(leaves["x"], leaves["gain"], leaves["bias"], residual=leaves.get("residual"))
-            return (out * Tensor(probe)).sum()
+            return (self.call_norm(layer_norm, leaves) * Tensor(probe)).sum()
 
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
 
-    @pytest.mark.parametrize("with_residual", [False, True])
-    def test_layer_norm_matches_composition(self, with_residual):
-        rng = np.random.default_rng(80 + with_residual)
-        leaves = {
-            "x": Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True),
-            "gain": Tensor(rng.normal(size=5), requires_grad=True),
-            "bias": Tensor(rng.normal(size=5), requires_grad=True),
-        }
-        if with_residual:
-            leaves["residual"] = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    @pytest.mark.parametrize("trained_residual", [False, True])
+    def test_layer_norm_matches_composition(self, trained_residual):
+        rng = np.random.default_rng(80 + trained_residual)
+        leaves = self.norm_leaves(rng, trained_residual)
         probe = rng.normal(size=(2, 3, 5))
         results = [
-            probed_output_and_grads(
-                lambda fn=fn: fn(leaves["x"], leaves["gain"], leaves["bias"], residual=leaves.get("residual")),
-                leaves, probe)
+            probed_output_and_grads(lambda fn=fn: self.call_norm(fn, leaves), leaves, probe)
             for fn in (layer_norm, composed_layer_norm)
         ]
         (out, grads), (want_out, want_grads) = results
@@ -550,7 +554,7 @@ def _f32_node_cases():
 
     def window(rng):
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=3)
-        leaves = window_leaves(rng, n_b=2, b=3, e=4, with_wo=True)
+        leaves = window_leaves(rng, n_b=2, b=3, e=4, trained_wo=True)
         return (lambda: call_window(windowed_attention, leaves, cfg)), leaves
 
     def norm(rng):
@@ -603,7 +607,7 @@ class TestTiling:
     def window_case(self, dtype):
         rng = np.random.default_rng(110)
         cfg = AttentionConfig(embed_dim=self.EMBED, n_heads=self.HEADS, bin_size=self.BIN)
-        leaves = window_leaves(rng, n_b=self.N_BINS, b=self.BIN, e=self.EMBED, with_wo=True)
+        leaves = window_leaves(rng, n_b=self.N_BINS, b=self.BIN, e=self.EMBED, trained_wo=True)
         leaves["w_o"].data *= 1.0 / np.sqrt(self.EMBED)
         for t in leaves.values():
             t.data = t.data.astype(dtype)
@@ -630,6 +634,23 @@ class TestTiling:
             t.data = t.data.astype(dtype)
         assert_tiles_exact(monkeypatch, attention, "FEED_FORWARD_TILE_ROWS",
                            lambda: feed_forward(x, layer), leaves, rng.normal(size=(3, 1700, 16)))
+
+    def test_graph_window_keeps_only_blocks_and_denominators(self):
+        # a graph holds the two exponentiated (N_b, h, B, B) blocks, the
+        # denominators, the node's output and its product with w_o (85 MB);
+        # storing the scaled queries and the unmerged heads as well took it
+        # to 113 MB, two more (N_b, B, e) arrays
+        fn, _, _ = self.window_case(np.float64)
+        block_bytes = self.N_BINS * self.HEADS * self.BIN * self.BIN * 8
+        bins_bytes = self.N_BINS * self.BIN * self.EMBED * 8
+        tracemalloc.start()
+        try:
+            out = fn()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained < 2 * block_bytes + 3 * bins_bytes
 
     def test_no_grad_window_holds_no_full_score_block(self):
         fn, leaves, _ = self.window_case(np.float64)
@@ -704,8 +725,8 @@ class TestEncoder:
         layer.w_o.data[...] = 0.0  # kills the attention contribution
         bins = Tensor(rng.normal(size=(2, 2, 4)))
         out = encoder_layer_forward(bins, layer, cfg)
-        x = layer_norm(bins, layer.ln1_gain, layer.ln1_bias)
-        expect = layer_norm(x + feed_forward(x, layer), layer.ln2_gain, layer.ln2_bias)
+        x = layer_norm(bins, layer.ln1_gain, layer.ln1_bias, residual=np.zeros(bins.shape))
+        expect = layer_norm(x, layer.ln2_gain, layer.ln2_bias, residual=feed_forward(x, layer))
         np.testing.assert_allclose(out.data, expect.data, atol=1e-14)
 
     def test_layer_norm_matches_manual_formula(self):
@@ -713,7 +734,7 @@ class TestEncoder:
         x = rng.normal(size=(3, 5))
         gain = rng.normal(size=5)
         bias = rng.normal(size=5)
-        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias), residual=np.zeros(x.shape)).data
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         expect = (x - mean) / np.sqrt(var + 1e-5) * gain + bias

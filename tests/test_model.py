@@ -9,7 +9,7 @@ ones (see `conv3d_stacked`).
 import numpy as np
 import pytest
 
-from gridpose import AttentionConfig, Tensor, encoder_forward, model_forward, residual_forward
+from gridpose import AttentionConfig, ConfigError, Tensor, encoder_forward, model_forward, residual_forward
 from gridpose import conv
 from gridpose.autodiff import no_grad
 from gridpose.model import init_model
@@ -37,7 +37,13 @@ def make(residual_channels, dtype=np.float64, seed=0):
     return weights, vol
 
 
-RESIDUAL_CHANNELS = [(), (32,), (32, 16)]
+# (2,): a block far narrower than the embedding it is stacked with
+RESIDUAL_CHANNELS = [(2,), (32,), (32, 16)]
+
+
+def test_init_model_rejects_no_residual_block():
+    with pytest.raises(ConfigError):
+        init_model(N_JOINTS, DIMS, ATTENTION, (), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("residual_channels", RESIDUAL_CHANNELS)
@@ -80,7 +86,7 @@ def test_graph_gradients_match_composition(residual_channels):
 @pytest.mark.parametrize("residual_channels", RESIDUAL_CHANNELS)
 def test_one_conv_call_fewer_with_the_same_work(residual_channels, monkeypatch):
     """Stacking saves one conv3d call (one im2col of the volume) and no
-    multiply-add; with no residual block the embed conv runs alone."""
+    multiply-add."""
     weights, vol = make(residual_channels)
     calls = []
 
@@ -95,5 +101,5 @@ def test_one_conv_call_fewer_with_the_same_work(residual_channels, monkeypatch):
         stacked = list(calls)
         calls.clear()
         composed_model(vol, weights, ATTENTION)
-    assert len(stacked) == len(calls) - (1 if residual_channels else 0)
+    assert len(stacked) == len(calls) - 1
     assert sum(stacked) == sum(calls)

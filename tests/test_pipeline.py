@@ -347,10 +347,12 @@ class TestTrainToy:
             train_toy(scene, cfg)
 
     def test_steps_do_not_hold_two_graphs(self):
-        # A 0-step run holds one forward graph at its peak (89 MB traced on
-        # this scene). Keeping step k's graph through step k+1's forward
-        # pass took a 2-step run to 209 MB; freed, the peak is that graph
-        # plus its backward pass's gradients, 136 MB.
+        # A 0-step run holds one forward graph at its peak (83 MB traced on
+        # this scene). Releasing each node's saved arrays and gradient once
+        # its own backward has run keeps a 2-step run at 1.13x that (93 MB);
+        # keeping the graph and every gradient until the step ended took it
+        # to 1.53x, and keeping step k's graph through step k+1's forward
+        # pass to 2.4x.
         scene = synth_scene(toy_scene_config())
         peaks = []
         for steps in (0, 2):
@@ -361,7 +363,7 @@ class TestTrainToy:
             finally:
                 tracemalloc.stop()
         one_graph, two_steps = peaks
-        assert two_steps < 2 * one_graph
+        assert two_steps < 1.3 * one_graph
 
     def test_nan_loss_aborts_with_diagnostic(self, monkeypatch):
         scene = synth_scene(toy_scene_config())
