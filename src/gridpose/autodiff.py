@@ -14,10 +14,11 @@ graph mechanism through ``Tensor._make`` with hand-written backwards.
 Inside a ``with no_grad():`` block nothing is recorded: every op returns a
 plain leaf with no children and no backward closure, and is freed as soon
 as the next op has used it. ``recording(*tensors)`` tells a node whether
-its result will be part of a graph, so the fused nodes keep the
-intermediates their backward reads (conv im2col columns, exponentiated
-attention scores, feed-forward activations) only then; otherwise they work
-through them one tile at a time. Inference runs this way; leaves keep their
+its result will be part of a graph, so the fused attention nodes keep the
+intermediates their backward reads (exponentiated attention scores,
+feed-forward activations) only then; otherwise they work through them one
+tile at a time. The conv keeps no im2col columns either way: its backward
+regathers them from the input. Inference runs this way; leaves keep their
 ``requires_grad`` flag, so a graph built after the block backpropagates.
 ``backward()`` releases the graph as it goes: a node's closure, saved
 arrays, links and, unless it is a leaf, gradient are dropped once its own

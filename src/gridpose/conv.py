@@ -10,9 +10,10 @@ columns are ordered (kx, ky, kz, C) and every copied run is C contiguous
 values rather than 3-element strides; the weight matrix is permuted to
 that order and its gradient permuted back. The forward pass and the input
 gradient gather and multiply the matrix one slab of whole x-planes at a
-time; only a recorded graph keeps the whole matrix, which the weight
-gradient reads. A k=1 conv needs no padding or windows: its columns are
-the volume itself, channels last. The output is
+time, so no graph keeps an im2col matrix: the weight gradient regathers
+the whole matrix from the input in the backward pass and frees it before
+the input gradient runs. A k=1 conv needs no padding or windows: its
+columns are the volume itself, channels last. The output is
 the (L, C) GEMM result viewed as (C, X, Y, Z), so a conv that feeds the
 next one hands it channels-last memory. All model-math functions here
 accept plain ndarrays or autodiff Tensors and always return a Tensor (use
@@ -25,63 +26,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat, recording, split, tile_store
+from .autodiff import Tensor, as_tensor, concat, split
 
 
 # Voxels (im2col rows) gathered per GEMM of a k > 1 conv: whole x-planes,
-# at least this many, so a no-grad conv holds one slab of columns instead of
-# the whole (L, k^3*C) matrix. Slabs of 512 rows made OpenBLAS round some
+# at least this many, so a conv holds one slab of columns instead of the
+# whole (L, k^3*C) matrix. Slabs of 512 rows made OpenBLAS round some
 # GEMM shapes differently (stacked layers stopped equaling separate ones);
 # from 1024 rows on they round like the whole product.
 CONV_SLAB_ROWS = 1024
 
 
-def _im2col_gemm(vol, k, w_mat, keep_cols=False):
-    """The product of `vol`'s im2col matrix with `w_mat`.T.
+def _windows(vol, k):
+    """The zero-padded k^3 patches of `vol` (C, X, Y, Z), channels last: an
+    (X, Y, Z, kx, ky, kz, C) view of a padded (X, Y, Z, C) copy, so that
+    gathering it copies contiguous C-runs."""
+    c, sx, sy, sz = vol.shape
+    pad = (k - 1) // 2
+    padded = np.zeros((sx + 2 * pad, sy + 2 * pad, sz + 2 * pad, c), dtype=vol.dtype)
+    padded[pad:pad + sx, pad:pad + sy, pad:pad + sz] = vol.transpose(1, 2, 3, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k, k), axis=(0, 1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 6, 3)
 
-    vol: (C, X, Y, Z); w_mat: (c_out, k^3*C), columns ordered like the
-    im2col matrix, whose rows are voxels in (x, y, z) order and whose
-    columns are the zero-padded k^3 patch as (kx, ky, kz, C). Returns the
-    (X*Y*Z, c_out) product and, when `keep_cols`, the im2col matrix (else
-    None). A k=1 conv's im2col matrix is the volume itself, channels last.
-    For k > 1 the patches are gathered and multiplied one slab of
-    `CONV_SLAB_ROWS` or more rows at a time, into a single slab-sized buffer
-    unless the whole matrix is kept.
+
+def _im2col(vol, k):
+    """The whole (X*Y*Z, k^3*C) im2col matrix of `vol` (C, X, Y, Z): rows are
+    voxels in (x, y, z) order, columns the zero-padded k^3 patch as
+    (kx, ky, kz, C). A k=1 conv's matrix is the volume itself, channels last."""
+    if k == 1:
+        return vol.transpose(1, 2, 3, 0).reshape(-1, vol.shape[0])
+    return _windows(vol, k).reshape(-1, k**3 * vol.shape[0])
+
+
+def _im2col_gemm(vol, k, w_mat):
+    """The (X*Y*Z, c_out) product of `vol`'s im2col matrix (see `_im2col`)
+    with `w_mat`.T, where w_mat is (c_out, k^3*C) with columns ordered like
+    the matrix. For k > 1 the patches are gathered and multiplied one slab
+    of `CONV_SLAB_ROWS` or more rows at a time, into a single slab-sized
+    buffer; the whole matrix is never held.
     """
     c, sx, sy, sz = vol.shape
     plane = sy * sz
     w_t = w_mat.T
     if k == 1:
-        cols = vol.transpose(1, 2, 3, 0).reshape(sx * plane, c)
-        return cols @ w_t, (cols if keep_cols else None)
-    pad = (k - 1) // 2
-    padded = np.zeros((sx + 2 * pad, sy + 2 * pad, sz + 2 * pad, c), dtype=vol.dtype)
-    padded[pad:pad + sx, pad:pad + sy, pad:pad + sz] = vol.transpose(1, 2, 3, 0)
-    # (X, Y, Z, C, kx, ky, kz) windows read as (X, Y, Z, kx, ky, kz, C): the
-    # gather copies contiguous C-runs
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k, k), axis=(0, 1, 2))
-    windows = windows.transpose(0, 1, 2, 4, 5, 6, 3)
+        return _im2col(vol, 1) @ w_t
+    windows = _windows(vol, k)
     planes = -(-CONV_SLAB_ROWS // plane)
-    cols, rows = tile_store(keep_cols, (sx * plane, k**3 * c), planes * plane, vol.dtype)
+    slab = np.empty((min(planes, sx) * plane, k**3 * c), dtype=vol.dtype)
     out = np.empty((sx * plane, w_mat.shape[0]), dtype=np.result_type(vol, w_mat))
     for x0 in range(0, sx, planes):
         x1 = min(x0 + planes, sx)
-        slab = cols[rows(x0 * plane, x1 * plane)]
-        slab.reshape(x1 - x0, sy, sz, k, k, k, c)[...] = windows[x0:x1]
-        np.matmul(slab, w_t, out=out[x0 * plane:x1 * plane])
-    return out, (cols if keep_cols else None)
+        rows = slab[:(x1 - x0) * plane]
+        rows.reshape(x1 - x0, sy, sz, k, k, k, c)[...] = windows[x0:x1]
+        np.matmul(rows, w_t, out=out[x0 * plane:x1 * plane])
+    return out
 
 
 def _weight_matrix(w):
-    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like `_im2col_gemm`."""
+    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like `_im2col`."""
     return w.transpose(0, 2, 3, 4, 1).reshape(w.shape[0], -1)
 
 
 def conv3d(x, w, b):
     """Same-padded 3D cross-correlation as an autodiff graph node.
 
-    x: (c_in, X, Y, Z), w: (c_out, c_in, k, k, k), b: (c_out,). The im2col
-    matrix is kept for the weight gradient only when a graph is recorded.
+    x: (c_in, X, Y, Z), w: (c_out, c_in, k, k, k), b: (c_out,). The node
+    keeps no im2col matrix: the backward regathers it from `x.data` for the
+    weight gradient and frees it before gathering the input gradient's.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2]
@@ -90,20 +101,22 @@ def conv3d(x, w, b):
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
 
-    out_mat, cols = _im2col_gemm(x.data, k, _weight_matrix(w.data), recording(x, w, b))  # (L, c_out)
+    out_mat = _im2col_gemm(x.data, k, _weight_matrix(w.data))  # (L, c_out)
     out_mat += b.data
     out_data = out_mat.T.reshape(c_out, *x.shape[1:])
 
     def backward(g):
         g_mat = g.reshape(c_out, -1).T  # (L, c_out)
         if w.requires_grad:
+            cols = _im2col(x.data, k)
             w_grad = (g_mat.T @ cols).reshape(c_out, k, k, k, c_in)
+            del cols
             w._accumulate(w_grad.transpose(0, 4, 1, 2, 3))
         if b.requires_grad:
             b._accumulate(g_mat.sum(axis=0))
         if x.requires_grad:
             w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            dx_mat, _ = _im2col_gemm(g, k, _weight_matrix(w_adj))  # (L, c_in)
+            dx_mat = _im2col_gemm(g, k, _weight_matrix(w_adj))  # (L, c_in)
             x._accumulate(dx_mat.T.reshape(x.data.shape))
 
     return Tensor._make(out_data, (x, w, b), backward)
