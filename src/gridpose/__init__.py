@@ -6,7 +6,6 @@ metrics, and a benchmark for the sparse attention's cost."""
 from .attention import (
     AttentionConfig,
     ScoreCounter,
-    SinkhornResult,
     attention_sublayer,
     bin_means,
     correlation_matrix,
@@ -69,11 +68,8 @@ from .grid import (
 )
 from .metrics import (
     EvalConfig,
-    ap_k,
     evaluate_frames,
     match_poses,
-    mpjpe,
-    pcp3d,
     pose_error,
 )
 from .model import (

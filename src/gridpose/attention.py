@@ -87,14 +87,6 @@ class ScoreCounter:
         self.window_elements = 0
 
 
-@dataclass
-class SinkhornResult:
-    """Relaxed doubly-stochastic matrix and its log-space representation."""
-
-    log_s: Tensor
-    s: Tensor
-
-
 def bin_means(bins_q, bins_k):
     """Mean query / key vector per bin: (N_b, B, e) -> two (N_b, e) arrays."""
     bins_q, bins_k = as_tensor(bins_q), as_tensor(bins_k)
@@ -121,7 +113,8 @@ def sinkhorn_normalize(r, n_iters):
     Starting from log S = r (S = exp(r)), each iteration subtracts the
     log-sum-exp over rows, then over columns. The fixed point is the same
     as the literal ratio normalization but stays stable for large |r|.
-    Gradients flow through the unrolled iterations.
+    Returns the relaxed matrix S = exp(log S) as a Tensor; gradients flow
+    through the unrolled iterations.
     """
     r = as_tensor(r)
     if r.ndim != 2:
@@ -134,29 +127,29 @@ def sinkhorn_normalize(r, n_iters):
     for _ in range(n_iters):
         log_s = log_s - log_s.logsumexp(axis=1, keepdims=True)
         log_s = log_s - log_s.logsumexp(axis=0, keepdims=True)
-    return SinkhornResult(log_s=log_s, s=log_s.exp())
+    return log_s.exp()
 
 
-def reorder_bins(bins, sink: SinkhornResult, mode="soft"):
-    """Reorder a bin tensor with the relaxed permutation.
+def reorder_bins(bins, s, mode="soft"):
+    """Reorder a bin tensor with the relaxed permutation `s` (N_b, N_b).
 
     soft: out[i] = sum_j S[i, j] * bins[j] (differentiable convex mixing).
     hard: out[i] = bins[argmax_j S[i, j]] (inference shortcut; refuses to
     run inside a graph that is being differentiated).
     """
-    bins = as_tensor(bins)
+    bins, s = as_tensor(bins), as_tensor(s)
     n_b, b, e = bins.shape
-    if sink.s.shape != (n_b, n_b):
-        raise ValueError(f"sinkhorn matrix {sink.s.shape} does not match {n_b} bins")
+    if s.shape != (n_b, n_b):
+        raise ValueError(f"sinkhorn matrix {s.shape} does not match {n_b} bins")
     if mode == "soft":
-        mixed = sink.s @ bins.reshape(n_b, b * e)
+        mixed = s @ bins.reshape(n_b, b * e)
         return mixed.reshape(n_b, b, e)
     if mode == "hard":
-        if bins.requires_grad or sink.s.requires_grad:
+        if bins.requires_grad or s.requires_grad:
             raise NotDifferentiablePathError(
                 "hard bin reordering is not differentiable; use soft mode for training"
             )
-        order = np.argmax(sink.s.data, axis=1)
+        order = np.argmax(s.data, axis=1)
         return Tensor(bins.data[order])
     raise ValueError(f"unknown reorder mode {mode!r}")
 
@@ -476,9 +469,9 @@ def attention_sublayer(bins, weights: EncoderLayerWeights, config: AttentionConf
     v = bins @ weights.w_v
     q_mean, k_mean = bin_means(q, k)
     r = correlation_matrix(q_mean, k_mean, config.temperature, counter)
-    sink = sinkhorn_normalize(r, config.sinkhorn_iters)
-    k_sorted = reorder_bins(k, sink, mode)
-    v_sorted = reorder_bins(v, sink, mode)
+    s = sinkhorn_normalize(r, config.sinkhorn_iters)
+    k_sorted = reorder_bins(k, s, mode)
+    v_sorted = reorder_bins(v, s, mode)
     return windowed_attention(q, k, v, k_sorted, v_sorted, config, w_o=weights.w_o, counter=counter)
 
 

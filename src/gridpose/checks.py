@@ -26,7 +26,7 @@ from .autodiff import Tensor, finite_diff_check
 from .config import RunConfig
 from .geometry import Heatmap, aggregate_feature_volume, project_point, sample_heatmap
 from .grid import GridSpec, flatten_volume, partition_bins, unflatten_volume
-from .metrics import ap_k, match_poses, pcp3d
+from .metrics import EvalConfig, evaluate_frames
 from .model import init_model_from_config, model_forward
 from .posehead import Pose3D, integral_regression
 from .synth import camera_ring
@@ -61,7 +61,7 @@ def _check_sinkhorn(rng):
     worst = 0.0
     for _ in range(10):
         r = rng.uniform(-2.0, 2.0, size=(8, 8))
-        s = sinkhorn_normalize(Tensor(r), 20).s.data
+        s = sinkhorn_normalize(Tensor(r), 20).data
         dev = max(np.abs(s.sum(axis=1) - 1.0).max(), np.abs(s.sum(axis=0) - 1.0).max())
         worst = max(worst, float(dev))
     return CheckItem("sinkhorn_doubly_stochastic", worst <= 1e-6, worst)
@@ -73,7 +73,7 @@ def _check_permutation_recovery(rng):
         perm = rng.permutation(4)
         p = np.eye(4)[perm]
         r = 50.0 * p + rng.uniform(-0.1, 0.1, size=(4, 4))
-        s = sinkhorn_normalize(Tensor(r), 10).s.data
+        s = sinkhorn_normalize(Tensor(r), 10).data
         if np.array_equal(np.argmax(s, axis=1), perm):
             hits += 1
     return CheckItem("sinkhorn_permutation_recovery", hits == 10, float(hits) / 10.0)
@@ -161,7 +161,7 @@ def _check_metrics_brute_force(rng):
     for _ in range(5):
         gts = [Pose3D(joints=rng.normal(scale=400.0, size=(3, 3))) for _ in range(2)]
         preds = [Pose3D(joints=g.joints + rng.normal(scale=60.0, size=(3, 3))) for g in gts]
-        match = match_poses(preds, gts)
+        report = evaluate_frames([preds], [gts], skeleton, EvalConfig(ap_thresholds=(100.0,)))
         costs = np.array([
             [np.mean(np.linalg.norm(p.joints - g.joints, axis=1)) for p in preds]
             for g in gts
@@ -181,10 +181,10 @@ def _check_metrics_brute_force(rng):
                 eb = np.linalg.norm(preds[p].joints[b] - gts[g].joints[b])
                 ok += (ea + eb) / 2.0 <= 0.5 * limb
             accs.append(ok / total)
-        worst = max(worst, abs(pcp3d(match, 0.5, skeleton).average - float(np.mean(accs))))
+        worst = max(worst, abs(report.pcp_average - float(np.mean(accs))))
         errs = [costs[g, p] for g, p in pairs]
         expect_ap = float(np.mean([e < 100.0 for e in errs]))
-        worst = max(worst, abs(ap_k(match, 100.0) - expect_ap))
+        worst = max(worst, abs(report.ap[100.0] - expect_ap))
     return CheckItem("metrics_match_brute_force", worst == 0.0, worst)
 
 

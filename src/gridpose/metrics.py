@@ -1,5 +1,10 @@
 """Pose evaluation: greedy matching, limb PCP, MPJPE, and AP at mm thresholds.
 
+`evaluate_frames` is the one function that computes the metrics. The
+pipeline's stages only return poses; callers (the CLI's `infer`,
+`train-toy` and `eval`, and `gridpose check`) score them here, against
+ground truth and the scene's skeleton.
+
 Conventions:
 
 - Matching is one-to-one and greedy by ascending mean joint error (ties
@@ -94,42 +99,6 @@ def match_poses(preds, gts):
     return MatchResult(preds=list(preds), gts=list(gts), gt_to_pred=gt_to_pred, errors=errors)
 
 
-@dataclass
-class PcpResult:
-    per_actor: dict
-    average: float | None
-    defects: list = field(default_factory=list)
-
-
-def pcp3d(match: MatchResult, alpha, skeleton):
-    """Percentage (as a fraction in [0, 1]) of correct limbs per actor.
-
-    Actors are ground-truth positions within the frame. The average is
-    over actors that have at least one usable limb.
-    """
-    report = _tally([match], skeleton, alpha)
-    return PcpResult(per_actor=report.pcp_per_actor, average=report.pcp_average, defects=report.defects)
-
-
-def mpjpe(match: MatchResult):
-    """Mean joint error over this frame's matched poses, or None when
-    nothing matched (undefined, deliberately not 0)."""
-    return _tally([match]).mpjpe
-
-
-def ap_k(matches, k):
-    """Fraction of predictions matched with per-pose error < k mm.
-
-    Accepts one MatchResult or a list (pooled over frames). Unmatched
-    predictions count against the score; 0 predictions yields 0.0.
-    """
-    if isinstance(matches, MatchResult):
-        matches = [matches]
-    if k <= 0:
-        raise ValueError(f"threshold must be positive, got {k}")
-    return _tally(matches, ap_thresholds=(k,)).ap[k]
-
-
 # -- frame-set evaluation ----------------------------------------------------
 
 
@@ -178,21 +147,32 @@ def _fmt(v):
     return "" if v is None else repr(float(v))
 
 
-def _tally(matches, skeleton=(), alpha=0.5, ap_thresholds=(), exclude=()):
-    """PCP, MPJPE and AP over matched frames, pooled; the one place they
-    are computed.
+def evaluate_frames(pred_frames, gt_frames, skeleton, config: EvalConfig = EvalConfig()):
+    """PCP, MPJPE and AP of prediction lists against ground-truth lists,
+    frame by frame; the one place these metrics are computed.
 
-    PCP pools each actor's limb counts over the frames. Unmatched ground
-    truths count every usable limb as incorrect. MPJPE is the mean over
-    frames of each frame's mean matched error. AP_K divides the matches
-    below K mm by the predictions. Excluded actors are dropped from all
-    three, and so are the predictions matched to them.
+    Each frame is matched with `match_poses`. Actor identity is the
+    ground-truth position within its frame (frames must list actors
+    consistently).
+
+    - PCP pools each actor's limb counts over the frames. Unmatched
+      ground truths count every usable limb as incorrect.
+    - MPJPE is the mean over frames of each frame's mean matched error.
+    - AP_K divides the matches below K mm by the predictions.
+
+    Excluded actors stay in the matching pool, so their predictions are
+    not mislabeled as false positives, but they are dropped from PCP,
+    MPJPE and the AP prediction pool.
     """
+    if len(pred_frames) != len(gt_frames):
+        raise ValueError(f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames")
+    matches = [match_poses(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
+    exclude = set(config.exclude_actors)
     limb_counts = {}
     defects = []
     frame_errs = []
     ap_total_preds = 0
-    ap_correct = dict.fromkeys(ap_thresholds, 0)
+    ap_correct = dict.fromkeys(config.ap_thresholds, 0)
     for match in matches:
         ap_total_preds += len(match.preds)
         kept_errs = []
@@ -213,7 +193,7 @@ def _tally(matches, skeleton=(), alpha=0.5, ap_thresholds=(), exclude=()):
                     continue
                 err_a = np.linalg.norm(match.preds[p].joints[a] - gt.joints[a])
                 err_b = np.linalg.norm(match.preds[p].joints[b] - gt.joints[b])
-                if (err_a + err_b) / 2.0 <= alpha * length:
+                if (err_a + err_b) / 2.0 <= config.alpha * length:
                     counts[0] += 1
         if kept_errs:
             frame_errs.append(float(np.mean(kept_errs)))
@@ -232,17 +212,3 @@ def _tally(matches, skeleton=(), alpha=0.5, ap_thresholds=(), exclude=()):
         n_pred_poses=sum(len(m.preds) for m in matches),
         defects=defects,
     )
-
-
-def evaluate_frames(pred_frames, gt_frames, skeleton, config: EvalConfig = EvalConfig()):
-    """Evaluate prediction lists against ground-truth lists frame by frame.
-
-    Actor identity is the ground-truth position within its frame (frames
-    must list actors consistently). Excluded actors stay in the matching
-    pool, so their predictions are not mislabeled as false positives, but
-    they are dropped from PCP, MPJPE, and the AP prediction pool.
-    """
-    if len(pred_frames) != len(gt_frames):
-        raise ValueError(f"{len(pred_frames)} prediction frames vs {len(gt_frames)} ground-truth frames")
-    matches = [match_poses(preds, gts) for preds, gts in zip(pred_frames, gt_frames)]
-    return _tally(matches, skeleton, config.alpha, config.ap_thresholds, set(config.exclude_actors))

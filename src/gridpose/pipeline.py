@@ -7,12 +7,15 @@ runs the two-branch network, whose two opening convs share one im2col.
 Toy training overfits one fixed synthetic scene with per-joint L1 loss
 normalized by the grid extent, which is enough to demonstrate sub-voxel
 localization end to end.
+
+Inference and training return poses and never score them: evaluation is
+a separate step, `metrics.evaluate_frames`, that callers run on them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .config import RunConfig
 from .errors import ConfigError, NumericError
 from .geometry import aggregate_feature_volume, min_score, min_score_bound
 from .grid import GridSpec, flat_index
-from .metrics import evaluate_frames, match_poses, mpjpe as frame_mpjpe
 from .model import ModelWeights, init_model_from_config, model_forward
 from .posehead import Pose3D, integral_regression, regress_pose
 from .synth import SyntheticScene
@@ -154,13 +156,13 @@ def _check_joint_count(scene: SyntheticScene, cfg: RunConfig):
 class InferenceResult:
     poses: list
     centers: np.ndarray
-    report: object
 
 
 def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
-    """Centers -> person grids -> network -> poses, evaluated against the
-    scene's ground truth. Zero centers is valid and yields an empty pose
-    list (AP 0, MPJPE undefined).
+    """Centers -> person grids -> network -> poses. Ground truth is read
+    only for the centers when `center_source` is "ground_truth"; scoring
+    the poses is the caller's step (`metrics.evaluate_frames`). Zero
+    centers is valid and yields an empty pose list.
 
     The network runs under `no_grad`: no autodiff graph is kept, so each
     intermediate is freed once used, and the hard reorder mode runs even
@@ -179,8 +181,7 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
             if not np.all(np.isfinite(probs.data)):
                 raise NumericError("network produced non-finite probabilities")
             poses.append(regress_pose(probs, grid))
-    report = evaluate_frames([poses], [scene.poses], scene.skeleton)
-    return InferenceResult(poses=poses, centers=centers, report=report)
+    return InferenceResult(poses=poses, centers=centers)
 
 
 # -- toy training ---------------------------------------------------------------
@@ -190,8 +191,7 @@ def run_inference(scene: SyntheticScene, weights: ModelWeights, cfg: RunConfig):
 class TrainResult:
     weights: ModelWeights
     losses: list  # losses[k] = loss after k optimizer steps (len steps + 1)
-    final_mpjpe: float | None
-    poses: list = field(default_factory=list)
+    poses: list  # the regressed training-sample poses at the last step
 
 
 def train_toy(scene: SyntheticScene, cfg: RunConfig):
@@ -257,8 +257,7 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
             raise NumericError(f"{cfg.optimizer} training (lr {cfg.lr:g}) failed at step {step}: {exc}") from exc
 
     poses = [Pose3D(joints=j) for j in final_joints]
-    match = match_poses(poses, scene.poses)
-    return TrainResult(weights=weights, losses=losses, final_mpjpe=frame_mpjpe(match), poses=poses)
+    return TrainResult(weights=weights, losses=losses, poses=poses)
 
 
 def write_loss_csv(path, losses):

@@ -10,6 +10,9 @@ center, which is added back afterwards, so that rounding in the
 probabilities scales with the grid's extent rather than with its distance
 from the world origin (integral regression in a local frame, after Sun et
 al. 2018, arXiv 1711.08229).
+
+A `Pose3D` is joints and confidences only. The skeleton belongs to the
+scene, and a pose file stores one skeleton for all of its poses.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ class Pose3D:
 
     joints: (J, 3) finite float array.
     confidence: optional (J,) array.
-    skeleton: optional list of (parent, child) joint index pairs.
+
+    The limbs are not a pose's own: a scene (`SyntheticScene.skeleton`) or
+    a pose file carries one skeleton for all of its poses.
     """
 
     joints: np.ndarray
     confidence: np.ndarray | None = None
-    skeleton: list | None = None
 
     def __post_init__(self):
         self.joints = np.asarray(self.joints, dtype=np.float64)
@@ -47,11 +51,6 @@ class Pose3D:
             self.confidence = np.asarray(self.confidence, dtype=np.float64)
             if self.confidence.shape != (self.n_joints,):
                 raise ValueError(f"confidence must be ({self.n_joints},), got {self.confidence.shape}")
-        if self.skeleton is not None:
-            self.skeleton = [(int(a), int(b)) for a, b in self.skeleton]
-            for a, b in self.skeleton:
-                if not (0 <= a < self.n_joints and 0 <= b < self.n_joints):
-                    raise ValueError(f"limb ({a}, {b}) out of range for {self.n_joints} joints")
 
     @property
     def n_joints(self):
@@ -145,7 +144,10 @@ def poses_to_json(poses, skeleton=None):
 
 
 def poses_from_json(doc):
-    """Inverse of `poses_to_json`; returns (list of Pose3D, skeleton or None)."""
+    """Inverse of `poses_to_json`; returns (list of Pose3D, skeleton or None).
+
+    Every limb of the skeleton must index a joint of every pose in the file.
+    """
     if "poses" not in doc:
         raise ValueError("pose file must contain a 'poses' list")
     skeleton = doc.get("skeleton")
@@ -153,11 +155,14 @@ def poses_from_json(doc):
         skeleton = [(int(a), int(b)) for a, b in skeleton]
     poses = []
     for entry in doc["poses"]:
-        poses.append(Pose3D(
+        pose = Pose3D(
             joints=np.asarray(entry["joints"], dtype=np.float64),
             confidence=np.asarray(entry["confidence"], dtype=np.float64) if "confidence" in entry else None,
-            skeleton=skeleton,
-        ))
+        )
+        for a, b in skeleton or ():
+            if not (0 <= a < pose.n_joints and 0 <= b < pose.n_joints):
+                raise ValueError(f"limb ({a}, {b}) out of range for {pose.n_joints} joints")
+        poses.append(pose)
     return poses, skeleton
 
 

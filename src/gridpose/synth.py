@@ -205,10 +205,7 @@ class SyntheticScene:
     poses: list
     centers: np.ndarray  # (P, 3) person-grid centers = joint centroids
     heatmaps: list  # one Heatmap per camera
-
-    @property
-    def skeleton(self):
-        return self.poses[0].skeleton if self.poses else None
+    skeleton: list  # (parent, child) joint index pairs shared by all poses
 
 
 def synth_scene(cfg: SceneConfig):
@@ -223,16 +220,16 @@ def synth_scene(cfg: SceneConfig):
         raise ConfigError("camera list is empty")
     centers = _sample_centers(cfg, rng)
     margin = 0.05 * cfg.person_extent
-    skeleton = list(template.limbs)
     poses = []
     for center in centers:
         local = _fitted_person(template, rng, cfg.person_extent, margin)
-        poses.append(Pose3D(joints=local + center, skeleton=skeleton))
+        poses.append(Pose3D(joints=local + center))
     heatmaps = [
         render_heatmaps(cam, poses, cfg.heatmap_sigma, rng, cfg.noise_std, cfg.dropout_prob)
         for cam in cameras
     ]
-    return SyntheticScene(config=cfg, cameras=cameras, poses=poses, centers=centers, heatmaps=heatmaps)
+    return SyntheticScene(config=cfg, cameras=cameras, poses=poses, centers=centers,
+                          heatmaps=heatmaps, skeleton=list(template.limbs))
 
 
 # -- scene directory layout ------------------------------------------------------
@@ -250,15 +247,18 @@ def save_scene(scene: SyntheticScene, directory):
 
 
 def load_scene(directory):
-    """Inverse of `save_scene`. Person centers are joint centroids."""
+    """Inverse of `save_scene`. Person centers are joint centroids. Each
+    heatmap dump must have its camera's image size."""
     cfg = load_json_config(os.path.join(directory, "scene_config.json"), scene_config_from_json)
     cameras = load_json_file(os.path.join(directory, "cameras.json"), load_cameras_json)
     poses, skeleton = load_json_file(os.path.join(directory, "ground_truth.json"), poses_from_json)
     if skeleton is None:
         raise OSError(f"ground-truth poses in {directory} carry no skeleton; PCP needs limb pairs")
     arrays = load_tensor_set(os.path.join(directory, "heatmaps"))
+    if not cameras or len(arrays) != len(cameras):
+        raise OSError(f"{len(arrays)} heatmap dumps for {len(cameras)} cameras in {directory}")
     heatmaps = []
-    for name in sorted(arrays):
+    for name, cam in zip(sorted(arrays), cameras):
         try:
             hm = Heatmap(values=arrays[name])
         except ValueError as exc:
@@ -266,12 +266,14 @@ def load_scene(directory):
         if heatmaps and hm.n_joints != heatmaps[0].n_joints:
             raise OSError(f"heatmap dump {name!r} in {directory} has {hm.n_joints} joints, "
                           f"the first dump has {heatmaps[0].n_joints}")
+        if (hm.height, hm.width) != (cam.image_height, cam.image_width):
+            raise OSError(f"heatmap dump {name!r} in {directory} is {hm.height}x{hm.width} (HxW), "
+                          f"its camera is {cam.image_height}x{cam.image_width}")
         heatmaps.append(hm)
-    if not cameras or len(heatmaps) != len(cameras):
-        raise OSError(f"{len(heatmaps)} heatmap dumps for {len(cameras)} cameras in {directory}")
     gt_joints = {pose.n_joints for pose in poses}
     if gt_joints - {heatmaps[0].n_joints}:
         raise OSError(f"ground-truth poses in {directory} have {sorted(gt_joints)} joints, "
                       f"its heatmaps have {heatmaps[0].n_joints}")
     centers = np.asarray([pose.joints.mean(axis=0) for pose in poses])
-    return SyntheticScene(config=cfg, cameras=cameras, poses=poses, centers=centers, heatmaps=heatmaps)
+    return SyntheticScene(config=cfg, cameras=cameras, poses=poses, centers=centers,
+                          heatmaps=heatmaps, skeleton=skeleton)

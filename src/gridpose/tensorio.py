@@ -3,12 +3,13 @@
 Payloads are little-endian 32- or 64-bit floats in row-major order. Each
 tensor <name>.bin pairs with <name>.json holding
 {"name": ..., "dtype": "f32"|"f64", "shape": [...]}; a weight set adds a
-manifest.json listing every tensor name. Format problems (truncated
-payloads, unknown dtype tags, sidecar/payload disagreement) raise OSError
-so the CLI can map them to its I/O exit code; `load_json_file` does the
-same for every JSON data file (sidecars, manifests, poses, cameras).
-`has_json_type` holds the JSON type rules that config files and camera
-entries share.
+manifest.json listing every tensor name. Names are plain file stems.
+Format problems (truncated payloads, unknown dtype tags, sidecar/payload
+disagreement, a name that is not a plain stem, a sidecar naming another
+tensor) raise OSError so the CLI can map them to its I/O exit code;
+`load_json_file` does the same for every JSON data file (sidecars,
+manifests, poses, cameras). `has_json_type` holds the JSON type rules
+that config files and camera entries share.
 """
 
 from __future__ import annotations
@@ -63,9 +64,14 @@ def write_json_file(path, doc):
         fh.write("\n")
 
 
+def _is_plain_stem(name):
+    """Whether a tensor name stays inside its directory as <name>.bin/.json."""
+    return isinstance(name, str) and not ("/" in name or "\\" in name or name in ("", ".", ".."))
+
+
 def save_tensor(directory, name, array):
     """Write one tensor as <name>.bin plus <name>.json under directory."""
-    if "/" in name or "\\" in name or name in ("", ".", ".."):
+    if not _is_plain_stem(name):
         raise ValueError(f"tensor name {name!r} is not a plain file stem")
     arr = np.asarray(array)
     if arr.dtype not in DTYPE_TO_TAG:
@@ -81,8 +87,12 @@ def save_tensor(directory, name, array):
 
 
 def load_tensor(directory, name):
-    """Read one tensor back; returns a native-order ndarray."""
-    dtype, shape = load_json_file(os.path.join(directory, f"{name}.json"), _parse_sidecar)
+    """Read one tensor back; returns a native-order ndarray. The name must
+    be a plain file stem, and the sidecar must carry it."""
+    if not _is_plain_stem(name):
+        raise OSError(f"tensor name {name!r} in {directory} is not a plain file stem")
+    dtype, shape = load_json_file(os.path.join(directory, f"{name}.json"),
+                                  lambda doc: _parse_sidecar(doc, name))
     with open(os.path.join(directory, f"{name}.bin"), "rb") as fh:
         raw = fh.read()
     expected = int(np.prod(shape)) * dtype.itemsize
@@ -94,11 +104,13 @@ def load_tensor(directory, name):
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
-def _parse_sidecar(doc):
+def _parse_sidecar(doc, name):
     """(dtype, shape) of a sidecar document, which must also name its tensor."""
     missing = {"name", "dtype", "shape"} - set(doc)
     if missing:
         raise KeyError(f"sidecar lacks {sorted(missing)}")
+    if doc["name"] != name:
+        raise ValueError(f"sidecar names tensor {doc['name']!r}, its file is {name!r}")
     if doc["dtype"] not in TAG_TO_DTYPE:
         raise ValueError(f"unknown dtype tag {doc['dtype']!r}")
     return TAG_TO_DTYPE[doc["dtype"]], tuple(int(s) for s in doc["shape"])

@@ -16,16 +16,17 @@ import pytest
 
 from gridpose import (
     AttentionConfig,
+    EvalConfig,
     GridSpec,
     Pose3D,
     RunConfig,
     Tensor,
     aggregate_feature_volume,
-    ap_k,
     as_tensor,
     attention_sublayer,
     bench_attention,
     dense_attention,
+    evaluate_frames,
     finite_diff_check,
     init_encoder_layer,
     init_model_from_config,
@@ -33,9 +34,7 @@ from gridpose import (
     match_poses,
     merge_bins,
     model_forward,
-    mpjpe,
     partition_bins,
-    pcp3d,
     project_point,
     run_config_to_json,
     sample_heatmap,
@@ -66,7 +65,7 @@ def test_criterion_01_sinkhorn_convergence(criterion_log):
     monotone = True
     for _ in range(100):
         r = rng.uniform(-2.0, 2.0, size=(8, 8))
-        devs = [_row_col_deviation(sinkhorn_normalize(as_tensor(r), k).s.data)
+        devs = [_row_col_deviation(sinkhorn_normalize(as_tensor(r), k).data)
                 for k in iters]
         worst_final = max(worst_final, devs[-1])
         monotone &= all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
@@ -86,7 +85,7 @@ def test_criterion_02_permutation_recovery(criterion_log):
         p = np.zeros((4, 4))
         p[np.arange(4), perm] = 1.0
         r = 50.0 * p + rng.uniform(-0.1, 0.1, size=(4, 4))
-        s = sinkhorn_normalize(as_tensor(r), 8).s.data
+        s = sinkhorn_normalize(as_tensor(r), 8).data
         assignment = np.argmax(s, axis=1)
         brute = max(itertools.permutations(range(4)),
                     key=lambda sig: sum(r[i, sig[i]] for i in range(4)))
@@ -249,18 +248,19 @@ def test_criterion_07_metrics_oracles(criterion_log):
                 db = np.linalg.norm(preds[p].joints[b] - gt.joints[b])
                 correct += 0.5 * (da + db) <= alpha * limb
             per_actor[g] = correct / total
-        exact &= pcp3d(match, alpha=alpha, skeleton=skeleton).per_actor == per_actor
+        report = evaluate_frames([preds], [gts], skeleton,
+                                 EvalConfig(alpha=alpha, ap_thresholds=(150.0,)))
+        exact &= report.pcp_per_actor == per_actor
 
         errs = [float(np.mean(np.linalg.norm(preds[assign[g]].joints - gts[g].joints, axis=1)))
                 for g in range(2)]
-        exact &= mpjpe(match) == sum(errs) / 2.0
-        exact &= ap_k(match, 150.0) == sum(e < 150.0 for e in errs) / 2.0
+        exact &= report.mpjpe == sum(errs) / 2.0
+        exact &= report.ap[150.0] == sum(e < 150.0 for e in errs) / 2.0
 
     # both endpoints displaced by exactly alpha * |limb| still count correct
-    gt = Pose3D(joints=np.array([[0.0, 0, 0], [1000.0, 0, 0]]), skeleton=[(0, 1)])
+    gt = Pose3D(joints=np.array([[0.0, 0, 0], [1000.0, 0, 0]]))
     pred = Pose3D(joints=gt.joints + np.array([0.0, 500.0, 0.0]))
-    boundary = pcp3d(match_poses([pred], [gt]), alpha=0.5,
-                     skeleton=[(0, 1)]).per_actor == {0: 1.0}
+    boundary = evaluate_frames([[pred]], [[gt]], [(0, 1)]).pcp_per_actor == {0: 1.0}
     seconds = time.perf_counter() - t0
     ok = exact and boundary and seconds < 1.0
     _record(criterion_log, 7, "metrics equal scalar brute force",
@@ -269,13 +269,13 @@ def test_criterion_07_metrics_oracles(criterion_log):
 
 @pytest.mark.slow
 def test_criterion_08_toy_overfit(criterion_log, toy_overfit):
-    result = toy_overfit["result"]
+    result, scene = toy_overfit["result"], toy_overfit["scene"]
     seconds = toy_overfit["seconds"]
     ratio = result.losses[-1] / result.losses[0]
-    ok = (result.final_mpjpe is not None and result.final_mpjpe < 100.0
-          and ratio < 0.05 and seconds < 600.0)
+    mpjpe = evaluate_frames([result.poses], [scene.poses], scene.skeleton).mpjpe
+    ok = mpjpe is not None and mpjpe < 100.0 and ratio < 0.05 and seconds < 600.0
     _record(criterion_log, 8, "toy scene overfits to sub-voxel error",
-            ok, f"mpjpe {result.final_mpjpe:.1f}mm < 100mm, final/initial loss "
+            ok, f"mpjpe {mpjpe:.1f}mm < 100mm, final/initial loss "
                 f"{ratio:.4f} < 0.05 over {len(result.losses) - 1} steps, {seconds:.0f}s")
 
 

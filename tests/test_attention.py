@@ -21,7 +21,6 @@ from gridpose import (
     NotDifferentiablePathError,
     NumericError,
     ScoreCounter,
-    SinkhornResult,
     Tensor,
     as_tensor,
     attention_sublayer,
@@ -232,11 +231,11 @@ class TestCorrelationMatrix:
 class TestSinkhorn:
     def test_all_zero_matrix_is_uniform(self):
         for k in (1, 5):
-            s = sinkhorn_normalize(Tensor(np.zeros((2, 2))), k).s.data
+            s = sinkhorn_normalize(Tensor(np.zeros((2, 2))), k).data
             np.testing.assert_allclose(s, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_one_by_one_normalizes_to_one(self):
-        s = sinkhorn_normalize(Tensor(np.array([[3.7]])), 1).s.data
+        s = sinkhorn_normalize(Tensor(np.array([[3.7]])), 1).data
         np.testing.assert_allclose(s, [[1.0]], atol=1e-15)
 
     def test_recovers_scaled_permutation(self):
@@ -244,14 +243,14 @@ class TestSinkhorn:
         perm = rng.permutation(4)
         p = permutation_matrix(perm)
         r = 50.0 * p
-        s = sinkhorn_normalize(Tensor(r), 8).s.data
+        s = sinkhorn_normalize(Tensor(r), 8).data
         assert np.abs(s - p).max() < 1e-6
         np.testing.assert_array_equal(best_assignment_exhaustive(r), perm)
 
     def test_row_and_column_sums_converge(self):
         rng = np.random.default_rng(3)
         r = rng.uniform(-1.0, 1.0, size=(8, 8))
-        s = sinkhorn_normalize(Tensor(r), 20).s.data
+        s = sinkhorn_normalize(Tensor(r), 20).data
         assert np.abs(s.sum(axis=0) - 1.0).max() <= 1e-6
         assert np.abs(s.sum(axis=1) - 1.0).max() <= 1e-6
         assert s.min() >= 0.0
@@ -261,14 +260,14 @@ class TestSinkhorn:
         r = rng.uniform(-2.0, 2.0, size=(8, 8))
         devs = []
         for k in (1, 2, 4, 8, 16, 20):
-            s = sinkhorn_normalize(Tensor(r), k).s.data
+            s = sinkhorn_normalize(Tensor(r), k).data
             devs.append(max(np.abs(s.sum(axis=0) - 1.0).max(),
                             np.abs(s.sum(axis=1) - 1.0).max()))
         assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
 
     def test_log_space_handles_large_magnitudes(self):
         r = np.array([[30.0, -30.0], [-30.0, 30.0]])
-        s = sinkhorn_normalize(Tensor(r), 10).s.data
+        s = sinkhorn_normalize(Tensor(r), 10).data
         assert np.all(np.isfinite(s))
         np.testing.assert_allclose(s.sum(axis=1), [1.0, 1.0], atol=1e-9)
 
@@ -286,21 +285,17 @@ class TestSinkhorn:
         w = rng.normal(size=(3, 3))
 
         def f():
-            return (sinkhorn_normalize(r, 4).s * Tensor(w)).sum()
+            return (sinkhorn_normalize(r, 4) * Tensor(w)).sum()
 
         assert finite_diff_check(f, {"r": r}, eps=1e-5) <= 1e-6
 
 
 class TestReorderBins:
     def identity_sink(self, n):
-        s = np.eye(n)
-        log_s = np.where(s > 0, 0.0, -np.inf)
-        return SinkhornResult(log_s=Tensor(log_s), s=Tensor(s))
+        return Tensor(np.eye(n))
 
     def perm_sink(self, perm):
-        s = permutation_matrix(perm)
-        log_s = np.where(s > 0, 0.0, -np.inf)
-        return SinkhornResult(log_s=Tensor(log_s), s=Tensor(s))
+        return Tensor(permutation_matrix(perm))
 
     def test_identity_matrix_is_noop_in_both_modes(self):
         rng = np.random.default_rng(6)
@@ -323,7 +318,7 @@ class TestReorderBins:
         rng = np.random.default_rng(8)
         bins = rng.normal(size=(2, 3, 2))
         s = np.full((2, 2), 0.5)
-        sink = SinkhornResult(log_s=Tensor(np.log(s)), s=Tensor(s))
+        sink = Tensor(s)
         out = reorder_bins(bins, sink, "soft").data
         mean = bins.mean(axis=0)
         np.testing.assert_allclose(out[0], mean, atol=1e-15)
@@ -335,8 +330,7 @@ class TestReorderBins:
         with pytest.raises(NotDifferentiablePathError):
             reorder_bins(bins, sink, "hard")
         # gradient through the sinkhorn matrix alone is just as forbidden
-        s = Tensor(np.eye(2), requires_grad=True)
-        sink = SinkhornResult(log_s=Tensor(np.zeros((2, 2))), s=s)
+        sink = Tensor(np.eye(2), requires_grad=True)
         with pytest.raises(NotDifferentiablePathError):
             reorder_bins(np.zeros((2, 2, 2)), sink, "hard")
 

@@ -361,7 +361,7 @@ class TestNoGrad:
             reorder_bins(leaf * 1.0, sink, mode="hard")
         with no_grad():
             out = reorder_bins(leaf * 1.0, sink, mode="hard")
-        np.testing.assert_array_equal(out.data, leaf.data[np.argmax(sink.s.data, axis=1)])
+        np.testing.assert_array_equal(out.data, leaf.data[np.argmax(sink.data, axis=1)])
 
 
 class TestOptimizers:

@@ -229,9 +229,9 @@ class TestInfer:
 
 
 class TestInconsistentScene:
-    """A scene directory whose files disagree on the joint count, that has
-    no cameras, or whose ground truth has no skeleton is an I/O error that
-    names the directory."""
+    """A scene directory whose files disagree on the joint count or on an
+    image size, that has no cameras, or whose ground truth has no skeleton
+    is an I/O error that names the directory."""
 
     @staticmethod
     def copy_scene(workdir, tmp_path, view01_joints=15, gt_joints=15):
@@ -262,6 +262,18 @@ class TestInconsistentScene:
         assert scene in err and "[14] joints" in err and "have 15" in err
         assert main(["train-toy", "--scene", scene, "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "y")]) == 4
+
+    def test_heatmap_size_disagrees_with_camera_exits_4(self, workdir, tmp_path, capsys):
+        scene = self.copy_scene(workdir, tmp_path)
+        cameras_path = tmp_path / "scene" / "cameras.json"
+        cameras = json.loads(cameras_path.read_text())
+        cameras["cameras"][0].update(width=128, height=100)  # its heatmap stays 128x128
+        cameras_path.write_text(json.dumps(cameras))
+        assert main(["train-toy", "--scene", scene, "--config", str(workdir / "run_config.json"),
+                     "--out", str(tmp_path / "y")]) == 4
+        err = capsys.readouterr().err
+        assert scene in err and "'view00'" in err and "is 128x128" in err and "camera is 100x128" in err
+        assert self.infer(workdir, tmp_path, scene) == 4
 
     def test_ground_truth_without_skeleton_exits_4(self, workdir, tmp_path, capsys):
         scene = self.copy_scene(workdir, tmp_path)
@@ -310,9 +322,8 @@ class TestEval:
 
     def test_gt_without_skeleton_exits_2(self, workdir, tmp_path):
         scene = load_scene(workdir / "scene")
-        stripped = [Pose3D(joints=p.joints, skeleton=None) for p in scene.poses]
         bare = tmp_path / "bare_gt.json"
-        save_poses_json(bare, stripped, None)
+        save_poses_json(bare, scene.poses, None)
         assert main(["eval", "--pred", str(workdir / "infer" / "poses.json"),
                      "--gt", str(bare), "--out", str(tmp_path / "x.json")]) == 2
 

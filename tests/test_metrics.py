@@ -1,4 +1,5 @@
-"""Matching, PCP3D, MPJPE, and AP_K against scalar brute-force oracles."""
+"""Matching, and PCP3D, MPJPE and AP_K through `evaluate_frames`, against
+scalar brute-force oracles."""
 
 import itertools
 import json
@@ -10,19 +11,21 @@ from gridpose import (
     ConfigError,
     EvalConfig,
     Pose3D,
-    ap_k,
     evaluate_frames,
     match_poses,
-    mpjpe,
-    pcp3d,
     pose_error,
 )
 
 SKELETON3 = [(0, 1), (1, 2), (1, 3)]  # 3 limbs over 4 joints
 
 
-def pose(joints, skeleton=None):
-    return Pose3D(joints=np.asarray(joints, dtype=np.float64), skeleton=skeleton)
+def pose(joints):
+    return Pose3D(joints=np.asarray(joints, dtype=np.float64))
+
+
+def one_frame(preds, gts, skeleton=SKELETON3):
+    """The report of one frame at the default alpha (0.5)."""
+    return evaluate_frames([preds], [gts], skeleton)
 
 
 def random_pose(rng, n_joints=4, scale=1000.0):
@@ -125,40 +128,35 @@ class TestPcp3d:
     def test_exact_prediction_is_all_correct(self):
         rng = np.random.default_rng(1)
         gt = random_pose(rng)
-        match = match_poses([gt], [gt])
-        result = pcp3d(match, alpha=0.5, skeleton=SKELETON3)
-        assert result.per_actor == {0: 1.0}
-        assert result.average == 1.0
-        assert result.defects == []
+        report = one_frame([gt], [gt])
+        assert report.pcp_per_actor == {0: 1.0}
+        assert report.pcp_average == 1.0
+        assert report.defects == []
 
     def test_boundary_displacement_counts_correct(self):
         # both endpoints off by exactly alpha * |limb|: <= holds with equality
-        gt = pose([[0.0, 0, 0], [1000.0, 0, 0]], skeleton=[(0, 1)])
+        gt = pose([[0.0, 0, 0], [1000.0, 0, 0]])
         pred = pose([[0.0, 500.0, 0], [1000.0, 500.0, 0]])
-        match = match_poses([pred], [gt])
-        assert pcp3d(match, alpha=0.5, skeleton=[(0, 1)]).per_actor == {0: 1.0}
+        assert one_frame([pred], [gt], skeleton=[(0, 1)]).pcp_per_actor == {0: 1.0}
         # one epsilon past the boundary flips to incorrect
         pred_out = pose([[0.0, 500.0000001, 0], [1000.0, 500.0000001, 0]])
-        match = match_poses([pred_out], [gt])
-        assert pcp3d(match, alpha=0.5, skeleton=[(0, 1)]).per_actor == {0: 0.0}
+        assert one_frame([pred_out], [gt], skeleton=[(0, 1)]).pcp_per_actor == {0: 0.0}
 
     def test_unmatched_gt_counts_limbs_incorrect(self):
         rng = np.random.default_rng(2)
         gts = [random_pose(rng), random_pose(rng)]
-        match = match_poses([gts[0]], gts)
-        result = pcp3d(match, alpha=0.5, skeleton=SKELETON3)
-        assert result.per_actor[0] == 1.0
-        assert result.per_actor[1] == 0.0
-        assert result.average == 0.5
+        report = one_frame([gts[0]], gts)
+        assert report.pcp_per_actor[0] == 1.0
+        assert report.pcp_per_actor[1] == 0.0
+        assert report.pcp_average == 0.5
 
     def test_zero_length_limb_skipped_and_reported(self):
         joints = np.array([[0.0, 0, 0], [0.0, 0, 0], [10.0, 0, 0], [20.0, 0, 0]])
         gt = pose(joints)
-        match = match_poses([gt], [gt])
-        result = pcp3d(match, alpha=0.5, skeleton=SKELETON3)
-        assert result.per_actor == {0: 1.0}  # 2 usable limbs, both correct
-        assert len(result.defects) == 1
-        assert result.defects[0] == {"actor": 0, "limb": 0}
+        report = one_frame([gt], [gt])
+        assert report.pcp_per_actor == {0: 1.0}  # 2 usable limbs, both correct
+        assert len(report.defects) == 1
+        assert report.defects[0] == {"actor": 0, "limb": 0}
 
     def test_matches_scalar_oracle_on_random_frames(self):
         rng = np.random.default_rng(3)
@@ -166,11 +164,11 @@ class TestPcp3d:
             gts = [random_pose(rng) for _ in range(2)]
             preds = [pose(g.joints + rng.normal(size=(4, 3)) * 300) for g in gts]
             rng.shuffle(preds)
+            report = one_frame(preds, gts)
             match = match_poses(preds, gts)
-            result = pcp3d(match, alpha=0.5, skeleton=SKELETON3)
             assign = {g: p for g, p in enumerate(match.gt_to_pred) if p is not None}
             expect = pcp_oracle(preds, gts, assign, 0.5, SKELETON3)
-            assert result.per_actor == expect
+            assert report.pcp_per_actor == expect
 
     def test_pcp_monotone_in_noise(self):
         rng = np.random.default_rng(4)
@@ -178,8 +176,7 @@ class TestPcp3d:
         values = []
         for noise in (10.0, 2000.0):
             pred = pose(gt.joints + rng.normal(size=(4, 3)) * noise)
-            match = match_poses([pred], [gt])
-            values.append(pcp3d(match, alpha=0.5, skeleton=SKELETON3).average)
+            values.append(one_frame([pred], [gt]).pcp_average)
         assert values[0] >= values[1]
 
 
@@ -187,17 +184,17 @@ class TestMpjpe:
     def test_exact_prediction_is_zero(self):
         rng = np.random.default_rng(5)
         gt = random_pose(rng)
-        assert mpjpe(match_poses([gt], [gt])) == 0.0
+        assert one_frame([gt], [gt]).mpjpe == 0.0
 
     def test_constant_offset_345(self):
         rng = np.random.default_rng(6)
         gt = random_pose(rng)
         pred = pose(gt.joints + np.array([3.0, 4.0, 0.0]))
-        assert mpjpe(match_poses([pred], [gt])) == pytest.approx(5.0, abs=1e-12)
+        assert one_frame([pred], [gt]).mpjpe == pytest.approx(5.0, abs=1e-12)
 
     def test_no_matches_is_none(self):
         rng = np.random.default_rng(7)
-        assert mpjpe(match_poses([], [random_pose(rng)])) is None
+        assert one_frame([], [random_pose(rng)]).mpjpe is None
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
@@ -209,73 +206,78 @@ class TestMpjpe:
             errs = [float(np.linalg.norm(preds[p].joints[j] - gts[g].joints[j]))
                     for j in range(4)]
             per_gt.append(sum(errs) / len(errs))
-        assert mpjpe(match) == pytest.approx(sum(per_gt) / len(per_gt), abs=1e-12)
+        assert one_frame(preds, gts).mpjpe == pytest.approx(sum(per_gt) / len(per_gt), abs=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(9)
         gt = random_pose(rng)
         pred = pose(gt.joints + rng.normal(size=(4, 3)) * 50)
-        base = mpjpe(match_poses([pred], [gt]))
+        base = one_frame([pred], [gt]).mpjpe
         shift = np.array([123.0, -45.0, 67.0])
-        moved = mpjpe(match_poses([pose(pred.joints + shift)], [pose(gt.joints + shift)]))
+        moved = one_frame([pose(pred.joints + shift)], [pose(gt.joints + shift)]).mpjpe
         assert moved == pytest.approx(base, abs=1e-9)
+
+
+def ap_at(pred_frames, gt_frames, k):
+    """AP at one threshold `k`, pooled over the frames; AP needs no limbs."""
+    return evaluate_frames(pred_frames, gt_frames, (), EvalConfig(ap_thresholds=(k,))).ap[k]
 
 
 class TestApK:
     def test_all_exact_is_one(self):
         rng = np.random.default_rng(10)
         gts = [random_pose(rng) for _ in range(2)]
-        assert ap_k(match_poses(gts, gts), 25.0) == 1.0
+        assert ap_at([gts], [gts], 25.0) == 1.0
 
     def test_spurious_pred_halves_score(self):
         rng = np.random.default_rng(11)
         gt = random_pose(rng)
         preds = [gt, pose(gt.joints + 5000.0)]
-        assert ap_k(match_poses(preds, [gt]), 25.0) == 0.5
+        assert ap_at([preds], [[gt]], 25.0) == 0.5
 
     def test_threshold_is_strict(self):
         gt = pose([[0.0, 0, 0]])
         pred = pose([[25.0, 0, 0]])
-        match = match_poses([pred], [gt])
-        assert ap_k(match, 25.0) == 0.0  # error == threshold does not count
-        assert ap_k(match, 25.0000001) == 1.0
+        assert ap_at([[pred]], [[gt]], 25.0) == 0.0  # error == threshold does not count
+        assert ap_at([[pred]], [[gt]], 25.0000001) == 1.0
 
     def test_no_predictions_is_zero(self):
         rng = np.random.default_rng(12)
-        assert ap_k(match_poses([], [random_pose(rng)]), 25.0) == 0.0
+        assert ap_at([[]], [[random_pose(rng)]], 25.0) == 0.0
 
     def test_pools_over_frames(self):
         rng = np.random.default_rng(13)
         gt1, gt2 = random_pose(rng), random_pose(rng)
-        frames = [
-            match_poses([gt1], [gt1]),  # 1 correct of 1
-            match_poses([gt2, pose(gt2.joints + 9000.0)], [gt2]),  # 1 of 2
+        pred_frames = [
+            [gt1],  # 1 correct of 1
+            [gt2, pose(gt2.joints + 9000.0)],  # 1 of 2
         ]
-        assert ap_k(frames, 25.0) == pytest.approx(2.0 / 3.0)
+        assert ap_at(pred_frames, [[gt1], [gt2]], 25.0) == pytest.approx(2.0 / 3.0)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(14)
-        matches = []
+        pred_frames, gt_frames = [], []
         expected_correct = 0
         expected_total = 0
         for _ in range(10):
             gts = [random_pose(rng) for _ in range(2)]
             preds = [pose(g.joints + rng.normal(size=(4, 3)) * rng.uniform(5, 60))
                      for g in gts]
-            match = match_poses(preds, gts)
-            matches.append(match)
+            pred_frames.append(preds)
+            gt_frames.append(gts)
             expected_total += len(preds)
+            match = match_poses(preds, gts)
             for g, p in enumerate(match.gt_to_pred):
                 if p is None:
                     continue
                 err = float(np.mean(np.linalg.norm(preds[p].joints - gts[g].joints, axis=1)))
                 if err < 50.0:
                     expected_correct += 1
-        assert ap_k(matches, 50.0) == expected_correct / expected_total
+        assert ap_at(pred_frames, gt_frames, 50.0) == expected_correct / expected_total
 
     def test_non_positive_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            ap_k([], 0.0)
+        with pytest.raises(ConfigError):
+            EvalConfig(ap_thresholds=(0.0,))
 
 
 class TestEvalConfig:

@@ -18,6 +18,7 @@ from gridpose import (
     NumericError,
     bench_attention,
     coarse_center_proposal,
+    evaluate_frames,
     init_model_from_config,
     load_model,
     model_forward,
@@ -251,7 +252,8 @@ class TestRunInference:
         half = cfg.grid_extent / 2.0
         offsets = np.abs(result.poses[0].joints - scene.centers[0])
         assert offsets.max() <= half
-        assert result.report.n_frames == 1
+        # the stage returns predictions only; scoring them is evaluate_frames' step
+        assert [f.name for f in dataclasses.fields(result)] == ["poses", "centers"]
 
     def test_no_centers_yields_empty_report(self):
         scene = synth_scene(toy_scene_config())
@@ -261,8 +263,9 @@ class TestRunInference:
         weights = init_model_from_config(cfg)
         result = run_inference(scene, weights, cfg)
         assert result.poses == []
-        assert result.report.mpjpe is None
-        assert all(v == 0.0 for v in result.report.ap.values())
+        report = evaluate_frames([result.poses], [scene.poses], scene.skeleton)
+        assert report.mpjpe is None
+        assert all(v == 0.0 for v in report.ap.values())
 
     def test_nan_weights_raise_numeric_error(self):
         scene = synth_scene(toy_scene_config())
@@ -385,7 +388,8 @@ class TestTrainToy:
         assert len(result.losses) == toy_overfit["cfg"].train_steps + 1
         # measured decrease is ~136x on this scene
         assert result.losses[-1] < 0.01 * result.losses[0]
-        assert result.final_mpjpe is not None
+        scene = toy_overfit["scene"]
+        assert evaluate_frames([result.poses], [scene.poses], scene.skeleton).mpjpe is not None
 
     @pytest.mark.slow
     def test_second_seed_also_converges(self, toy_overfit):
@@ -397,10 +401,13 @@ class TestTrainToy:
 
     @pytest.mark.slow
     def test_trained_weights_reproduce_mpjpe_through_inference(self, toy_overfit):
-        result = run_inference(toy_overfit["scene"], toy_overfit["result"].weights,
-                               toy_overfit["cfg"])
-        assert result.report.mpjpe == pytest.approx(toy_overfit["result"].final_mpjpe,
-                                                    abs=1e-9)
+        scene, trained = toy_overfit["scene"], toy_overfit["result"]
+        result = run_inference(scene, trained.weights, toy_overfit["cfg"])
+
+        def mpjpe(poses):
+            return evaluate_frames([poses], [scene.poses], scene.skeleton).mpjpe
+
+        assert mpjpe(result.poses) == pytest.approx(mpjpe(trained.poses), abs=1e-9)
 
     def test_write_loss_csv(self, tmp_path):
         losses = [0.5, 0.25, 0.125]

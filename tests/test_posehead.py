@@ -1,5 +1,7 @@
 """Fusion head, per-joint softmax volumes, and integral joint regression."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -182,15 +184,12 @@ class TestPose3D:
             Pose3D(joints=np.full((3, 3), np.nan))
         with pytest.raises(ValueError):
             Pose3D(joints=np.zeros((3, 3)), confidence=np.zeros(2))
-        with pytest.raises(ValueError):
-            Pose3D(joints=np.zeros((3, 3)), skeleton=[(0, 5)])
 
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         skeleton = [(0, 1), (1, 2)]
         poses = [
-            Pose3D(joints=rng.normal(size=(3, 3)) * 100,
-                   confidence=rng.uniform(0, 1, size=3), skeleton=skeleton)
+            Pose3D(joints=rng.normal(size=(3, 3)) * 100, confidence=rng.uniform(0, 1, size=3))
             for _ in range(2)
         ]
         doc = poses_to_json(poses, skeleton)
@@ -209,5 +208,16 @@ class TestPose3D:
     def test_malformed_pose_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"not_poses": []}')
+        with pytest.raises(OSError, match="malformed data file"):
+            load_json_file(path, poses_from_json)
+
+    def test_limb_out_of_range_rejected(self, tmp_path):
+        # the skeleton must index a joint of every pose, not only the first
+        doc = {"poses": [{"joints": [[0.0, 0.0, 0.0]] * 6}, {"joints": [[0.0, 0.0, 0.0]] * 3}],
+               "skeleton": [[0, 5]]}
+        with pytest.raises(ValueError, match=r"limb \(0, 5\) out of range for 3 joints"):
+            poses_from_json(doc)
+        path = tmp_path / "bad_limb.json"
+        path.write_text(json.dumps(doc))
         with pytest.raises(OSError, match="malformed data file"):
             load_json_file(path, poses_from_json)

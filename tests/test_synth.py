@@ -104,7 +104,7 @@ class TestRenderHeatmaps:
         joints = np.zeros((2, 3))
         joints[0] = (0.0, 0.0, -500.0)  # behind an identity camera
         joints[1] = (0.0, 0.0, 500.0)
-        return Pose3D(joints=joints, skeleton=[(0, 1)])
+        return Pose3D(joints=joints)
 
     def identity_cam(self):
         return CameraCalib(fx=100.0, fy=100.0, cx=32.0, cy=32.0,
@@ -119,15 +119,15 @@ class TestRenderHeatmaps:
     def test_peak_at_projection(self):
         cam = self.identity_cam()
         joints = np.array([[96.0, -64.0, 800.0]])  # projects to (44, 24)
-        hm = render_heatmaps(cam, [Pose3D(joints=joints, skeleton=[])], sigma=1.5)
+        hm = render_heatmaps(cam, [Pose3D(joints=joints)], sigma=1.5)
         v, u = np.unravel_index(np.argmax(hm.values[0]), hm.values[0].shape)
         assert (u, v) == (44, 24)
         assert hm.values[0][v, u] == pytest.approx(1.0, abs=1e-12)
 
     def test_people_merge_by_max(self):
         cam = self.identity_cam()
-        a = Pose3D(joints=np.array([[0.0, 0.0, 1000.0]]), skeleton=[])
-        b = Pose3D(joints=np.array([[200.0, 0.0, 1000.0]]), skeleton=[])
+        a = Pose3D(joints=np.array([[0.0, 0.0, 1000.0]]))
+        b = Pose3D(joints=np.array([[200.0, 0.0, 1000.0]]))
         merged = render_heatmaps(cam, [a, b], sigma=3.0)
         ha = render_heatmaps(cam, [a], sigma=3.0)
         hb = render_heatmaps(cam, [b], sigma=3.0)
@@ -135,7 +135,7 @@ class TestRenderHeatmaps:
 
     def test_noise_clipped_to_unit_interval(self):
         cam = self.identity_cam()
-        poses = [Pose3D(joints=np.array([[0.0, 0.0, 1000.0]]), skeleton=[])]
+        poses = [Pose3D(joints=np.array([[0.0, 0.0, 1000.0]]))]
         rng = np.random.default_rng(0)
         hm = render_heatmaps(cam, poses, sigma=2.0, rng=rng, noise_std=0.5)
         assert hm.values.min() >= 0.0 and hm.values.max() <= 1.0
@@ -144,7 +144,7 @@ class TestRenderHeatmaps:
 
     def test_full_dropout_blanks_all_channels(self):
         cam = self.identity_cam()
-        poses = [Pose3D(joints=np.array([[0.0, 0.0, 1000.0]]), skeleton=[])]
+        poses = [Pose3D(joints=np.array([[0.0, 0.0, 1000.0]]))]
         hm = render_heatmaps(cam, poses, sigma=2.0,
                              rng=np.random.default_rng(0), dropout_prob=1.0)
         assert np.all(hm.values == 0.0)
@@ -191,6 +191,10 @@ class TestSynthScene:
         for pose, center in zip(scene.poses, scene.centers):
             np.testing.assert_allclose(pose.joints.mean(axis=0), center, atol=1e-9)
 
+    def test_scene_carries_template_skeleton(self):
+        scene = synth_scene(scene_cfg(n_people=2, space_extent=(6000.0, 6000.0, 2000.0)))
+        assert scene.skeleton == list(default_skeleton().limbs)
+
     def test_centers_pairwise_separated(self):
         scene = synth_scene(scene_cfg(n_people=3, space_extent=(8000.0, 8000.0, 2000.0)))
         min_sep = scene.config.person_extent / 2.0
@@ -223,7 +227,7 @@ class TestSceneRoundTrip:
             assert (ca.fx, ca.fy, ca.cx, ca.cy) == (cb.fx, cb.fy, cb.cx, cb.cy)
         for pa, pb in zip(scene.poses, loaded.poses):
             np.testing.assert_array_equal(pa.joints, pb.joints)
-            assert pa.skeleton == pb.skeleton
+        assert loaded.skeleton == scene.skeleton
         for ha, hb in zip(scene.heatmaps, loaded.heatmaps):
             np.testing.assert_array_equal(ha.values, hb.values)
         np.testing.assert_allclose(loaded.centers, scene.centers, atol=1e-9)

@@ -78,6 +78,12 @@ class TestSingleTensor:
         with pytest.raises(OSError):
             load_tensor(tmp_path, "t")
 
+    def test_sidecar_naming_another_tensor_raises_oserror(self, tmp_path):
+        save_tensor(tmp_path, "a", np.zeros(2))
+        (tmp_path / "a.json").write_text(json.dumps({"name": "zzz", "dtype": "f64", "shape": [2]}))
+        with pytest.raises(OSError, match="'zzz'"):
+            load_tensor(tmp_path, "a")
+
     def test_missing_sidecar_field_raises_oserror(self, tmp_path):
         save_tensor(tmp_path, "t", np.zeros(2))
         (tmp_path / "t.json").write_text(json.dumps({"name": "t", "dtype": "f64"}))
@@ -111,6 +117,14 @@ class TestTensorSet:
         save_tensor_set(tmp_path / "set", {"a": np.zeros(2)})
         (tmp_path / "set" / "manifest.json").write_text(json.dumps({"tensors": ["a", "b"]}))
         with pytest.raises(OSError):
+            load_tensor_set(tmp_path / "set")
+
+    def test_manifest_name_outside_directory_raises_oserror(self, tmp_path):
+        # a well-formed tensor one level up must not be reachable through the manifest
+        save_tensor(tmp_path, "run", np.zeros(2))
+        save_tensor_set(tmp_path / "set", {"a": np.zeros(2)})
+        (tmp_path / "set" / "manifest.json").write_text(json.dumps({"tensors": ["a", "../run"]}))
+        with pytest.raises(OSError, match="not a plain file stem"):
             load_tensor_set(tmp_path / "set")
 
     def test_missing_manifest_raises_oserror(self, tmp_path):
