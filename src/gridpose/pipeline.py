@@ -15,6 +15,7 @@ a separate step, `metrics.evaluate_frames`, that callers run on them.
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,58 +198,58 @@ class TrainResult:
 def train_toy(scene: SyntheticScene, cfg: RunConfig):
     """Overfit the fixed scene with Adam/SGD on normalized per-joint L1.
 
-    Requires ground-truth centers and the soft (differentiable) reorder
-    mode. The feature volumes are constant across steps, so they are
-    aggregated once up front. A numeric failure in any step, the loss
-    turning non-finite included, aborts with a NumericError that names the
-    step and the optimizer.
+    Requires people in the scene, ground-truth centers and the soft
+    (differentiable) reorder mode. The feature volumes are constant across
+    steps, so they are aggregated once up front. Each step backpropagates
+    one person at a time, so at most one person's graph is alive, and the
+    last loss evaluation records none. A numeric failure in any step, the
+    loss turning non-finite included, aborts with a NumericError that names
+    the step and the optimizer.
     """
     _check_joint_count(scene, cfg)
     if cfg.center_source != "ground_truth":
         raise ConfigError("toy training requires center_source = 'ground_truth'")
     if cfg.reorder_mode != "soft":
         raise ConfigError("toy training requires the differentiable reorder_mode = 'soft'")
+    if not scene.poses:
+        raise ConfigError("toy training needs people to train on, but the scene has no people")
 
-    grids = [cfg.grid(center) for center in scene.centers]
-    volumes = [
-        aggregate_feature_volume(scene.cameras, scene.heatmaps, g, dtype=cfg.np_dtype)
-        for g in grids
-    ]
-    targets = [Tensor(pose.joints.astype(cfg.np_dtype)) for pose in scene.poses]
-    inv_extent = Tensor(1.0 / np.asarray(grids[0].extent, dtype=cfg.np_dtype))
+    people = []
+    for center, pose in zip(scene.centers, scene.poses):
+        grid = cfg.grid(center)
+        volume = aggregate_feature_volume(scene.cameras, scene.heatmaps, grid, dtype=cfg.np_dtype)
+        people.append((grid, volume, Tensor(pose.joints.astype(cfg.np_dtype))))
+    inv_extent = Tensor(1.0 / np.asarray(cfg.grid_extent, dtype=cfg.np_dtype))
+    share = 1.0 / len(people)
 
     weights = init_model_from_config(cfg)
     params = weights.parameters()
     param_list = [params[name] for name in sorted(params)]
     adam = Adam(param_list, lr=cfg.lr) if cfg.optimizer == "adam" else None
 
-    def evaluate_loss():
-        total = None
-        step_poses = []
-        for vol, target, grid in zip(volumes, targets, grids):
-            probs = model_forward(vol, weights, cfg.attention, mode="soft")
-            joints = integral_regression(probs, grid)
-            person = ((joints - target).abs() * inv_extent).mean()
-            total = person if total is None else total + person
-            step_poses.append(joints.data)
-        return total * (1.0 / len(volumes)), step_poses
-
     losses = []
-    final_joints = None
     for step in range(cfg.train_steps + 1):
+        last = step == cfg.train_steps
         try:
             # a diverging run fails with one NumericError, not numpy warnings
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with (np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+                  no_grad() if last else nullcontext()):
                 zero_grads(param_list)
-                loss, step_joints = evaluate_loss()
-                value = float(loss.data)
+                total, step_joints = 0.0, []
+                for grid, volume, target in people:
+                    probs = model_forward(volume, weights, cfg.attention, mode="soft")
+                    joints = integral_regression(probs, grid)
+                    person = ((joints - target).abs() * inv_extent).mean()
+                    total += person.data
+                    step_joints.append(joints.data)
+                    if not last:
+                        (person * share).backward()
+                value = float(total * share)
                 if not np.isfinite(value):
                     raise NumericError("training loss became non-finite")
                 losses.append(value)
-                final_joints = step_joints
-                if step == cfg.train_steps:
+                if last:
                     break
-                loss.backward()
                 if adam is not None:
                     adam.step()
                 else:
@@ -256,8 +257,7 @@ def train_toy(scene: SyntheticScene, cfg: RunConfig):
         except NumericError as exc:
             raise NumericError(f"{cfg.optimizer} training (lr {cfg.lr:g}) failed at step {step}: {exc}") from exc
 
-    poses = [Pose3D(joints=j) for j in final_joints]
-    return TrainResult(weights=weights, losses=losses, poses=poses)
+    return TrainResult(weights=weights, losses=losses, poses=[Pose3D(joints=j) for j in step_joints])
 
 
 def write_loss_csv(path, losses):

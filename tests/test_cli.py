@@ -387,12 +387,28 @@ def _eval_flag(workdir, tmp_path, flag, value):
     return ["eval", "--pred", gt, "--gt", gt, flag, value, "--out", str(tmp_path / "x.json")]
 
 
-def _infer_corrupt_scene(workdir, tmp_path, name, text):
+def _corrupt_scene(workdir, tmp_path, name, text):
+    """Path of a copy of the shared scene whose file `name` holds `text`."""
     save_scene(load_scene(workdir / "scene"), tmp_path / "scene")
     (tmp_path / "scene" / name).write_text(text)
-    return ["infer", "--scene", str(tmp_path / "scene"),
+    return str(tmp_path / "scene")
+
+
+def _infer_corrupt_scene(workdir, tmp_path, name, text):
+    return ["infer", "--scene", _corrupt_scene(workdir, tmp_path, name, text),
             "--weights", str(workdir / "train" / "weights"),
             "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")]
+
+
+def _train_corrupt_scene(workdir, tmp_path, name, text):
+    return ["train-toy", "--scene", _corrupt_scene(workdir, tmp_path, name, text),
+            "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")]
+
+
+def _ground_truth_without_people(workdir):
+    """Text of the shared scene's ground_truth.json with an empty pose list."""
+    doc = json.loads((workdir / "scene" / "ground_truth.json").read_text())
+    return json.dumps(dict(doc, poses=[]))
 
 
 def _config_with(workdir, tmp_path, name, **overrides):
@@ -471,6 +487,10 @@ class TestExitCodes:
                      id="infer-ground-truth-invalid-json"),
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "ground_truth.json", '{"poses": 3}'),
                      4, id="infer-ground-truth-poses-not-a-list"),
+        pytest.param(lambda w, t: _train_corrupt_scene(w, t, "ground_truth.json", _ground_truth_without_people(w)),
+                     2, id="train-toy-scene-without-people"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "ground_truth.json", _ground_truth_without_people(w)),
+                     0, id="infer-scene-without-people"),
         pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "heatmaps/view00.json",
                                                        '{"name": "view00", "dtype": "f64", "shape": ["a"]}'),
                      4, id="infer-heatmap-sidecar-bad-shape"),
