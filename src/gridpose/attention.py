@@ -21,10 +21,11 @@ Score storage per layer is therefore N_b^2 + L*2B elements instead of
 L^2; ``ScoreCounter`` instruments exactly that quantity (counting
 query-key pairs once, independent of how many heads share them). The
 window's blocks are computed a few bins at a time and exponentiated in
-place, and the feed-forward runs over row tiles. A graph keeps only the
-window's full-size blocks ``p_loc``/``p_match`` and denominators ``denom``
-and the feed-forward's hidden layer, until ``Tensor.backward`` has run
-their backwards; without one, a tile's blocks and hidden rows are reused.
+place, with or without a graph: a graph keeps only each row's max and
+softmax denominator, and the backward recomputes the blocks tile by tile
+(FlashAttention, Dao et al. 2022). The feed-forward runs over row tiles;
+a graph keeps its whole hidden layer until ``Tensor.backward`` has run its
+backward, and without one a tile's hidden rows are reused.
 """
 
 from __future__ import annotations
@@ -172,9 +173,9 @@ def _swap_last(x):
 
 
 # Bins per tile of `windowed_attention`. A tile's two (tile, h, B, B) score
-# blocks stay in cache from the scores through the value products, and a
-# no-grad call never holds a full-size block; at 108 bins of 128 (e=128,
-# 2 heads) tiles of 1 or 2 bins were the fastest.
+# blocks stay in cache from the scores through the value products, and no
+# call, with or without a graph, holds a full-size block; at 108 bins of 128
+# (e=128, 2 heads) tiles of 1 or 2 bins were the fastest.
 WINDOW_TILE_BINS = 2
 
 
@@ -191,11 +192,14 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     matched bins are scored as two (tile, h, B, B) blocks that share one
     row max and one softmax denominator (the log-sum-exp identity of online
     softmax), and the denominator divides the summed value products in the
-    output. A graph keeps full-size `p_loc`, `p_match` and `denom` only, until
-    the backward pass (the softmax-attention adjoint with 1/denominator
-    folded into the output gradient) has run; it reads the heads back from
-    the output and recomputes the scaled queries. Without a graph they are
-    tile-sized.
+    output. The blocks are tile-sized with or without a graph. A graph
+    keeps only the (N_b, h, B, 1) row maxima and denominators: the backward
+    pass (the softmax-attention adjoint with 1/denominator folded into the
+    output gradient) runs over the same tiles, recomputes each tile's
+    scaled queries and exponentiated blocks with the forward pass's ops,
+    so they are the same bit for bit (FlashAttention, Dao et al. 2022),
+    reads the heads back from the output, and writes the input gradients
+    tile by tile.
     """
     b_q, b_k, b_v = as_tensor(b_q), as_tensor(b_k), as_tensor(b_v)
     sorted_k, sorted_v = as_tensor(sorted_k), as_tensor(sorted_v)
@@ -215,22 +219,34 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     scale = float(1.0 / np.sqrt(config.head_dim))
     k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
     v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
-    p_loc, rows = tile_store(keep, (n_b, n_h, b, b), tile, dtype)  # exponentiated in place
-    p_match, _ = tile_store(keep, (n_b, n_h, b, b), tile, dtype)
+    row_max, rows = tile_store(keep, (n_b, n_h, b, 1), tile, dtype)
     denom, _ = tile_store(keep, (n_b, n_h, b, 1), tile, dtype)
+
+    def tiles(fresh):
+        """Yield (lo, hi, rows, scaled queries, p_loc, p_match) per tile: the
+        two blocks exponentiated in place in one pass's tile-sized buffers.
+        A `fresh` pass (the forward) stores the rows' max over both blocks;
+        the backward pass subtracts the stored one."""
+        p_loc = np.empty((min(tile, n_b), n_h, b, b), dtype=dtype)
+        p_match = np.empty_like(p_loc)
+        for lo in range(0, n_b, tile):
+            hi = min(lo + tile, n_b)
+            r = rows(lo, hi)
+            q_t = _split_heads(b_q.data[lo:hi] * scale, n_h)  # (tile, h, B, d)
+            p_loc_t, p_match_t = p_loc[:hi - lo], p_match[:hi - lo]
+            np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
+            np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
+            if fresh:
+                np.maximum(p_loc_t.max(axis=-1, keepdims=True), p_match_t.max(axis=-1, keepdims=True),
+                           out=row_max[r])
+            for p in (p_loc_t, p_match_t):
+                p -= row_max[r]
+                np.exp(p, out=p)
+            yield lo, hi, r, q_t, p_loc_t, p_match_t
+
     out = np.empty((n_b, b, e), dtype=dtype)
     heads = _split_heads(out, n_h)  # (N_b, h, B, d) view
-    for lo in range(0, n_b, tile):
-        hi = min(lo + tile, n_b)
-        r = rows(lo, hi)
-        q_t = _split_heads(b_q.data[lo:hi] * scale, n_h)  # (tile, h, B, d)
-        p_loc_t, p_match_t = p_loc[r], p_match[r]
-        np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
-        np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
-        row_max = np.maximum(p_loc_t.max(axis=-1, keepdims=True), p_match_t.max(axis=-1, keepdims=True))
-        for p in (p_loc_t, p_match_t):
-            p -= row_max
-            np.exp(p, out=p)
+    for lo, hi, r, _, p_loc_t, p_match_t in tiles(fresh=True):
         np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[r])
         # summed in a contiguous temporary: one pass over the strided output
         heads_t = p_loc_t @ v_loc[lo:hi]
@@ -240,29 +256,30 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         counter.window_elements += n_b * b * 2 * b
 
     def backward(g):
-        g_heads = _split_heads(g, n_h) / denom
-        row_dot = (g_heads * heads).sum(axis=-1, keepdims=True)
-        q = _split_heads(b_q.data * scale, n_h)
-        d_q = None
-        for p, k, v, src_k, src_v in ((p_loc, k_loc, v_loc, b_k, b_v),
-                                      (p_match, k_match, v_match, sorted_k, sorted_v)):
-            if src_v.requires_grad:
-                src_v._accumulate(_merge_heads(_swap_last(p) @ g_heads))
-            if not (src_k.requires_grad or b_q.requires_grad):
-                continue
-            d_scores = g_heads @ _swap_last(v)
-            d_scores -= row_dot
-            d_scores *= p
-            if src_k.requires_grad:
-                src_k._accumulate(_merge_heads(_swap_last(d_scores) @ q))
+        g_split = _split_heads(g, n_h)
+        for lo, hi, r, q_t, p_loc_t, p_match_t in tiles(fresh=False):
+            g_heads = g_split[lo:hi] / denom[r]
+            row_dot = (g_heads * heads[lo:hi]).sum(axis=-1, keepdims=True)
+            d_q = None
+            for p, k, v, src_k, src_v in ((p_loc_t, k_loc, v_loc, b_k, b_v),
+                                          (p_match_t, k_match, v_match, sorted_k, sorted_v)):
+                if src_v.requires_grad:
+                    src_v._accumulate_at(r, _merge_heads(_swap_last(p) @ g_heads))
+                if not (src_k.requires_grad or b_q.requires_grad):
+                    continue
+                d_scores = g_heads @ _swap_last(v[lo:hi])
+                d_scores -= row_dot
+                d_scores *= p
+                if src_k.requires_grad:
+                    src_k._accumulate_at(r, _merge_heads(_swap_last(d_scores) @ q_t))
+                if b_q.requires_grad:
+                    if d_q is None:
+                        d_q = d_scores @ k[lo:hi]
+                    else:
+                        d_q += d_scores @ k[lo:hi]
             if b_q.requires_grad:
-                if d_q is None:
-                    d_q = d_scores @ k
-                else:
-                    d_q += d_scores @ k
-        if b_q.requires_grad:
-            d_q *= scale
-            b_q._accumulate(_merge_heads(d_q))
+                d_q *= scale
+                b_q._accumulate_at(r, _merge_heads(d_q))
 
     return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 

@@ -15,11 +15,14 @@ Inside a ``with no_grad():`` block nothing is recorded: every op returns a
 plain leaf with no children and no backward closure, and is freed as soon
 as the next op has used it. ``recording(*tensors)`` tells a node whether
 its result will be part of a graph, so the fused attention nodes keep the
-intermediates their backward reads (exponentiated attention scores,
-feed-forward activations) only then; otherwise they work through them one
-tile at a time. The conv keeps no im2col columns either way: its backward
-regathers them from the input. Inference runs this way; leaves keep their
-``requires_grad`` flag, so a graph built after the block backpropagates.
+intermediates their backward reads (the window's row maxima and softmax
+denominators, the feed-forward's activations) whole only then; otherwise
+they work through them one tile at a time. Neither the window's score
+blocks nor the conv's im2col columns are kept either way: the window's
+backward recomputes its blocks tile by tile, and the conv's regathers its
+columns from the input slab by slab. Inference runs this way; leaves keep
+their ``requires_grad`` flag, so a graph built after the block
+backpropagates.
 ``backward()`` releases the graph as it goes: a node's closure, saved
 arrays, links and, unless it is a leaf, gradient are dropped once its own
 backward has run, so a graph is differentiated once.

@@ -1,19 +1,21 @@
 """Same-padded 3D convolution (cross-correlation) and the residual block.
 
 Volumes are (C, X, Y, Z). Kernels must be odd so that zero padding of
-(k-1)/2 keeps spatial dimensions unchanged. One im2col GEMM serves the
+(k-1)/2 keeps spatial dimensions unchanged. One im2col gather serves the
 forward pass and both gradients; the input gradient correlates the output
 gradient with the flipped, in/out-transposed kernel (the adjoint).
 
 The im2col gather reads a channels-last padded copy of the volume, so its
 columns are ordered (kx, ky, kz, C) and every copied run is C contiguous
 values rather than 3-element strides; the weight matrix is permuted to
-that order and its gradient permuted back. The forward pass and the input
-gradient gather and multiply the matrix one slab of whole x-planes at a
-time, so no graph keeps an im2col matrix: the weight gradient regathers
-the whole matrix from the input in the backward pass and frees it before
-the input gradient runs. A k=1 conv needs no padding or windows: its
-columns are the volume itself, channels last. The output is
+that order and its gradient permuted back. It gathers one slab of whole
+x-planes at a time, and each pass multiplies a slab before the next one
+is gathered, so no pass holds a whole im2col matrix and no graph keeps
+one: the backward regathers the input's slabs for the weight gradient,
+which sums their products over the slabs (a checkpoint, after Chen et al.
+2016), then gathers the output gradient's slabs for the input gradient.
+A k=1 conv needs no padding or windows: its columns are the volume
+itself, channels last, in one slab. The output is
 the (L, C) GEMM result viewed as (C, X, Y, Z), so a conv that feeds the
 next one hands it channels-last memory. All model-math functions here
 accept plain ndarrays or autodiff Tensors and always return a Tensor (use
@@ -31,9 +33,10 @@ from .autodiff import Tensor, as_tensor, concat, split
 
 # Voxels (im2col rows) gathered per GEMM of a k > 1 conv: whole x-planes,
 # at least this many, so a conv holds one slab of columns instead of the
-# whole (L, k^3*C) matrix. Slabs of 512 rows made OpenBLAS round some
-# GEMM shapes differently (stacked layers stopped equaling separate ones);
-# from 1024 rows on they round like the whole product.
+# whole (L, k^3*C) matrix, in the forward pass and in both gradients. Slabs
+# of 512 rows made OpenBLAS round some GEMM shapes differently (stacked
+# layers stopped equaling separate ones); from 1024 rows on the forward
+# GEMMs round like the whole product.
 CONV_SLAB_ROWS = 1024
 
 
@@ -49,41 +52,41 @@ def _windows(vol, k):
     return windows.transpose(0, 1, 2, 4, 5, 6, 3)
 
 
-def _im2col(vol, k):
-    """The whole (X*Y*Z, k^3*C) im2col matrix of `vol` (C, X, Y, Z): rows are
-    voxels in (x, y, z) order, columns the zero-padded k^3 patch as
-    (kx, ky, kz, C). A k=1 conv's matrix is the volume itself, channels last."""
-    if k == 1:
-        return vol.transpose(1, 2, 3, 0).reshape(-1, vol.shape[0])
-    return _windows(vol, k).reshape(-1, k**3 * vol.shape[0])
-
-
-def _im2col_gemm(vol, k, w_mat):
-    """The (X*Y*Z, c_out) product of `vol`'s im2col matrix (see `_im2col`)
-    with `w_mat`.T, where w_mat is (c_out, k^3*C) with columns ordered like
-    the matrix. For k > 1 the patches are gathered and multiplied one slab
-    of `CONV_SLAB_ROWS` or more rows at a time, into a single slab-sized
-    buffer; the whole matrix is never held.
-    """
+def _im2col_slabs(vol, k):
+    """Yield (lo, hi, cols): rows lo..hi of the (X*Y*Z, k^3*C) im2col matrix
+    of `vol` (C, X, Y, Z). Rows are voxels in (x, y, z) order, columns the
+    zero-padded k^3 patch as (kx, ky, kz, C). For k > 1 a slab is
+    `CONV_SLAB_ROWS` or more rows of whole x-planes, gathered into a single
+    slab-sized buffer that the next slab overwrites; the whole matrix is
+    never held. A k=1 conv's matrix is one slab, the volume itself, channels
+    last."""
     c, sx, sy, sz = vol.shape
     plane = sy * sz
-    w_t = w_mat.T
     if k == 1:
-        return _im2col(vol, 1) @ w_t
+        yield 0, sx * plane, vol.transpose(1, 2, 3, 0).reshape(-1, c)
+        return
     windows = _windows(vol, k)
     planes = -(-CONV_SLAB_ROWS // plane)
     slab = np.empty((min(planes, sx) * plane, k**3 * c), dtype=vol.dtype)
-    out = np.empty((sx * plane, w_mat.shape[0]), dtype=np.result_type(vol, w_mat))
     for x0 in range(0, sx, planes):
         x1 = min(x0 + planes, sx)
-        rows = slab[:(x1 - x0) * plane]
-        rows.reshape(x1 - x0, sy, sz, k, k, k, c)[...] = windows[x0:x1]
-        np.matmul(rows, w_t, out=out[x0 * plane:x1 * plane])
+        cols = slab[:(x1 - x0) * plane]
+        cols.reshape(x1 - x0, sy, sz, k, k, k, c)[...] = windows[x0:x1]
+        yield x0 * plane, x1 * plane, cols
+
+
+def _im2col_gemm(vol, k, w_mat):
+    """The (X*Y*Z, c_out) product of `vol`'s im2col matrix with `w_mat`.T,
+    slab by slab (see `_im2col_slabs`), where w_mat is (c_out, k^3*C) with
+    columns ordered like the matrix."""
+    out = np.empty((vol[0].size, w_mat.shape[0]), dtype=np.result_type(vol, w_mat))
+    for lo, hi, cols in _im2col_slabs(vol, k):
+        np.matmul(cols, w_mat.T, out=out[lo:hi])
     return out
 
 
 def _weight_matrix(w):
-    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like `_im2col`."""
+    """(c_out, c_in, k, k, k) kernel -> (c_out, k^3*c_in), columns ordered like the im2col matrix."""
     return w.transpose(0, 2, 3, 4, 1).reshape(w.shape[0], -1)
 
 
@@ -91,8 +94,10 @@ def conv3d(x, w, b):
     """Same-padded 3D cross-correlation as an autodiff graph node.
 
     x: (c_in, X, Y, Z), w: (c_out, c_in, k, k, k), b: (c_out,). The node
-    keeps no im2col matrix: the backward regathers it from `x.data` for the
-    weight gradient and frees it before gathering the input gradient's.
+    keeps no im2col matrix. Its backward regathers the slabs of `x.data`
+    and sums each slab's product with its rows of the output gradient into
+    the weight gradient, then gathers the output gradient's slabs for the
+    input gradient; one slab is held at a time.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     c_out, c_in, k = w.shape[0], w.shape[1], w.shape[2]
@@ -108,10 +113,11 @@ def conv3d(x, w, b):
     def backward(g):
         g_mat = g.reshape(c_out, -1).T  # (L, c_out)
         if w.requires_grad:
-            cols = _im2col(x.data, k)
-            w_grad = (g_mat.T @ cols).reshape(c_out, k, k, k, c_in)
-            del cols
-            w._accumulate(w_grad.transpose(0, 4, 1, 2, 3))
+            # g_mat.T @ im2col(x), summed over the slabs: this reorders the
+            # sum over voxels, so it rounds like the whole product only for
+            # one slab
+            w_grad = sum(g_mat[lo:hi].T @ cols for lo, hi, cols in _im2col_slabs(x.data, k))
+            w._accumulate(w_grad.reshape(c_out, k, k, k, c_in).transpose(0, 4, 1, 2, 3))
         if b.requires_grad:
             b._accumulate(g_mat.sum(axis=0))
         if x.requires_grad:
@@ -172,8 +178,9 @@ def conv3d_forward(vol, layer: Conv3dLayer):
 
 def conv3d_stacked(vol, layers):
     """Apply conv layers of one kernel size to the same volume as a single
-    `conv3d`: one im2col of `vol` and one GEMM (in training also one
-    weight-gradient GEMM), with the weights and biases stacked along c_out.
+    `conv3d`: one im2col gather of `vol` and one GEMM per slab (in training
+    also one weight-gradient gather), with the weights and biases stacked
+    along c_out.
     Returns the outputs split back per layer, in the order of `layers`.
 
     Each output holds the same dot products as that layer's own

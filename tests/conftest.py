@@ -79,7 +79,14 @@ def toy_overfit():
     return {"scene": scene, "cfg": cfg, "result": result, "seconds": seconds}
 
 
-def assert_tiles_exact(monkeypatch, module, tile_constant, fn, leaves, probe):
+# How far a gradient that sums over tiles may move when the tiles change,
+# relative to its largest entry: splitting the sum reorders it. The conv
+# weight gradient moved by at most 9.3e-16 in f64 and 9.1e-7 in f32 between
+# 1024-row slabs and one slab at 16^3 and 24^3.
+SUMMED_RTOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
+
+
+def assert_tiles_exact(monkeypatch, module, tile_constant, fn, leaves, probe, summed=()):
     """A tiled node equals the same node run as one tile, bit for bit.
 
     `fn()` builds the node's output from `leaves` (all float32 or all
@@ -87,7 +94,10 @@ def assert_tiles_exact(monkeypatch, module, tile_constant, fn, leaves, probe):
     the constant raised to cover the whole input, each time without a graph
     and with one whose backward gets sum(out * probe). Within each run the
     no-grad and graph outputs must be byte-equal and keep the leaves'
-    dtype; across the runs the outputs and every leaf gradient must be equal.
+    dtype; across the runs the outputs and every leaf gradient must be
+    equal, except the gradients of the leaves named in `summed`, which are
+    sums over the tiles: they must agree within `SUMMED_RTOL` of their
+    largest entry.
     """
     dtype = next(iter(leaves.values())).data.dtype
     runs = []
@@ -106,4 +116,8 @@ def assert_tiles_exact(monkeypatch, module, tile_constant, fn, leaves, probe):
     assert np.array_equal(tiled, whole)
     for name in leaves:
         assert tiled_grads[name].dtype == dtype, name
-        assert np.array_equal(tiled_grads[name], whole_grads[name]), name
+        if name in summed:
+            bound = SUMMED_RTOL[dtype] * np.abs(whole_grads[name]).max()
+            assert np.abs(tiled_grads[name] - whole_grads[name]).max() <= bound, name
+        else:
+            assert np.array_equal(tiled_grads[name], whole_grads[name]), name

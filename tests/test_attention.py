@@ -6,7 +6,9 @@ hard assignment, a scalar per-bin window loop for the attention math,
 the dense all-pairs attention that the sparse path must reproduce
 when everything fits in a single bin, the op-by-op autodiff
 compositions that the fused windowed-attention, layer-norm and
-feed-forward nodes replace, and each tiled node run as one whole tile.
+feed-forward nodes replace, the window node that stored its score blocks
+for the backward that recomputes them, and each tiled node run as one
+whole tile.
 """
 
 import itertools
@@ -105,6 +107,66 @@ def composed_windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o):
     attn = ((q @ k) * float(1.0 / np.sqrt(d))).softmax(axis=-1)
     out = (attn @ v).transpose((0, 2, 1, 3)).reshape(n_b, b, e)
     return out @ as_tensor(w_o)
+
+
+def stored_blocks_window(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o):
+    """The window node as it was while its graph kept the full-size
+    exponentiated blocks `p_loc` and `p_match` and its backward read them:
+    the oracle of the backward that recomputes them. Same tiles, ops and
+    order of accumulation as `windowed_attention`."""
+    inputs = tuple(as_tensor(t) for t in (b_q, b_k, b_v, sorted_k, sorted_v))
+    b_q, b_k, b_v, sorted_k, sorted_v = inputs
+    n_b, b, e = b_q.shape
+    n_h, tile = config.n_heads, attention.WINDOW_TILE_BINS
+    split = attention._split_heads
+    scale = float(1.0 / np.sqrt(config.head_dim))
+    k_loc, k_match = split(b_k.data, n_h), split(sorted_k.data, n_h)
+    v_loc, v_match = split(b_v.data, n_h), split(sorted_v.data, n_h)
+    p_loc = np.empty((n_b, n_h, b, b), dtype=b_q.data.dtype)
+    p_match = np.empty_like(p_loc)
+    denom = np.empty((n_b, n_h, b, 1), dtype=b_q.data.dtype)
+    out = np.empty_like(b_q.data)
+    heads = split(out, n_h)
+    for lo in range(0, n_b, tile):
+        hi = min(lo + tile, n_b)
+        q_t = split(b_q.data[lo:hi] * scale, n_h)
+        np.matmul(q_t, k_loc[lo:hi].swapaxes(-1, -2), out=p_loc[lo:hi])
+        np.matmul(q_t, k_match[lo:hi].swapaxes(-1, -2), out=p_match[lo:hi])
+        row_max = np.maximum(p_loc[lo:hi].max(axis=-1, keepdims=True),
+                             p_match[lo:hi].max(axis=-1, keepdims=True))
+        for p in (p_loc[lo:hi], p_match[lo:hi]):
+            p -= row_max
+            np.exp(p, out=p)
+        np.add(p_loc[lo:hi].sum(axis=-1, keepdims=True), p_match[lo:hi].sum(axis=-1, keepdims=True),
+               out=denom[lo:hi])
+        heads_t = p_loc[lo:hi] @ v_loc[lo:hi]
+        heads_t += p_match[lo:hi] @ v_match[lo:hi]
+        np.divide(heads_t, denom[lo:hi], out=heads[lo:hi])
+
+    def backward(g):
+        merge = attention._merge_heads
+        g_heads = split(g, n_h) / denom
+        row_dot = (g_heads * heads).sum(axis=-1, keepdims=True)
+        q = split(b_q.data * scale, n_h)
+        d_q = None
+        for p, k, v, src_k, src_v in ((p_loc, k_loc, v_loc, b_k, b_v),
+                                      (p_match, k_match, v_match, sorted_k, sorted_v)):
+            if src_v.requires_grad:
+                src_v._accumulate(merge(p.swapaxes(-1, -2) @ g_heads))
+            if not (src_k.requires_grad or b_q.requires_grad):
+                continue
+            d_scores = g_heads @ v.swapaxes(-1, -2)
+            d_scores -= row_dot
+            d_scores *= p
+            if src_k.requires_grad:
+                src_k._accumulate(merge(d_scores.swapaxes(-1, -2) @ q))
+            if b_q.requires_grad:
+                d_q = d_scores @ k if d_q is None else d_q + d_scores @ k
+        if b_q.requires_grad:
+            d_q *= scale
+            b_q._accumulate(merge(d_q))
+
+    return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 
 
 def composed_layer_norm(x, gain, bias, residual, eps=1e-5):
@@ -590,10 +652,58 @@ def test_float32_nodes_keep_float32(name, build):
         assert t.grad is not None and t.grad.dtype == np.float32, leaf_name
 
 
+WINDOW_INPUTS = ("b_q", "b_k", "b_v", "sorted_k", "sorted_v")
+
+
+class TestRecomputedWindowBackward:
+    """The window's backward recomputes each tile's exponentiated blocks
+    from the saved row maxima: its output and gradients equal the node that
+    stored the blocks bit for bit, with a partial last tile, in f64 and f32,
+    whichever of the five inputs require gradients."""
+
+    # every input differentiated, each one left out, and each one alone
+    REQUIRE_GRAD = [WINDOW_INPUTS] + [
+        tuple(n for n in WINDOW_INPUTS if n != frozen) for frozen in WINDOW_INPUTS
+    ] + [(n,) for n in WINDOW_INPUTS]
+
+    @staticmethod
+    def check(monkeypatch, tile, dtype, requires_grad, n_b, b, e, n_heads, seed):
+        monkeypatch.setattr(attention, "WINDOW_TILE_BINS", tile)
+        rng = np.random.default_rng(seed)
+        cfg = AttentionConfig(embed_dim=e, n_heads=n_heads, bin_size=b)
+        leaves = window_leaves(rng, n_b=n_b, b=b, e=e, trained_wo=True)
+        for name, t in leaves.items():
+            t.data = t.data.astype(dtype)
+            t.requires_grad = name == "w_o" or name in requires_grad
+        live = {name: t for name, t in leaves.items() if t.requires_grad}
+        probe = rng.normal(size=(n_b, b, e)).astype(dtype)
+        out, grads = probed_output_and_grads(
+            lambda: call_window(windowed_attention, leaves, cfg), live, probe)
+        want_out, want_grads = probed_output_and_grads(
+            lambda: call_window(stored_blocks_window, leaves, cfg), live, probe)
+        assert out.dtype == dtype and np.array_equal(out, want_out)
+        for name in live:
+            assert grads[name].dtype == dtype, name
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("requires_grad", REQUIRE_GRAD, ids=lambda names: "+".join(names))
+    @pytest.mark.parametrize("tile", [2, 4])  # 7 bins: tiles of 2 end in 1 bin, tiles of 4 in 3
+    def test_equals_stored_blocks(self, monkeypatch, tile, requires_grad, dtype):
+        self.check(monkeypatch, tile, dtype, requires_grad, n_b=7, b=5, e=6, n_heads=2, seed=120)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_stored_blocks_at_blocked_gemm_sizes(self, monkeypatch, dtype):
+        # bins of 64 and 32 channels per head: GEMM shapes nearer the model's
+        self.check(monkeypatch, attention.WINDOW_TILE_BINS, dtype, WINDOW_INPUTS,
+                   n_b=5, b=64, e=64, n_heads=2, seed=121)
+
+
 class TestTiling:
     """The tiled fused nodes at sizes that span several tiles: exact against
     one whole tile, without a graph exact against graph mode, f32 kept f32,
-    and a no-grad window that never holds a full-size score block."""
+    and a window that holds no full-size score block, with or without a
+    graph."""
 
     # infer_encoder's encoder: a 24^3 grid in bins of 128, e=128, 2 heads
     N_BINS, BIN, EMBED, HEADS = 108, 128, 128, 2
@@ -630,10 +740,12 @@ class TestTiling:
                            lambda: feed_forward(x, layer), leaves, rng.normal(size=(3, 1700, 16)))
 
     def test_graph_window_keeps_only_blocks_and_denominators(self):
-        # a graph holds the two exponentiated (N_b, h, B, B) blocks, the
-        # denominators, the node's output and its product with w_o (85 MB);
-        # storing the scaled queries and the unmerged heads as well took it
-        # to 113 MB, two more (N_b, B, e) arrays
+        # besides the node's output and its product with w_o (two (N_b, B, e)
+        # arrays), a graph holds only the (N_b, h, B, 1) row maxima and
+        # denominators: 0.44 MB, far below one (N_b, h, B, B) block (28.3
+        # MB). Storing the two exponentiated blocks held two blocks more, and
+        # storing the scaled queries and unmerged heads as well two more
+        # (N_b, B, e) arrays
         fn, _, _ = self.window_case(np.float64)
         block_bytes = self.N_BINS * self.HEADS * self.BIN * self.BIN * 8
         bins_bytes = self.N_BINS * self.BIN * self.EMBED * 8
@@ -644,7 +756,7 @@ class TestTiling:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        assert retained < 2 * block_bytes + 3 * bins_bytes
+        assert retained - 2 * bins_bytes < block_bytes / 16
 
     def test_no_grad_window_holds_no_full_score_block(self):
         fn, leaves, _ = self.window_case(np.float64)

@@ -391,13 +391,21 @@ class TestTrainToy:
         with pytest.raises(ConfigError):
             train_toy(scene, cfg)
 
-    # A 1-step 1-person run peaks at 61 MiB traced, during its backward pass:
-    # one graph plus conv2's regathered im2col matrix. The last evaluation
-    # records no graph. Neither a step nor a person adds a graph to that
-    # peak. Keeping each graph after its backward pass, and so step k's graph
-    # through step k+1's forward pass, read 106 MiB for 1 step, 115 MiB for
-    # 3 steps and 117 MiB for 3 people; one graph of all people's losses
-    # read 136 MiB for 3 people.
+    # A 1-step 1-person run peaks at 42.3 MiB traced, at the start of its
+    # backward pass: one graph, which keeps no score block and no im2col
+    # matrix. The last evaluation records no graph. Neither a step nor a
+    # person adds a graph to that peak. Keeping each graph after its
+    # backward pass, and so step k's graph through step k+1's forward pass,
+    # read 106 MiB for 1 step, 115 MiB for 3 steps and 117 MiB for 3 people;
+    # one graph of all people's losses read 136 MiB for 3 people.
+    def test_one_step_peak_is_one_graph(self):
+        # keeping the window's exponentiated blocks and regathering each
+        # conv's whole im2col matrix for its weight gradient read 60.9 MiB;
+        # regathering the whole matrix alone read 60.9 MiB too (conv2's 27
+        # MiB matrix, allocated while ~33 MiB of the graph was alive, set the
+        # peak), and keeping the blocks alone 53.3 MiB
+        assert traced_peak(synth_scene(toy_scene_config()), steps=1) < 45 * 2**20
+
     def test_steps_do_not_hold_two_graphs(self):
         scene = synth_scene(spread_scene_config(1))
         assert traced_peak(scene, steps=3) < traced_peak(scene, steps=1) + 4 * 2**20
