@@ -20,12 +20,13 @@ The encoder never materializes an L x L attention matrix. Each layer:
 Score storage per layer is therefore N_b^2 + L*2B elements instead of
 L^2; ``ScoreCounter`` instruments exactly that quantity (counting
 query-key pairs once, independent of how many heads share them). The
-window's blocks are computed a few bins at a time and exponentiated in
-place, with or without a graph: a graph keeps only each row's max and
-softmax denominator, and the backward recomputes the blocks tile by tile
-(FlashAttention, Dao et al. 2022). The feed-forward runs over row tiles;
-a graph keeps its whole hidden layer until ``Tensor.backward`` has run its
-backward, and without one a tile's hidden rows are reused.
+fused nodes run the same code with or without a graph. The window's
+blocks are computed a few bins at a time and exponentiated in place; it
+keeps only each row's max and softmax denominator, and the backward
+recomputes the blocks tile by tile (FlashAttention, Dao et al. 2022). The
+feed-forward runs over row tiles in one tile-sized hidden buffer, and its
+backward recomputes each tile's hidden rows (checkpointing, Chen et al.
+2016).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, recording, tile_store
+from .autodiff import Tensor, as_tensor
 from .conv import Conv3dLayer, conv3d_forward, init_conv3d
 from .errors import ConfigError, NotDifferentiablePathError, NumericError
 from .grid import flatten_volume, merge_bins, partition_bins, unflatten_volume
@@ -192,14 +193,13 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     matched bins are scored as two (tile, h, B, B) blocks that share one
     row max and one softmax denominator (the log-sum-exp identity of online
     softmax), and the denominator divides the summed value products in the
-    output. The blocks are tile-sized with or without a graph. A graph
-    keeps only the (N_b, h, B, 1) row maxima and denominators: the backward
-    pass (the softmax-attention adjoint with 1/denominator folded into the
-    output gradient) runs over the same tiles, recomputes each tile's
-    scaled queries and exponentiated blocks with the forward pass's ops,
-    so they are the same bit for bit (FlashAttention, Dao et al. 2022),
-    reads the heads back from the output, and writes the input gradients
-    tile by tile.
+    output. Only the (N_b, h, B, 1) row maxima and denominators are kept
+    whole: the backward pass (the softmax-attention adjoint with
+    1/denominator folded into the output gradient) runs over the same
+    tiles, recomputes each tile's scaled queries and exponentiated blocks
+    with the forward pass's ops, so they are the same bit for bit
+    (FlashAttention, Dao et al. 2022), reads the heads back from the
+    output, and writes the input gradients tile by tile.
     """
     b_q, b_k, b_v = as_tensor(b_q), as_tensor(b_k), as_tensor(b_v)
     sorted_k, sorted_v = as_tensor(sorted_k), as_tensor(sorted_v)
@@ -212,18 +212,17 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         raise ValueError(f"bins carry {e} channels but config.embed_dim is {config.embed_dim}")
 
     inputs = (b_q, b_k, b_v, sorted_k, sorted_v)
-    keep = recording(*inputs)
     dtype = np.result_type(*(t.data for t in inputs))
     tile = WINDOW_TILE_BINS
     # a Python float scale keeps f32 scores f32; an np.float64 one promotes them
     scale = float(1.0 / np.sqrt(config.head_dim))
     k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
     v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
-    row_max, rows = tile_store(keep, (n_b, n_h, b, 1), tile, dtype)
-    denom, _ = tile_store(keep, (n_b, n_h, b, 1), tile, dtype)
+    row_max = np.empty((n_b, n_h, b, 1), dtype=dtype)
+    denom = np.empty_like(row_max)
 
     def tiles(fresh):
-        """Yield (lo, hi, rows, scaled queries, p_loc, p_match) per tile: the
+        """Yield (lo, hi, scaled queries, p_loc, p_match) per tile: the
         two blocks exponentiated in place in one pass's tile-sized buffers.
         A `fresh` pass (the forward) stores the rows' max over both blocks;
         the backward pass subtracts the stored one."""
@@ -231,33 +230,33 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         p_match = np.empty_like(p_loc)
         for lo in range(0, n_b, tile):
             hi = min(lo + tile, n_b)
-            r = rows(lo, hi)
             q_t = _split_heads(b_q.data[lo:hi] * scale, n_h)  # (tile, h, B, d)
             p_loc_t, p_match_t = p_loc[:hi - lo], p_match[:hi - lo]
             np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
             np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
             if fresh:
                 np.maximum(p_loc_t.max(axis=-1, keepdims=True), p_match_t.max(axis=-1, keepdims=True),
-                           out=row_max[r])
+                           out=row_max[lo:hi])
             for p in (p_loc_t, p_match_t):
-                p -= row_max[r]
+                p -= row_max[lo:hi]
                 np.exp(p, out=p)
-            yield lo, hi, r, q_t, p_loc_t, p_match_t
+            yield lo, hi, q_t, p_loc_t, p_match_t
 
     out = np.empty((n_b, b, e), dtype=dtype)
     heads = _split_heads(out, n_h)  # (N_b, h, B, d) view
-    for lo, hi, r, _, p_loc_t, p_match_t in tiles(fresh=True):
-        np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[r])
+    for lo, hi, _, p_loc_t, p_match_t in tiles(fresh=True):
+        np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[lo:hi])
         # summed in a contiguous temporary: one pass over the strided output
         heads_t = p_loc_t @ v_loc[lo:hi]
         heads_t += p_match_t @ v_match[lo:hi]
-        np.divide(heads_t, denom[r], out=heads[lo:hi])
+        np.divide(heads_t, denom[lo:hi], out=heads[lo:hi])
     if counter is not None:
         counter.window_elements += n_b * b * 2 * b
 
     def backward(g):
         g_split = _split_heads(g, n_h)
-        for lo, hi, r, q_t, p_loc_t, p_match_t in tiles(fresh=False):
+        for lo, hi, q_t, p_loc_t, p_match_t in tiles(fresh=False):
+            r = slice(lo, hi)
             g_heads = g_split[lo:hi] / denom[r]
             row_dot = (g_heads * heads[lo:hi]).sum(axis=-1, keepdims=True)
             d_q = None
@@ -423,28 +422,37 @@ def layer_norm(x, gain, bias, residual):
     return Tensor._make(out, (x, residual, gain, bias), backward)
 
 
-# Rows per tile of `feed_forward`. Without a graph only one tile's
-# (rows, 4e) hidden layer is held; 2048 rows keep the GEMMs large.
+# Rows per tile of `feed_forward`: only one tile's (rows, 4e) hidden layer
+# is ever held; 2048 rows keep the GEMMs large.
 FEED_FORWARD_TILE_ROWS = 2048
 
 
 def feed_forward(x, weights: EncoderLayerWeights):
     """relu(x W1 + b1) W2 + b2 over the last axis, as one autodiff node,
-    computed `FEED_FORWARD_TILE_ROWS` rows at a time. The hidden layer is
-    kept whole only when a graph is recorded."""
+    computed `FEED_FORWARD_TILE_ROWS` rows at a time in one tile-sized
+    hidden buffer, with or without a graph. The backward pass runs over the
+    same tiles and recomputes each tile's hidden rows with the forward
+    pass's ops, so they are the same bit for bit (checkpointing, Chen et
+    al. 2016); the weight gradients sum over the tiles."""
     x = as_tensor(x)
     w1, b1, w2, b2 = weights.ff_w1, weights.ff_b1, weights.ff_w2, weights.ff_b2
     rows = x.data.reshape(-1, w1.shape[0])
     n, tile = rows.shape[0], FEED_FORWARD_TILE_ROWS
     dtype = np.result_type(rows, w1.data, w2.data)
-    hidden, tile_rows = tile_store(recording(x, w1, b1, w2, b2), (n, w1.shape[1]), tile, dtype)
+
+    def tiles():
+        """Yield (lo, hi, hidden rows lo..hi) per tile, in one reused buffer."""
+        hidden = np.empty((min(tile, n), w1.shape[1]), dtype=dtype)
+        for lo in range(0, n, tile):
+            hi = min(lo + tile, n)
+            h = hidden[:hi - lo]
+            np.matmul(rows[lo:hi], w1.data, out=h)
+            h += b1.data
+            np.maximum(h, 0.0, out=h)
+            yield lo, hi, h
+
     out = np.empty((n, w2.shape[1]), dtype=dtype)
-    for lo in range(0, n, tile):
-        hi = min(lo + tile, n)
-        h = hidden[tile_rows(lo, hi)]
-        np.matmul(rows[lo:hi], w1.data, out=h)
-        h += b1.data
-        np.maximum(h, 0.0, out=h)
+    for lo, hi, h in tiles():
         np.matmul(h, w2.data, out=out[lo:hi])
         out[lo:hi] += b2.data
 
@@ -452,18 +460,21 @@ def feed_forward(x, weights: EncoderLayerWeights):
         g_rows = g.reshape(-1, w2.shape[1])
         if b2.requires_grad:
             b2._accumulate(g_rows.sum(axis=0))
-        if w2.requires_grad:
-            w2._accumulate(hidden.T @ g_rows)
-        if not (w1.requires_grad or b1.requires_grad or x.requires_grad):
-            return
-        d_hidden = g_rows @ w2.data.T
-        d_hidden *= hidden > 0  # relu subgradient: 0 at 0
-        if b1.requires_grad:
-            b1._accumulate(d_hidden.sum(axis=0))
-        if w1.requires_grad:
-            w1._accumulate(rows.T @ d_hidden)
+        d_rows = np.empty(rows.shape, dtype=dtype)
+        for lo, hi, h in tiles():
+            g_t = g_rows[lo:hi]
+            if w2.requires_grad:
+                w2._accumulate(h.T @ g_t)
+            d_hidden = g_t @ w2.data.T
+            d_hidden *= h > 0  # relu subgradient: 0 at 0
+            if b1.requires_grad:
+                b1._accumulate(d_hidden.sum(axis=0))
+            if w1.requires_grad:
+                w1._accumulate(rows[lo:hi].T @ d_hidden)
+            if x.requires_grad:
+                np.matmul(d_hidden, w1.data.T, out=d_rows[lo:hi])
         if x.requires_grad:
-            x._accumulate((d_hidden @ w1.data.T).reshape(x.shape))
+            x._accumulate(d_rows.reshape(x.shape))
 
     return Tensor._make(out.reshape(*x.shape[:-1], w2.shape[1]), (x, w1, b1, w2, b2), backward)
 

@@ -13,16 +13,13 @@ graph mechanism through ``Tensor._make`` with hand-written backwards.
 
 Inside a ``with no_grad():`` block nothing is recorded: every op returns a
 plain leaf with no children and no backward closure, and is freed as soon
-as the next op has used it. ``recording(*tensors)`` tells a node whether
-its result will be part of a graph, so the fused attention nodes keep the
-intermediates their backward reads (the window's row maxima and softmax
-denominators, the feed-forward's activations) whole only then; otherwise
-they work through them one tile at a time. Neither the window's score
-blocks nor the conv's im2col columns are kept either way: the window's
-backward recomputes its blocks tile by tile, and the conv's regathers its
-columns from the input slab by slab. Inference runs this way; leaves keep
-their ``requires_grad`` flag, so a graph built after the block
-backpropagates.
+as the next op has used it. The fused nodes run the same code either way
+and keep no full-size intermediate for their backward: the window keeps
+only its row maxima and softmax denominators and recomputes its score
+blocks tile by tile, the feed-forward recomputes its hidden rows tile by
+tile, and the conv regathers its im2col columns from the input slab by
+slab. Inference runs this way; leaves keep their ``requires_grad`` flag,
+so a graph built after the block backpropagates.
 ``backward()`` releases the graph as it goes: a node's closure, saved
 arrays, links and, unless it is a leaf, gradient are dropped once its own
 backward has run, so a graph is differentiated once.
@@ -52,25 +49,6 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = previous
-
-
-def recording(*tensors):
-    """Whether an op on `tensors` records a graph node: grad mode is on and
-    one of them requires grad."""
-    return _grad_mode.enabled and any(t.requires_grad for t in tensors)
-
-
-def tile_store(keep, shape, tile, dtype):
-    """Storage for a node's per-tile results along axis 0: the whole `shape`
-    when `keep` (the backward pass will read it), else room for one tile of
-    `tile` entries, reused by every tile. Returns (array, rows), where
-    `rows(lo, hi)` is the slice of the array that entries lo..hi go to."""
-    store = np.empty((shape[0] if keep else min(tile, shape[0]), *shape[1:]), dtype=dtype)
-
-    def rows(lo, hi):
-        return slice(lo, hi) if keep else slice(0, hi - lo)
-
-    return store, rows
 
 
 def _unbroadcast(grad, shape):
@@ -136,7 +114,7 @@ class Tensor:
 
     @staticmethod
     def _make(data, children, backward):
-        if not recording(*children):
+        if not (_grad_mode.enabled and any(c.requires_grad for c in children)):
             return Tensor(data)
         out = Tensor(data, requires_grad=True, _children=tuple(c for c in children if c.requires_grad))
         out._backward = backward

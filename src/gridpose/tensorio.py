@@ -4,12 +4,13 @@ Payloads are little-endian 32- or 64-bit floats in row-major order. Each
 tensor <name>.bin pairs with <name>.json holding
 {"name": ..., "dtype": "f32"|"f64", "shape": [...]}; a weight set adds a
 manifest.json listing every tensor name. Names are plain file stems.
-Format problems (truncated payloads, unknown dtype tags, sidecar/payload
-disagreement, a name that is not a plain stem, a sidecar naming another
-tensor) raise OSError so the CLI can map them to its I/O exit code;
-`load_json_file` does the same for every JSON data file (sidecars,
-manifests, poses, cameras). `has_json_type` holds the JSON type rules
-that config files and camera entries share.
+Format problems (truncated payloads, unknown dtype tags, a shape that is
+not a list of non-negative integers, sidecar/payload disagreement, a name
+that is not a plain stem, a sidecar naming another tensor) raise OSError
+so the CLI can map them to its I/O exit code; `load_json_file` does the
+same for every JSON data file (sidecars, manifests, poses, cameras).
+`has_json_type` holds the JSON type rules that config files and camera
+entries share.
 """
 
 from __future__ import annotations
@@ -113,7 +114,10 @@ def _parse_sidecar(doc, name):
         raise ValueError(f"sidecar names tensor {doc['name']!r}, its file is {name!r}")
     if doc["dtype"] not in TAG_TO_DTYPE:
         raise ValueError(f"unknown dtype tag {doc['dtype']!r}")
-    return TAG_TO_DTYPE[doc["dtype"]], tuple(int(s) for s in doc["shape"])
+    shape = doc["shape"]
+    if not has_json_type(tuple[int, ...], shape) or any(s < 0 for s in shape):
+        raise ValueError(f"sidecar shape {shape!r} is not a list of non-negative integers")
+    return TAG_TO_DTYPE[doc["dtype"]], tuple(shape)
 
 
 def save_tensor_set(directory, tensors):

@@ -587,22 +587,32 @@ class TestFusedNodes:
 
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
 
-    def test_feed_forward_matches_composition(self):
-        rng = np.random.default_rng(91)
-        cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
-        layer = init_encoder_layer(cfg, rng)
-        layer.ff_b1.data[...] = rng.normal(size=16)
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        probe = rng.normal(size=(2, 3, 4))
-        leaves = {"x": x, "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
-                  "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
-        out, grads = probed_output_and_grads(lambda: feed_forward(x, layer), leaves, probe)
-        want_out, want_grads = probed_output_and_grads(
-            lambda: composed_feed_forward(x, layer), leaves, probe)
-        assert (out > 0).any() and (out <= 0).any()
-        assert_rel_close(out, want_out)
-        for name in leaves:
-            assert_rel_close(grads[name], want_grads[name])
+    def test_feed_forward_matches_composition(self, monkeypatch):
+        # the 6 rows as one tile and in tiles of 4 (the last one partial),
+        # whose backward recomputes each tile's hidden rows; f64 and f32
+        for dtype, tile in itertools.product((np.float64, np.float32),
+                                             (attention.FEED_FORWARD_TILE_ROWS, 4)):
+            monkeypatch.setattr(attention, "FEED_FORWARD_TILE_ROWS", tile)
+            rng = np.random.default_rng(91)
+            cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
+            layer = init_encoder_layer(cfg, rng)
+            layer.ff_b1.data[...] = rng.normal(size=16)
+            x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+            probe = rng.normal(size=(2, 3, 4)).astype(dtype)
+            leaves = {"x": x, "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
+                      "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
+            for t in leaves.values():
+                t.data = t.data.astype(dtype)
+            out, grads = probed_output_and_grads(lambda: feed_forward(x, layer), leaves, probe)
+            want_out, want_grads = probed_output_and_grads(
+                lambda: composed_feed_forward(x, layer), leaves, probe)
+            rtol = 1e-12 if dtype == np.float64 else 1e-5
+            assert (out > 0).any() and (out <= 0).any()
+            assert out.dtype == dtype
+            assert_rel_close(out, want_out, rtol)
+            for name in leaves:
+                assert grads[name].dtype == dtype, name
+                assert_rel_close(grads[name], want_grads[name], rtol)
 
 
 def _f32_node_cases():
@@ -724,8 +734,7 @@ class TestTiling:
         fn, leaves, probe = self.window_case(dtype)
         assert_tiles_exact(monkeypatch, attention, "WINDOW_TILE_BINS", fn, leaves, probe)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_feed_forward_tiles_equal_one_tile(self, monkeypatch, dtype):
+    def feed_forward_case(self, dtype):
         rng = np.random.default_rng(111)
         layer = init_encoder_layer(AttentionConfig(embed_dim=16, n_heads=2, bin_size=2), rng)
         layer.ff_b1.data[...] = rng.normal(size=64)
@@ -733,11 +742,32 @@ class TestTiling:
         x = Tensor(rng.normal(size=(3, 1700, 16)), requires_grad=True)  # 5100 rows, last tile partial
         leaves = {"x": x, "ff_w1": layer.ff_w1, "ff_b1": layer.ff_b1,
                   "ff_w2": layer.ff_w2, "ff_b2": layer.ff_b2}
-        assert 5100 > 2 * attention.FEED_FORWARD_TILE_ROWS
         for t in leaves.values():
             t.data = t.data.astype(dtype)
-        assert_tiles_exact(monkeypatch, attention, "FEED_FORWARD_TILE_ROWS",
-                           lambda: feed_forward(x, layer), leaves, rng.normal(size=(3, 1700, 16)))
+        return (lambda: feed_forward(x, layer)), leaves, rng.normal(size=(3, 1700, 16))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_feed_forward_tiles_equal_one_tile(self, monkeypatch, dtype):
+        assert 5100 > 2 * attention.FEED_FORWARD_TILE_ROWS
+        fn, leaves, probe = self.feed_forward_case(dtype)
+        # the weight gradients sum over the tiles; x's and b2's stay exact
+        assert_tiles_exact(monkeypatch, attention, "FEED_FORWARD_TILE_ROWS", fn, leaves, probe,
+                           summed=("ff_w1", "ff_b1", "ff_w2"))
+
+    def test_graph_feed_forward_keeps_no_hidden_layer(self):
+        # besides the node's output, a graph holds no (n, 4e) hidden layer
+        # (2.6 MB here, four times the output): the backward recomputes it
+        # tile by tile. Keeping it whole held all of it
+        fn, leaves, _ = self.feed_forward_case(np.float64)
+        hidden_bytes = leaves["x"].data.nbytes * 4
+        tracemalloc.start()
+        try:
+            out = fn()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained - out.data.nbytes < hidden_bytes / 16
 
     def test_graph_window_keeps_only_blocks_and_denominators(self):
         # besides the node's output and its product with w_o (two (N_b, B, e)

@@ -215,6 +215,20 @@ class TestInfer:
                      "--config", str(cfg), "--out", str(tmp_path / "x")]) == 0
         assert len(json.loads((tmp_path / "x" / "poses.json").read_text())["poses"]) == 1
 
+    def test_negative_sidecar_shape_exits_4(self, workdir, tmp_path, capsys):
+        # -3 x -5 has as many entries as head.b's 15, so only the sign check
+        # stops numpy's reshape from failing with exit 1
+        weights = tmp_path / "w"
+        save_tensor_set(weights, load_tensor_set(workdir / "train" / "weights"))
+        sidecar = json.loads((weights / "head.b.json").read_text())
+        assert sidecar["shape"] == [15]
+        sidecar["shape"] = [-3, -5]
+        (weights / "head.b.json").write_text(json.dumps(sidecar))
+        assert main(["infer", "--scene", str(workdir / "scene"), "--weights", str(weights),
+                     "--config", str(workdir / "run_config.json"),
+                     "--out", str(tmp_path / "x")]) == 4
+        assert "head.b.json" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad_value", [np.nan, 1.5])
     def test_corrupt_heatmap_dump_exits_4(self, workdir, tmp_path, bad_value):
         scene = load_scene(workdir / "scene")

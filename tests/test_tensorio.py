@@ -84,6 +84,16 @@ class TestSingleTensor:
         with pytest.raises(OSError, match="'zzz'"):
             load_tensor(tmp_path, "a")
 
+    # each shape's element count matches its payload: -3 x -5 fits 15
+    # entries, and 2.7 or true once read as 2 or 1 fit 8
+    @pytest.mark.parametrize("shape,size", [([-3, -5], 15), ([2.7, 4], 8), ([True, 8], 8)],
+                             ids=["negative", "float", "bool"])
+    def test_malformed_sidecar_shape_raises_oserror(self, tmp_path, shape, size):
+        save_tensor(tmp_path, "t", np.zeros(size))
+        (tmp_path / "t.json").write_text(json.dumps({"name": "t", "dtype": "f64", "shape": shape}))
+        with pytest.raises(OSError, match="non-negative integers"):
+            load_tensor(tmp_path, "t")
+
     def test_missing_sidecar_field_raises_oserror(self, tmp_path):
         save_tensor(tmp_path, "t", np.zeros(2))
         (tmp_path / "t.json").write_text(json.dumps({"name": "t", "dtype": "f64"}))
