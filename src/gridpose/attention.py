@@ -16,6 +16,7 @@ The encoder never materializes an L x L attention matrix. Each layer:
 6. finishes with residual + layer norm + feed-forward + residual + layer
    norm. ``layer_norm`` (which takes the residual add as an operand) and
    ``feed_forward`` are single autodiff nodes with closed-form backwards.
+   Their backwards compute every input's gradient (see ``autodiff``).
 
 Score storage per layer is therefore N_b^2 + L*2B elements instead of
 L^2; ``ScoreCounter`` instruments exactly that quantity (counting
@@ -147,6 +148,7 @@ def reorder_bins(bins, s, mode="soft"):
         mixed = s @ bins.reshape(n_b, b * e)
         return mixed.reshape(n_b, b, e)
     if mode == "hard":
+        # a forward-pass safety check: argmax has no gradient
         if bins.requires_grad or s.requires_grad:
             raise NotDifferentiablePathError(
                 "hard bin reordering is not differentiable; use soft mode for training"
@@ -262,23 +264,17 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
             d_q = None
             for p, k, v, src_k, src_v in ((p_loc_t, k_loc, v_loc, b_k, b_v),
                                           (p_match_t, k_match, v_match, sorted_k, sorted_v)):
-                if src_v.requires_grad:
-                    src_v._accumulate_at(r, _merge_heads(_swap_last(p) @ g_heads))
-                if not (src_k.requires_grad or b_q.requires_grad):
-                    continue
+                src_v._accumulate_at(r, _merge_heads(_swap_last(p) @ g_heads))
                 d_scores = g_heads @ _swap_last(v[lo:hi])
                 d_scores -= row_dot
                 d_scores *= p
-                if src_k.requires_grad:
-                    src_k._accumulate_at(r, _merge_heads(_swap_last(d_scores) @ q_t))
-                if b_q.requires_grad:
-                    if d_q is None:
-                        d_q = d_scores @ k[lo:hi]
-                    else:
-                        d_q += d_scores @ k[lo:hi]
-            if b_q.requires_grad:
-                d_q *= scale
-                b_q._accumulate_at(r, _merge_heads(d_q))
+                src_k._accumulate_at(r, _merge_heads(_swap_last(d_scores) @ q_t))
+                if d_q is None:
+                    d_q = d_scores @ k[lo:hi]
+                else:
+                    d_q += d_scores @ k[lo:hi]
+            d_q *= scale
+            b_q._accumulate_at(r, _merge_heads(d_q))
 
     return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 
@@ -404,20 +400,16 @@ def layer_norm(x, gain, bias, residual):
     out += bias.data
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * normed).reshape(-1, n).sum(axis=0))
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, n).sum(axis=0))
-        if x.requires_grad or residual.requires_grad:
-            dx = g * gain.data
-            mean_dx = dx.mean(axis=-1, keepdims=True)
-            proj = (dx * normed).mean(axis=-1, keepdims=True)
-            dx -= mean_dx
-            dx -= normed * proj
-            dx *= inv_std
-            for t in (x, residual):
-                if t.requires_grad:
-                    t._accumulate(dx)
+        gain._accumulate((g * normed).reshape(-1, n).sum(axis=0))
+        bias._accumulate(g.reshape(-1, n).sum(axis=0))
+        dx = g * gain.data
+        mean_dx = dx.mean(axis=-1, keepdims=True)
+        proj = (dx * normed).mean(axis=-1, keepdims=True)
+        dx -= mean_dx
+        dx -= normed * proj
+        dx *= inv_std
+        x._accumulate(dx)
+        residual._accumulate(dx)
 
     return Tensor._make(out, (x, residual, gain, bias), backward)
 
@@ -458,23 +450,17 @@ def feed_forward(x, weights: EncoderLayerWeights):
 
     def backward(g):
         g_rows = g.reshape(-1, w2.shape[1])
-        if b2.requires_grad:
-            b2._accumulate(g_rows.sum(axis=0))
+        b2._accumulate(g_rows.sum(axis=0))
         d_rows = np.empty(rows.shape, dtype=dtype)
         for lo, hi, h in tiles():
             g_t = g_rows[lo:hi]
-            if w2.requires_grad:
-                w2._accumulate(h.T @ g_t)
+            w2._accumulate(h.T @ g_t)
             d_hidden = g_t @ w2.data.T
             d_hidden *= h > 0  # relu subgradient: 0 at 0
-            if b1.requires_grad:
-                b1._accumulate(d_hidden.sum(axis=0))
-            if w1.requires_grad:
-                w1._accumulate(rows[lo:hi].T @ d_hidden)
-            if x.requires_grad:
-                np.matmul(d_hidden, w1.data.T, out=d_rows[lo:hi])
-        if x.requires_grad:
-            x._accumulate(d_rows.reshape(x.shape))
+            b1._accumulate(d_hidden.sum(axis=0))
+            w1._accumulate(rows[lo:hi].T @ d_hidden)
+            np.matmul(d_hidden, w1.data.T, out=d_rows[lo:hi])
+        x._accumulate(d_rows.reshape(x.shape))
 
     return Tensor._make(out.reshape(*x.shape[:-1], w2.shape[1]), (x, w1, b1, w2, b2), backward)
 

@@ -11,6 +11,11 @@ The 3D convolution (``conv.py``) and the fused windowed-attention,
 layer-norm and feed-forward nodes (``attention.py``) plug into the same
 graph mechanism through ``Tensor._make`` with hand-written backwards.
 
+Each node's backward computes the gradient of every input, and
+``_accumulate`` / ``_accumulate_at`` drop it for a tensor that does not
+require grad, so a backward's work is fixed by its shapes. Only the conv
+skips its input adjoint for such an input, the feature volume.
+
 Inside a ``with no_grad():`` block nothing is recorded: every op returns a
 plain leaf with no children and no backward closure, and is freed as soon
 as the next op has used it. The fused nodes run the same code either way
@@ -95,14 +100,20 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def _accumulate(self, g):
+        if not self.requires_grad:
+            return
         if self.grad is None:
-            # a copy in the tensor's dtype: f32 gradients stay f32, g is never aliased
+            # a copy in the tensor's dtype, never g: same-shape add and
+            # layer_norm hand two tensors one array, and sum a read-only
+            # view, so a stored g would be shared or unwritable at the next +=
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
     def _accumulate_at(self, index, g):
         """Add `g` into the `index` slice of the gradient, which starts at zero."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad[index] += g
@@ -134,10 +145,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
+            a._accumulate(_unbroadcast(g, a.data.shape))
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
         return Tensor._make(self.data + other.data, (self, other), backward)
 
@@ -166,10 +175,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
         return Tensor._make(self.data * other.data, (self, other), backward)
 
@@ -192,12 +199,8 @@ class Tensor:
             raise ValueError("matmul requires operands with ndim >= 2")
 
         def backward(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.data.shape))
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
         return Tensor._make(self.data @ other.data, (self, other), backward)
 
@@ -233,7 +236,7 @@ class Tensor:
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, shape).copy())
+            a._accumulate(np.broadcast_to(gg, shape))
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -341,10 +344,9 @@ def concat(tensors, axis=0):
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
+            idx = [slice(None)] * g.ndim
+            idx[axis] = slice(lo, hi)
+            t._accumulate(g[tuple(idx)])
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .attention import (
     AttentionConfig,
-    ScoreCounter,
     attention_sublayer,
     dense_attention,
     init_encoder_layer,
@@ -83,9 +82,8 @@ def _check_dense_oracle(rng):
     cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=16, sinkhorn_iters=6, n_layers=1)
     seq = rng.normal(size=(16, 4))
     layer = init_encoder_layer(cfg, rng)
-    counter = ScoreCounter()
     bins = partition_bins(Tensor(seq), 16)
-    sparse = attention_sublayer(bins, layer, cfg, mode="soft", counter=counter)
+    sparse = attention_sublayer(bins, layer, cfg, mode="soft")
     dense = dense_attention(Tensor(seq), layer.w_q, layer.w_k, layer.w_v, layer.w_o, cfg)
     diff = float(np.abs(sparse.data.reshape(16, 4) - dense.data).max())
     return CheckItem("single_bin_matches_dense_attention", diff <= 1e-10, diff)

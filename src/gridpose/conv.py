@@ -112,14 +112,13 @@ def conv3d(x, w, b):
 
     def backward(g):
         g_mat = g.reshape(c_out, -1).T  # (L, c_out)
-        if w.requires_grad:
-            # g_mat.T @ im2col(x), summed over the slabs: this reorders the
-            # sum over voxels, so it rounds like the whole product only for
-            # one slab
-            w_grad = sum(g_mat[lo:hi].T @ cols for lo, hi, cols in _im2col_slabs(x.data, k))
-            w._accumulate(w_grad.reshape(c_out, k, k, k, c_in).transpose(0, 4, 1, 2, 3))
-        if b.requires_grad:
-            b._accumulate(g_mat.sum(axis=0))
+        # g_mat.T @ im2col(x), summed over the slabs: this reorders the sum
+        # over voxels, so it rounds like the whole product only for one slab
+        w_grad = sum(g_mat[lo:hi].T @ cols for lo, hi, cols in _im2col_slabs(x.data, k))
+        w._accumulate(w_grad.reshape(c_out, k, k, k, c_in).transpose(0, 4, 1, 2, 3))
+        b._accumulate(g_mat.sum(axis=0))
+        # skipped for a constant input: the feature volume into the first
+        # convs would cost one adjoint gather and GEMM per step
         if x.requires_grad:
             w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
             dx_mat = _im2col_gemm(g, k, _weight_matrix(w_adj))  # (L, c_in)

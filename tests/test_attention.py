@@ -195,6 +195,22 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1e-300)
 
 
+def assert_frozen_inputs_keep_live_gradients(fn, leaves, probe, frozen, all_live_grads):
+    """Rerun `fn` with the `frozen` leaves not requiring grad: every live
+    leaf's gradient equals the all-live run's bit for bit, and no frozen
+    leaf collects one."""
+    for name, t in leaves.items():
+        t.zero_grad()
+        t.requires_grad = name not in frozen
+    live = {name: t for name, t in leaves.items() if name not in frozen}
+    _, grads = probed_output_and_grads(fn, live, probe)
+    for name in frozen:
+        assert leaves[name].grad is None, name
+        leaves[name].requires_grad = True
+    for name in live:
+        assert np.array_equal(grads[name], all_live_grads[name]), name
+
+
 def window_leaves(rng, n_b=3, b=4, e=6, trained_wo=False):
     names = ["b_q", "b_k", "b_v", "sorted_k", "sorted_v"]
     leaves = {n: Tensor(rng.normal(size=(n_b, b, e)), requires_grad=True) for n in names}
@@ -473,6 +489,14 @@ class TestWindowedAttention:
             windowed_attention(bins, bins, np.zeros((3, 2, 2)), bins, bins, cfg, np.eye(4))
 
 
+# layer_norm's (trained_residual, frozen inputs) cases: all live, every input
+# left out once, then only the affine or only the inputs trained; a residual
+# is frozen only where it is a leaf
+NORM_CASES = [(trained, frozen) for trained in (False, True)
+              for frozen in [(), ("x",), ("residual",), ("gain",), ("bias",), ("x", "residual"), ("gain", "bias")]
+              if trained or "residual" not in frozen]
+
+
 class TestFusedNodes:
     """Each fused node against central differences and against its composition."""
 
@@ -558,8 +582,9 @@ class TestFusedNodes:
 
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
 
-    @pytest.mark.parametrize("trained_residual", [False, True])
-    def test_layer_norm_matches_composition(self, trained_residual):
+    @pytest.mark.parametrize("trained_residual,frozen", NORM_CASES,
+                             ids=[f"{t}-frozen_{'+'.join(f)}" if f else str(t) for t, f in NORM_CASES])
+    def test_layer_norm_matches_composition(self, trained_residual, frozen):
         rng = np.random.default_rng(80 + trained_residual)
         leaves = self.norm_leaves(rng, trained_residual)
         probe = rng.normal(size=(2, 3, 5))
@@ -571,6 +596,8 @@ class TestFusedNodes:
         assert_rel_close(out, want_out)
         for name in leaves:
             assert_rel_close(grads[name], want_grads[name])
+        assert_frozen_inputs_keep_live_gradients(
+            lambda: self.call_norm(layer_norm, leaves), leaves, probe, frozen, grads)
 
     def test_feed_forward_gradients_match_finite_differences(self):
         rng = np.random.default_rng(90)
@@ -587,9 +614,14 @@ class TestFusedNodes:
 
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
 
+    # every input left out once, and only x's gradient (frozen weights)
+    FEED_FORWARD_FROZEN = [("x",), ("ff_w1",), ("ff_b1",), ("ff_w2",), ("ff_b2",),
+                           ("ff_w1", "ff_b1", "ff_w2", "ff_b2")]
+
     def test_feed_forward_matches_composition(self, monkeypatch):
         # the 6 rows as one tile and in tiles of 4 (the last one partial),
-        # whose backward recomputes each tile's hidden rows; f64 and f32
+        # whose backward recomputes each tile's hidden rows; f64 and f32;
+        # then each frozen input set against the all-live run
         for dtype, tile in itertools.product((np.float64, np.float32),
                                              (attention.FEED_FORWARD_TILE_ROWS, 4)):
             monkeypatch.setattr(attention, "FEED_FORWARD_TILE_ROWS", tile)
@@ -613,6 +645,9 @@ class TestFusedNodes:
             for name in leaves:
                 assert grads[name].dtype == dtype, name
                 assert_rel_close(grads[name], want_grads[name], rtol)
+            for frozen in self.FEED_FORWARD_FROZEN:
+                assert_frozen_inputs_keep_live_gradients(
+                    lambda: feed_forward(x, layer), leaves, probe, frozen, grads)
 
 
 def _f32_node_cases():

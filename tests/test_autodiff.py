@@ -231,6 +231,10 @@ class TestGraphMechanics:
         (x * y).sum().backward()
         assert x.grad is None
         np.testing.assert_allclose(y.grad, x.data)
+        # the engine drops what a backward hands a tensor that does not require grad
+        x._accumulate(np.ones(2))
+        x._accumulate_at(slice(0, 1), np.ones(1))
+        assert x.grad is None
 
     def test_first_gradient_is_a_copy_in_the_tensor_dtype(self):
         x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)

@@ -150,6 +150,25 @@ class TestConv3d:
         assert np.abs(w.grad - expect.reshape(w_shape)).max() <= 1e-12
         np.testing.assert_allclose(b.grad, g.reshape(3, -1).sum(axis=1), atol=1e-12)
 
+    @pytest.mark.parametrize("input_requires_grad", [False, True])
+    def test_constant_input_gets_no_adjoint(self, monkeypatch, input_requires_grad):
+        # the feature volume into the first convs requires no grad: the
+        # backward computes the weight and bias gradients, and skips the
+        # input adjoint's gather and GEMM
+        calls = []
+        im2col_gemm = conv._im2col_gemm
+        monkeypatch.setattr(conv, "_im2col_gemm", lambda *a: calls.append(1) or im2col_gemm(*a))
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(2, 3, 3, 3)), requires_grad=input_requires_grad)
+        layer = init_conv3d(2, 3, 3, rng)
+        out = conv3d_forward(x, layer)
+        assert len(calls) == 1
+        (out * Tensor(rng.normal(size=out.shape))).sum().backward()
+        assert len(calls) == 1 + input_requires_grad
+        assert (x.grad is not None) == input_requires_grad
+        assert layer.w.grad is not None and layer.b.grad is not None
+
+
 class TestResidualBlock:
     def test_all_zero_weights_give_zero_output(self):
         rng = np.random.default_rng(5)
