@@ -4,9 +4,9 @@ Branch (1): conv embedding + positional table + sparse-attention encoder.
 Branch (2): a chain of residual 3D conv blocks on the raw feature volume.
 The two k=3 convs that read the raw volume (the embedding and the first
 block's conv1) run as one stacked conv.
-The branches are concatenated along channels and a 1x1x1 head produces
-per-joint voxel probabilities; integral regression turns those into mm
-coordinates.
+The branches are concatenated along channels, and the head, a bias-free
+linear map over channels applied as one GEMM, gives per-joint voxel
+probabilities; integral regression turns those into mm coordinates.
 
 Weight sets are flat {dotted name: tensor} dicts, so they serialize
 directly through the raw tensor dump format.
@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AttentionConfig, EncoderWeights, embed_volume, encode_bins, init_encoder_weights
-from .autodiff import as_tensor
+from .autodiff import Tensor, as_tensor
 from .config import RunConfig
-from .conv import (
-    Conv3dLayer, conv3d_stacked, init_conv3d, init_residual_block, residual_forward, residual_from_conv1,
-)
+from .conv import conv3d_stacked, init_residual_block, residual_forward, residual_from_conv1
 from .errors import ConfigError
 from .posehead import fuse_and_head
 from .tensorio import load_tensor_set, save_tensor_set
@@ -33,13 +31,13 @@ from .tensorio import load_tensor_set, save_tensor_set
 class ModelWeights:
     encoder: EncoderWeights
     residual_blocks: list  # at least one ResidualBlock
-    head: Conv3dLayer
+    head: Tensor  # (n_joints, embed_dim + the last block's c_out), no bias
 
     def parameters(self):
         params = self.encoder.parameters("encoder")
         for i, block in enumerate(self.residual_blocks):
             params.update(block.parameters(f"residual{i}"))
-        params.update(self.head.parameters("head"))
+        params["head.w"] = self.head
         return params
 
 
@@ -53,7 +51,9 @@ def init_model(n_joints, grid_dims, attention: AttentionConfig, residual_channel
     for c_out in residual_channels:
         blocks.append(init_residual_block(c, int(c_out), rng))
         c = int(c_out)
-    head = init_conv3d(attention.embed_dim + c, n_joints, 1, rng)
+    c += attention.embed_dim
+    bound = float(np.sqrt(1.0 / c))
+    head = Tensor(rng.uniform(-bound, bound, size=(n_joints, c)), requires_grad=True)
     return ModelWeights(encoder=encoder, residual_blocks=blocks, head=head)
 
 

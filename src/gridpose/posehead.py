@@ -2,14 +2,15 @@
 
 The two feature volumes (transformer branch and residual conv branch) are
 concatenated along channels, mapped to one logit volume per joint by a
-1x1x1 conv, and normalized with a per-joint softmax over all voxels. The
-joint estimate is the probability-weighted average of voxel centers, which
-keeps sub-voxel resolution and stays inside the grid (it is a convex
-combination of centers). The average is taken over offsets from the grid
-center, which is added back afterwards, so that rounding in the
-probabilities scales with the grid's extent rather than with its distance
-from the world origin (integral regression in a local frame, after Sun et
-al. 2018, arXiv 1711.08229).
+bias-free linear map over channels (one GEMM), and normalized with a
+per-joint softmax over all voxels. The joint estimate is the
+probability-weighted average of voxel centers, which keeps sub-voxel
+resolution and stays inside the grid (it is a convex combination of
+centers). The average is taken over offsets from the grid center, which
+is added back afterwards, so that rounding in the probabilities scales
+with the grid's extent rather than with its distance from the world
+origin (integral regression in a local frame, after Sun et al. 2018,
+arXiv 1711.08229).
 
 A `Pose3D` is joints and confidences only. The skeleton belongs to the
 scene, and a pose file stores one skeleton for all of its poses.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, concat
-from .conv import Conv3dLayer, conv3d_forward
 from .grid import GridSpec, flatten_volume
 from .tensorio import write_json_file
 
@@ -57,42 +57,40 @@ class Pose3D:
         return self.joints.shape[0]
 
 
-def fuse_and_head(x_t, x_c, head_conv: Conv3dLayer):
+def fuse_and_head(x_t, x_c, head_w):
     """Concatenate branch features and produce per-joint voxel probabilities.
 
     Parameters
     ----------
     x_t : (e, X, Y, Z) transformer-branch features.
     x_c : (f_c, X, Y, Z) conv-branch features.
-    head_conv : 1x1x1 conv with c_in = e + f_c, c_out = n_joints.
+    head_w : (n_joints, e + f_c) head weights, applied to every voxel's
+        channels as one GEMM over the (e + f_c, X*Y*Z) fused features.
 
     Returns
     -------
     Tensor of shape (J, X, Y, Z); each joint's slice is non-negative and
     sums to 1 over all voxels.
 
-    The softmax ignores a constant added to all of a joint's logits, so a
-    parameter that only adds such a constant has an exact gradient of 0:
-    the head's bias, and the last encoder layer's ``ln2_bias``, which
-    reaches the logits only through this 1x1x1 conv. Their computed
-    gradients are rounding noise, about 1e-15 of the head weights' (1.7e-18
-    and 8.3e-18 against 3.0e-3 in the first toy training step), which Adam
-    normalises into steps of about its learning rate: in f32 a change in
-    the rounding of other gradients moved them by up to 1.5e-4 in 5 steps.
+    The softmax ignores a constant added to all of a joint's logits, so the
+    head has no bias: its gradient would be exactly 0. The last encoder
+    layer's ``ln2_bias`` reaches the logits only through this map, as one
+    such constant per joint, so its exact gradient is 0 as well. It stays:
+    dropping it would give the last layer a weight shape of its own, and
+    so a branch in its init, its parameter list, its layer norm and its
+    dump, to save one e-vector that moves no output beyond rounding.
     """
-    x_t, x_c = as_tensor(x_t), as_tensor(x_c)
+    x_t, x_c, head_w = as_tensor(x_t), as_tensor(x_c), as_tensor(head_w)
     if x_t.shape[1:] != x_c.shape[1:]:
         raise ValueError(f"branch spatial dims disagree: {x_t.shape[1:]} vs {x_c.shape[1:]}")
-    if head_conv.c_in != x_t.shape[0] + x_c.shape[0]:
-        raise ValueError(
-            f"head conv expects {head_conv.c_in} channels, branches provide {x_t.shape[0] + x_c.shape[0]}"
-        )
-    fused = concat([x_t, x_c], axis=0)
-    logits = conv3d_forward(fused, head_conv)  # (J, X, Y, Z)
-    j = logits.shape[0]
-    dims = logits.shape[1:]
-    flat = logits.reshape(j, int(np.prod(dims)))
-    return flat.softmax(axis=-1).reshape(j, *dims)
+    c = x_t.shape[0] + x_c.shape[0]
+    if head_w.shape[1] != c:
+        raise ValueError(f"head expects {head_w.shape[1]} channels, branches provide {c}")
+    dims = x_t.shape[1:]
+    # the concat is contiguous, so the reshape copies nothing
+    fused = concat([x_t, x_c], axis=0).reshape(c, int(np.prod(dims)))
+    logits = head_w @ fused  # (J, X*Y*Z)
+    return logits.softmax(axis=-1).reshape(head_w.shape[0], *dims)
 
 
 def integral_regression(probs, grid: GridSpec):

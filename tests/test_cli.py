@@ -166,7 +166,7 @@ class TestInfer:
                      "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "x")]) == 4
 
-    def test_mismatched_weights_exit_4(self, workdir, tmp_path):
+    def test_mismatched_weights_exit_4(self, workdir, tmp_path, capsys):
         other = RunConfig(attention=toy_run_config(steps=0).attention,
                           n_joints=15, grid_extent=1600.0, grid_resolution=16,
                           residual_channels=(8, 8))
@@ -175,6 +175,17 @@ class TestInfer:
                      "--weights", str(tmp_path / "w"),
                      "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "x")]) == 4
+        # a dump from before the head lost its bias: the current tensors
+        # plus a head.b
+        old = load_tensor_set(workdir / "train" / "weights")
+        old["head.b"] = np.zeros(15)
+        save_tensor_set(tmp_path / "old", old)
+        capsys.readouterr()
+        assert main(["infer", "--scene", str(workdir / "scene"),
+                     "--weights", str(tmp_path / "old"),
+                     "--config", str(workdir / "run_config.json"),
+                     "--out", str(tmp_path / "y")]) == 4
+        assert "head.b" in capsys.readouterr().err
 
     def test_nan_weights_exit_3(self, workdir, tmp_path):
         weights = init_model_from_config(toy_run_config(steps=0))
@@ -216,18 +227,18 @@ class TestInfer:
         assert len(json.loads((tmp_path / "x" / "poses.json").read_text())["poses"]) == 1
 
     def test_negative_sidecar_shape_exits_4(self, workdir, tmp_path, capsys):
-        # -3 x -5 has as many entries as head.b's 15, so only the sign check
-        # stops numpy's reshape from failing with exit 1
+        # -15 x -64 has as many entries as head.w's 15 x 64, so only the sign
+        # check stops numpy's reshape from failing with exit 1
         weights = tmp_path / "w"
         save_tensor_set(weights, load_tensor_set(workdir / "train" / "weights"))
-        sidecar = json.loads((weights / "head.b.json").read_text())
-        assert sidecar["shape"] == [15]
-        sidecar["shape"] = [-3, -5]
-        (weights / "head.b.json").write_text(json.dumps(sidecar))
+        sidecar = json.loads((weights / "head.w.json").read_text())
+        assert sidecar["shape"] == [15, 64]
+        sidecar["shape"] = [-15, -64]
+        (weights / "head.w.json").write_text(json.dumps(sidecar))
         assert main(["infer", "--scene", str(workdir / "scene"), "--weights", str(weights),
                      "--config", str(workdir / "run_config.json"),
                      "--out", str(tmp_path / "x")]) == 4
-        assert "head.b.json" in capsys.readouterr().err
+        assert "head.w.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad_value", [np.nan, 1.5])
     def test_corrupt_heatmap_dump_exits_4(self, workdir, tmp_path, bad_value):

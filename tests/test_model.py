@@ -107,15 +107,19 @@ def test_one_conv_call_fewer_with_the_same_work(residual_channels, monkeypatch):
 
 def test_biases_that_shift_every_voxel_get_no_gradient():
     # The per-joint softmax over voxels ignores a constant added to all of a
-    # joint's logits. The head's bias adds one, and so does the last encoder
-    # layer's ln2_bias, which reaches the logits only through the 1x1x1 head.
-    # Their gradients are rounding noise (here 5e-17 and 2e-17 against 0.03
-    # for head.w), which Adam normalises into steps.
+    # joint's logits, so the head has no bias. The last encoder layer's
+    # ln2_bias adds one such constant, through the head, and keeps its
+    # gradient of rounding noise (about 1e-15 of head.w's). Every other
+    # parameter reaches training.
     weights, vol = make((32,))
     probe = np.random.default_rng(1).normal(size=(N_JOINTS, *DIMS))
     (model_forward(vol, weights, ATTENTION) * Tensor(probe)).sum().backward()
     params = weights.parameters()
+    assert "head.b" not in params
     scale = np.abs(params["head.w"].grad).max()
-    for name in ("head.b", f"encoder.layer{ATTENTION.n_layers - 1}.ln2_bias"):
-        assert np.abs(params[name].grad).max() <= 1e-12 * scale, name
+    ln2_bias = f"encoder.layer{ATTENTION.n_layers - 1}.ln2_bias"
+    assert np.abs(params[ln2_bias].grad).max() <= 1e-12 * scale
     assert np.abs(params["encoder.layer0.ln1_bias"].grad).max() > 1e-3 * scale
+    for name, t in params.items():
+        if name != ln2_bias:
+            assert np.abs(t.grad).max() > 1e-6 * scale, name

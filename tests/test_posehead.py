@@ -12,7 +12,6 @@ from gridpose import (
     finite_diff_check,
     flat_index,
     fuse_and_head,
-    init_conv3d,
     integral_regression,
     poses_from_json,
     poses_to_json,
@@ -32,12 +31,12 @@ def delta_probs(n_joints, dims, voxels):
 
 class TestFuseAndHead:
     def make_head(self, rng, e=4, f_c=3, n_joints=2):
-        return init_conv3d(e + f_c, n_joints, 1, rng)
+        return Tensor(rng.normal(size=(n_joints, e + f_c)))
 
     def test_constant_logits_give_uniform_probabilities(self):
         rng = np.random.default_rng(0)
         head = self.make_head(rng)
-        head.w.data[...] = 0.0  # logits collapse to the (zero) bias
+        head.data[...] = 0.0  # every logit is 0
         x_t = rng.normal(size=(4, 2, 2, 2))
         x_c = rng.normal(size=(3, 2, 2, 2))
         probs = fuse_and_head(x_t, x_c, head).data
@@ -46,11 +45,10 @@ class TestFuseAndHead:
     def test_dominant_logit_saturates(self):
         rng = np.random.default_rng(1)
         head = self.make_head(rng, e=1, f_c=1, n_joints=1)
-        head.w.data[...] = 0.0
-        head.b.data[...] = 0.0
+        head.data[...] = 0.0
         x_t = np.zeros((1, 2, 2, 2))
         x_t[0, 1, 0, 1] = 50.0
-        head.w.data[0, 0, 0, 0, 0] = 1.0
+        head.data[0, 0] = 1.0
         probs = fuse_and_head(x_t, np.zeros((1, 2, 2, 2)), head).data
         assert probs[0, 1, 0, 1] > 1.0 - 1e-15
 
