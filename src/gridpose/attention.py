@@ -218,6 +218,8 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     tile = WINDOW_TILE_BINS
     # a Python float scale keeps f32 scores f32; an np.float64 one promotes them
     scale = float(1.0 / np.sqrt(config.head_dim))
+    q_data = b_q.data
+    q_node, k_node, v_node, sorted_k_node, sorted_v_node = (t._node for t in inputs)
     k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
     v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
     row_max = np.empty((n_b, n_h, b, 1), dtype=dtype)
@@ -232,7 +234,7 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         p_match = np.empty_like(p_loc)
         for lo in range(0, n_b, tile):
             hi = min(lo + tile, n_b)
-            q_t = _split_heads(b_q.data[lo:hi] * scale, n_h)  # (tile, h, B, d)
+            q_t = _split_heads(q_data[lo:hi] * scale, n_h)  # (tile, h, B, d)
             p_loc_t, p_match_t = p_loc[:hi - lo], p_match[:hi - lo]
             np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
             np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
@@ -262,19 +264,19 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
             g_heads = g_split[lo:hi] / denom[r]
             row_dot = (g_heads * heads[lo:hi]).sum(axis=-1, keepdims=True)
             d_q = None
-            for p, k, v, src_k, src_v in ((p_loc_t, k_loc, v_loc, b_k, b_v),
-                                          (p_match_t, k_match, v_match, sorted_k, sorted_v)):
-                src_v._accumulate_at(r, _merge_heads(_swap_last(p) @ g_heads))
+            for p, k, v, src_k, src_v in ((p_loc_t, k_loc, v_loc, k_node, v_node),
+                                          (p_match_t, k_match, v_match, sorted_k_node, sorted_v_node)):
+                src_v.accumulate_at(r, _merge_heads(_swap_last(p) @ g_heads))
                 d_scores = g_heads @ _swap_last(v[lo:hi])
                 d_scores -= row_dot
                 d_scores *= p
-                src_k._accumulate_at(r, _merge_heads(_swap_last(d_scores) @ q_t))
+                src_k.accumulate_at(r, _merge_heads(_swap_last(d_scores) @ q_t))
                 if d_q is None:
                     d_q = d_scores @ k[lo:hi]
                 else:
                     d_q += d_scores @ k[lo:hi]
             d_q *= scale
-            b_q._accumulate_at(r, _merge_heads(d_q))
+            q_node.accumulate_at(r, _merge_heads(d_q))
 
     return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 
@@ -398,18 +400,20 @@ def layer_norm(x, gain, bias, residual):
     normed *= inv_std
     out = normed * gain.data
     out += bias.data
+    gain_data = gain.data
+    x_node, residual_node, gain_node, bias_node = (t._node for t in (x, residual, gain, bias))
 
     def backward(g):
-        gain._accumulate((g * normed).reshape(-1, n).sum(axis=0))
-        bias._accumulate(g.reshape(-1, n).sum(axis=0))
-        dx = g * gain.data
+        gain_node.accumulate((g * normed).reshape(-1, n).sum(axis=0))
+        bias_node.accumulate(g.reshape(-1, n).sum(axis=0))
+        dx = g * gain_data
         mean_dx = dx.mean(axis=-1, keepdims=True)
         proj = (dx * normed).mean(axis=-1, keepdims=True)
         dx -= mean_dx
         dx -= normed * proj
         dx *= inv_std
-        x._accumulate(dx)
-        residual._accumulate(dx)
+        x_node.accumulate(dx)
+        residual_node.accumulate(dx)
 
     return Tensor._make(out, (x, residual, gain, bias), backward)
 
@@ -426,11 +430,12 @@ def feed_forward(x, weights: EncoderLayerWeights):
     same tiles and recomputes each tile's hidden rows with the forward
     pass's ops, so they are the same bit for bit (checkpointing, Chen et
     al. 2016); the weight gradients sum over the tiles."""
-    x = as_tensor(x)
-    w1, b1, w2, b2 = weights.ff_w1, weights.ff_b1, weights.ff_w2, weights.ff_b2
+    x, params = as_tensor(x), (weights.ff_w1, weights.ff_b1, weights.ff_w2, weights.ff_b2)
+    w1, b1, w2, b2 = (t.data for t in params)
+    x_node, w1_node, b1_node, w2_node, b2_node = (t._node for t in (x, *params))
     rows = x.data.reshape(-1, w1.shape[0])
     n, tile = rows.shape[0], FEED_FORWARD_TILE_ROWS
-    dtype = np.result_type(rows, w1.data, w2.data)
+    dtype = np.result_type(rows, w1, w2)
 
     def tiles():
         """Yield (lo, hi, hidden rows lo..hi) per tile, in one reused buffer."""
@@ -438,31 +443,31 @@ def feed_forward(x, weights: EncoderLayerWeights):
         for lo in range(0, n, tile):
             hi = min(lo + tile, n)
             h = hidden[:hi - lo]
-            np.matmul(rows[lo:hi], w1.data, out=h)
-            h += b1.data
+            np.matmul(rows[lo:hi], w1, out=h)
+            h += b1
             np.maximum(h, 0.0, out=h)
             yield lo, hi, h
 
     out = np.empty((n, w2.shape[1]), dtype=dtype)
     for lo, hi, h in tiles():
-        np.matmul(h, w2.data, out=out[lo:hi])
-        out[lo:hi] += b2.data
+        np.matmul(h, w2, out=out[lo:hi])
+        out[lo:hi] += b2
 
     def backward(g):
         g_rows = g.reshape(-1, w2.shape[1])
-        b2._accumulate(g_rows.sum(axis=0))
+        b2_node.accumulate(g_rows.sum(axis=0))
         d_rows = np.empty(rows.shape, dtype=dtype)
         for lo, hi, h in tiles():
             g_t = g_rows[lo:hi]
-            w2._accumulate(h.T @ g_t)
-            d_hidden = g_t @ w2.data.T
+            w2_node.accumulate(h.T @ g_t)
+            d_hidden = g_t @ w2.T
             d_hidden *= h > 0  # relu subgradient: 0 at 0
-            b1._accumulate(d_hidden.sum(axis=0))
-            w1._accumulate(rows[lo:hi].T @ d_hidden)
-            np.matmul(d_hidden, w1.data.T, out=d_rows[lo:hi])
-        x._accumulate(d_rows.reshape(x.shape))
+            b1_node.accumulate(d_hidden.sum(axis=0))
+            w1_node.accumulate(rows[lo:hi].T @ d_hidden)
+            np.matmul(d_hidden, w1.T, out=d_rows[lo:hi])
+        x_node.accumulate(d_rows.reshape(x_node.shape))
 
-    return Tensor._make(out.reshape(*x.shape[:-1], w2.shape[1]), (x, w1, b1, w2, b2), backward)
+    return Tensor._make(out.reshape(*x.shape[:-1], w2.shape[1]), (x, *params), backward)
 
 
 def embed_volume(emb, weights: EncoderWeights, config: AttentionConfig):

@@ -1,33 +1,34 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps an ndarray and records the operations applied to it so
-that ``backward()`` on a scalar result accumulates gradients into every
-reachable tensor with ``requires_grad=True``. Gradients are exact
-reverse-mode; there is no higher-order support. Only the primitives the
-pose model needs are implemented: add, subtract, multiply, matmul,
-reshape/transpose/concat/split, sum/mean, relu, exp, abs, log-sum-exp and
-softmax, plus the scalar power that the composed layer-norm oracle uses.
-The 3D convolution (``conv.py``) and the fused windowed-attention,
-layer-norm and feed-forward nodes (``attention.py``) plug into the same
-graph mechanism through ``Tensor._make`` with hand-written backwards.
+A ``Tensor`` is a value, an ndarray, and a graph node that records how the
+value was made, so that ``backward()`` on a scalar result accumulates
+exact gradients into every reachable tensor with ``requires_grad=True``
+(no higher orders). The primitives are the ones the pose model needs:
+add, subtract, multiply, matmul, reshape/transpose/concat/split, sum/mean,
+relu, exp, abs, log-sum-exp and softmax, plus the scalar power of the
+composed layer-norm oracle. The 3D convolution (``conv.py``) and the fused
+window, layer-norm and feed-forward nodes (``attention.py``) join the
+graph through ``Tensor._make`` with hand-written backwards.
 
-Each node's backward computes the gradient of every input, and
-``_accumulate`` / ``_accumulate_at`` drop it for a tensor that does not
-require grad, so a backward's work is fixed by its shapes. Only the conv
-skips its input adjoint for such an input, the feature volume.
+A node holds the gradient, the children's nodes, the backward closure
+and the value's shape, dtype and strides, but not the value (the split
+of PyTorch's saved tensors, Paszke et al. 2019). A closure captures its
+inputs' nodes, and an input's array only if it reads it: ``*`` of two
+tensors, ``**``, ``@``, the conv (x and w), the window (its five inputs
+and its output), the feed-forward (x, w1, b1, w2) and layer norm (gain).
+relu, abs, exp, softmax, log-sum-exp and layer norm keep arrays of their
+own; the other ops keep shapes. So a value that no backward reads is freed
+in the forward pass, once the forward code drops its ``Tensor``.
 
-Inside a ``with no_grad():`` block nothing is recorded: every op returns a
-plain leaf with no children and no backward closure, and is freed as soon
-as the next op has used it. The fused nodes run the same code either way
-and keep no full-size intermediate for their backward: the window keeps
-only its row maxima and softmax denominators and recomputes its score
-blocks tile by tile, the feed-forward recomputes its hidden rows tile by
-tile, and the conv regathers its im2col columns from the input slab by
-slab. Inference runs this way; leaves keep their ``requires_grad`` flag,
-so a graph built after the block backpropagates.
-``backward()`` releases the graph as it goes: a node's closure, saved
-arrays, links and, unless it is a leaf, gradient are dropped once its own
-backward has run, so a graph is differentiated once.
+Each backward computes the gradient of every input, and a node that does
+not require grad drops it, so a backward's work is fixed by its shapes;
+only the conv skips its input adjoint for such an input, the feature
+volume. Inside ``with no_grad():`` nothing is recorded, and every result
+is a leaf; the fused nodes run the same code either way. Leaves keep
+their ``requires_grad`` flag, so a graph built after the block
+backpropagates. ``backward()`` drops each node's closure (with the arrays
+it kept), links and non-leaf gradient once its backward has run, so a
+graph is differentiated once.
 """
 
 from __future__ import annotations
@@ -69,54 +70,81 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-class Tensor:
-    """Node in the computation graph; wraps a float ndarray."""
+class _Node:
+    """A tensor's place in the graph: all that its gradient needs, but not its value."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_children", "_backward")
+    __slots__ = ("grad", "requires_grad", "children", "backward", "shape", "dtype", "strides")
 
-    def __init__(self, data, requires_grad=False, _children=()):
-        arr = np.asarray(data)
-        if arr.dtype != np.float32 and arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
-        self.data = arr
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._children = _children
-        self._backward = None
+    def __init__(self, requires_grad):
+        self.grad, self.requires_grad, self.children, self.backward = None, requires_grad, (), None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def _accumulate(self, g):
+    def accumulate(self, g):
         if not self.requires_grad:
             return
         if self.grad is None:
-            # a copy in the tensor's dtype, never g: same-shape add and
-            # layer_norm hand two tensors one array, and sum a read-only
-            # view, so a stored g would be shared or unwritable at the next +=
-            self.grad = np.array(g, dtype=self.data.dtype)
+            # a copy in the value's dtype, never g, which can be shared (same-shape
+            # add, layer_norm) or read-only (sum) and so unwritable at the next +=
+            self.grad = np.array(g, dtype=self.dtype)
         else:
             self.grad += g
 
-    def _accumulate_at(self, index, g):
-        """Add `g` into the `index` slice of the gradient, which starts at zero."""
+    def accumulate_at(self, index, g):
+        """Add `g` into the `index` slice of the gradient, which starts at zero in the value's
+        stride order, as np.zeros_like(value) would: channels-last for the stacked conv."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+            axes = sorted(range(len(self.shape)), key=lambda i: -abs(self.strides[i]))
+            zeros = np.zeros([self.shape[i] for i in axes], dtype=self.dtype)
+            self.grad = zeros.transpose(np.argsort(axes))
         self.grad[index] += g
+
+
+def _node_attribute(name):  # a Tensor property that reads and assigns its node's `name`
+    return property(lambda t: getattr(t._node, name), lambda t, value: setattr(t._node, name, value))
+
+
+class Tensor:
+    """A float ndarray value and its graph node (see the module docstring)."""
+
+    __slots__ = ("_data", "_node")
+
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
+        if arr.dtype != np.float32 and arr.dtype != np.float64:
+            arr = arr.astype(np.float64)
+        self._node = _Node(requires_grad)
+        self.data = arr
+
+    @property
+    def data(self):
+        return self._data
+
+    @data.setter
+    def data(self, arr):
+        self._data = arr
+        node = self._node
+        node.shape, node.dtype, node.strides = arr.shape, arr.dtype, arr.strides
+
+    grad = _node_attribute("grad")
+    requires_grad = _node_attribute("requires_grad")
+    _children = _node_attribute("children")
+    _backward = _node_attribute("backward")  # assignable: a wrapper runs in backward()
+
+    @property
+    def shape(self):
+        return self._data.shape
+
+    @property
+    def size(self):
+        return self._data.size
+
+    @property
+    def ndim(self):
+        return self._data.ndim
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
         self.grad = None
@@ -125,38 +153,38 @@ class Tensor:
 
     @staticmethod
     def _make(data, children, backward):
-        if not (_grad_mode.enabled and any(c.requires_grad for c in children)):
-            return Tensor(data)
-        out = Tensor(data, requires_grad=True, _children=tuple(c for c in children if c.requires_grad))
-        out._backward = backward
+        out = Tensor(data)
+        nodes = tuple(c._node for c in children if c.requires_grad) if _grad_mode.enabled else ()
+        if nodes:
+            out._node.requires_grad, out._node.children, out._node.backward = True, nodes, backward
         return out
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        a = self._node
         if isinstance(other, (int, float)):
-            a = self
 
             def backward(g):
-                a._accumulate(g)
+                a.accumulate(g)
 
             return Tensor._make(self.data + other, (self,), backward)
         other = as_tensor(other)
-        a, b = self, other
+        b = other._node
 
         def backward(g):
-            a._accumulate(_unbroadcast(g, a.data.shape))
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            a.accumulate(_unbroadcast(g, a.shape))
+            b.accumulate(_unbroadcast(g, b.shape))
 
         return Tensor._make(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
+        a = self._node
 
         def backward(g):
-            a._accumulate(-g)
+            a.accumulate(-g)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -164,79 +192,77 @@ class Tensor:
         return self + (-as_tensor(other))
 
     def __mul__(self, other):
+        a = self._node
         if isinstance(other, (int, float)):
-            a = self
 
             def backward(g):
-                a._accumulate(g * other)
+                a.accumulate(g * other)
 
             return Tensor._make(self.data * other, (self,), backward)
         other = as_tensor(other)
-        a, b = self, other
+        b, a_data, b_data = other._node, self.data, other.data
 
         def backward(g):
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            a.accumulate(_unbroadcast(g * b_data, a.shape))
+            b.accumulate(_unbroadcast(g * a_data, b.shape))
 
-        return Tensor._make(self.data * other.data, (self, other), backward)
+        return Tensor._make(a_data * b_data, (self, other), backward)
 
     __rmul__ = __mul__
 
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a = self
+        a, a_data = self._node, self.data
 
         def backward(g):
-            a._accumulate(g * (p * a.data ** (p - 1)))
+            a.accumulate(g * (p * a_data ** (p - 1)))
 
-        return Tensor._make(self.data**p, (self,), backward)
+        return Tensor._make(a_data**p, (self,), backward)
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2:
+        a, b, a_data, b_data = self._node, other._node, self.data, other.data
+        if a_data.ndim < 2 or b_data.ndim < 2:
             raise ValueError("matmul requires operands with ndim >= 2")
 
         def backward(g):
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            a.accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), a.shape))
+            b.accumulate(_unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b.shape))
 
-        return Tensor._make(self.data @ other.data, (self, other), backward)
+        return Tensor._make(a_data @ b_data, (self, other), backward)
 
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = self.data.shape
+        a = self._node
 
         def backward(g):
-            a._accumulate(g.reshape(old))
+            a.accumulate(g.reshape(a.shape))
 
         return Tensor._make(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, axes):
-        a = self
+        a = self._node
         inverse = tuple(np.argsort(axes))
 
         def backward(g):
-            a._accumulate(g.transpose(inverse))
+            a.accumulate(g.transpose(inverse))
 
         return Tensor._make(self.data.transpose(axes), (self,), backward)
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
-        shape = self.data.shape
+        a = self._node
 
         def backward(g):
             gg = g
             if axis is not None and not keepdims:
                 gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, shape))
+            a.accumulate(np.broadcast_to(gg, a.shape))
 
         return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
@@ -249,34 +275,34 @@ class Tensor:
     # -- nonlinearities -----------------------------------------------------
 
     def relu(self):
-        a = self
+        a = self._node
         mask = self.data > 0  # subgradient at 0 is 0
 
         def backward(g):
-            a._accumulate(g * mask)
+            a.accumulate(g * mask)
 
         return Tensor._make(np.where(mask, self.data, 0.0), (self,), backward)
 
     def exp(self):
-        a = self
+        a = self._node
         out_data = np.exp(self.data)
 
         def backward(g):
-            a._accumulate(g * out_data)
+            a.accumulate(g * out_data)
 
         return Tensor._make(out_data, (self,), backward)
 
     def abs(self):
-        a = self
+        a = self._node
         sign = np.sign(self.data)
 
         def backward(g):
-            a._accumulate(g * sign)
+            a.accumulate(g * sign)
 
         return Tensor._make(np.abs(self.data), (self,), backward)
 
     def logsumexp(self, axis, keepdims=False):
-        a = self
+        a = self._node
         m = self.data.max(axis=axis, keepdims=True)
         shifted = np.exp(self.data - m)
         total = shifted.sum(axis=axis, keepdims=True)
@@ -287,21 +313,21 @@ class Tensor:
             gg = g
             if not keepdims:
                 gg = np.expand_dims(gg, axis)
-            a._accumulate(gg * soft)
+            a.accumulate(gg * soft)
 
         if not keepdims:
             out_data = np.squeeze(out_data, axis=axis)
         return Tensor._make(out_data, (self,), backward)
 
     def softmax(self, axis=-1):
-        a = self
+        a = self._node
         m = self.data.max(axis=axis, keepdims=True)
         ex = np.exp(self.data - m)
         out_data = ex / ex.sum(axis=axis, keepdims=True)
 
         def backward(g):
             inner = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - inner))
+            a.accumulate(out_data * (g - inner))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -312,7 +338,7 @@ class Tensor:
             raise ValueError("backward() requires a scalar output")
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(self._node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -322,15 +348,15 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for child in node._children:
+            for child in node.children:
                 if id(child) not in visited:
                     stack.append((child, False))
-        self.grad = np.ones_like(self.data)
+        self._node.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            if node.backward is not None:
+                node.backward(node.grad)
                 # all its consumers have run before it; leaves keep gradients
-                node._backward, node._children, node.grad = None, (), None
+                node.backward, node.children, node.grad = None, (), None
 
 
 def as_tensor(x):
@@ -339,14 +365,14 @@ def as_tensor(x):
 
 def concat(tensors, axis=0):
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            t._accumulate(g[tuple(idx)])
+            node.accumulate(g[tuple(idx)])
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
@@ -358,13 +384,14 @@ def split(x, sizes, axis=0):
     x = as_tensor(x)
     if sum(sizes) != x.shape[axis]:
         raise ValueError(f"pieces of sizes {tuple(sizes)} do not split an axis of length {x.shape[axis]}")
+    node = x._node
     offsets = np.cumsum([0, *sizes])
     pieces = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         index = (slice(None),) * axis + (slice(lo, hi),)
 
         def backward(g, index=index):
-            x._accumulate_at(index, g)
+            node.accumulate_at(index, g)
 
         pieces.append(Tensor._make(x.data[index], (x,), backward))
     return pieces
@@ -471,12 +498,19 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # the textbook update's ops in its order, in place and in two buffers
+            g, m, v = p.grad, self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            denom = (1 - b2) * g
+            denom *= g
+            v *= b2
+            v += denom
+            np.sqrt(np.divide(v, 1 - b2**self.t, out=denom), out=denom)
+            denom += self.eps
+            step = m / (1 - b1**self.t)
+            step *= self.lr
+            p.data -= np.divide(step, denom, out=step)
 
     def zero_grad(self):
         for p in self.params.values():

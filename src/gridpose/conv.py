@@ -109,20 +109,21 @@ def conv3d(x, w, b):
     out_mat = _im2col_gemm(x.data, k, _weight_matrix(w.data))  # (L, c_out)
     out_mat += b.data
     out_data = out_mat.T.reshape(c_out, *x.shape[1:])
+    x_data, w_data, x_node, w_node, b_node = x.data, w.data, x._node, w._node, b._node
 
     def backward(g):
         g_mat = g.reshape(c_out, -1).T  # (L, c_out)
         # g_mat.T @ im2col(x), summed over the slabs: this reorders the sum
         # over voxels, so it rounds like the whole product only for one slab
-        w_grad = sum(g_mat[lo:hi].T @ cols for lo, hi, cols in _im2col_slabs(x.data, k))
-        w._accumulate(w_grad.reshape(c_out, k, k, k, c_in).transpose(0, 4, 1, 2, 3))
-        b._accumulate(g_mat.sum(axis=0))
+        w_grad = sum(g_mat[lo:hi].T @ cols for lo, hi, cols in _im2col_slabs(x_data, k))
+        w_node.accumulate(w_grad.reshape(c_out, k, k, k, c_in).transpose(0, 4, 1, 2, 3))
+        b_node.accumulate(g_mat.sum(axis=0))
         # skipped for a constant input: the feature volume into the first
         # convs would cost one adjoint gather and GEMM per step
-        if x.requires_grad:
-            w_adj = w.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+        if x_node.requires_grad:
+            w_adj = w_data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
             dx_mat = _im2col_gemm(g, k, _weight_matrix(w_adj))  # (L, c_in)
-            x._accumulate(dx_mat.T.reshape(x.data.shape))
+            x_node.accumulate(dx_mat.T.reshape(x_data.shape))
 
     return Tensor._make(out_data, (x, w, b), backward)
 

@@ -75,10 +75,10 @@ def model_forward(vol, weights: ModelWeights, attention: AttentionConfig,
     and the first residual block's conv1 (`init_model` gives every model
     at least one block). They run as one `conv3d_stacked` call, so `vol`
     is gathered into im2col columns once (and once more in a backward, for
-    the stacked weight gradient). The result equals
-    `encoder_forward` and a chain of `residual_forward` fed into
-    `fuse_and_head`, bit for bit wherever `conv3d_stacked` rounds like the
-    separate convs. `Tensor.backward` releases a graph node by node.
+    the stacked weight gradient). The result equals `encoder_forward` and a
+    chain of `residual_forward` fed into `fuse_and_head`, bit for bit wherever
+    `conv3d_stacked` rounds like the separate convs. The graph keeps only the
+    values its backward passes read, and `Tensor.backward` drops it node by node.
     """
     vol = as_tensor(vol)
     encoder, blocks = weights.encoder, weights.residual_blocks

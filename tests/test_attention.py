@@ -152,19 +152,19 @@ def stored_blocks_window(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o):
         for p, k, v, src_k, src_v in ((p_loc, k_loc, v_loc, b_k, b_v),
                                       (p_match, k_match, v_match, sorted_k, sorted_v)):
             if src_v.requires_grad:
-                src_v._accumulate(merge(p.swapaxes(-1, -2) @ g_heads))
+                src_v._node.accumulate(merge(p.swapaxes(-1, -2) @ g_heads))
             if not (src_k.requires_grad or b_q.requires_grad):
                 continue
             d_scores = g_heads @ v.swapaxes(-1, -2)
             d_scores -= row_dot
             d_scores *= p
             if src_k.requires_grad:
-                src_k._accumulate(merge(d_scores.swapaxes(-1, -2) @ q))
+                src_k._node.accumulate(merge(d_scores.swapaxes(-1, -2) @ q))
             if b_q.requires_grad:
                 d_q = d_scores @ k if d_q is None else d_q + d_scores @ k
         if b_q.requires_grad:
             d_q *= scale
-            b_q._accumulate(merge(d_q))
+            b_q._node.accumulate(merge(d_q))
 
     return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 

@@ -6,6 +6,8 @@ to an identically-zero gradient), plus closed-form cases where the exact
 gradient is known.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,20 @@ class TestPrimitiveGradients:
             last = (slice(None),) * axis + (slice(x.shape[axis] - sizes[-1], None),)
             assert np.all(x.grad[last] == 0.0)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "channels-last", "reversed"])
+    def test_split_gradient_is_laid_out_like_the_value(self, layout):
+        # the zero gradient that split's pieces accumulate into takes the
+        # value's stride order, as np.zeros_like(value) does
+        value = self.rng.normal(size=(3, 4, 5, 6))
+        value = {"C": value, "F": np.asfortranarray(value),
+                 "channels-last": np.ascontiguousarray(value.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+                 "reversed": value[::-1, :, ::-1]}[layout]
+        x = Tensor(value, requires_grad=True)
+        pieces = split(x, (1, 2), axis=0)
+        sum(weighted(p, np.ones(p.shape)) for p in pieces).backward()
+        assert x.grad.strides == np.zeros_like(value).strides
+        assert np.array_equal(x.grad, np.ones(value.shape))
+
     def test_split_pieces_view_input(self):
         x = np.arange(24.0).reshape(4, 6)
         a, b = split(x, (2, 4), axis=1)
@@ -232,18 +248,18 @@ class TestGraphMechanics:
         assert x.grad is None
         np.testing.assert_allclose(y.grad, x.data)
         # the engine drops what a backward hands a tensor that does not require grad
-        x._accumulate(np.ones(2))
-        x._accumulate_at(slice(0, 1), np.ones(1))
+        x._node.accumulate(np.ones(2))
+        x._node.accumulate_at(slice(0, 1), np.ones(1))
         assert x.grad is None
 
     def test_first_gradient_is_a_copy_in_the_tensor_dtype(self):
         x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
         g = np.array([1.0, 2.0, 3.0])
-        x._accumulate(g)
+        x._node.accumulate(g)
         g[:] = -1.0
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, [1.0, 2.0, 3.0])
-        x._accumulate(np.ones(3))
+        x._node.accumulate(np.ones(3))
         assert x.grad.dtype == np.float32
         np.testing.assert_array_equal(x.grad, [2.0, 3.0, 4.0])
 
@@ -419,6 +435,43 @@ class TestOptimizers:
         w.grad = np.array([0.25])
         Adam({"w": w}, lr=0.01).step()
         np.testing.assert_allclose(w.data, [1.0 - 0.01], rtol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adam_in_place_equals_the_textbook_update(self, dtype):
+        # the in-place update runs the textbook expression's ops in its
+        # order, so p, m and v stay bit-identical to it step after step
+        rng = np.random.default_rng(12)
+        w = Tensor(rng.normal(size=(6, 5)).astype(dtype), requires_grad=True)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam({"w": w}, lr=lr, betas=(b1, b2), eps=eps)
+        m_buffer, v_buffer = opt.m["w"], opt.v["w"]
+        p, m, v = w.data.copy(), np.zeros_like(w.data), np.zeros_like(w.data)
+        for t in range(1, 8):
+            g = rng.normal(size=p.shape).astype(dtype)
+            w.grad = g.copy()
+            opt.step()
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert w.data.dtype == opt.m["w"].dtype == opt.v["w"].dtype == dtype
+            assert np.array_equal(w.data, p)
+            assert np.array_equal(opt.m["w"], m) and np.array_equal(opt.v["w"], v)
+        assert opt.m["w"] is m_buffer and opt.v["w"] is v_buffer
+
+    def test_adam_step_holds_two_step_sized_buffers(self):
+        # the textbook expression held up to four temporaries at once
+        w = Tensor(np.ones((256, 256)), requires_grad=True)
+        opt = Adam({"w": w}, lr=0.01)
+        w.grad = np.full(w.shape, 0.5)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * w.data.nbytes
 
     def test_zero_grads_helper(self):
         w = Tensor(np.array([1.0]), requires_grad=True)

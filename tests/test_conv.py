@@ -249,6 +249,64 @@ class TestStackedConv:
             leaves.update(layer.parameters(f"layer{i}"))
         assert finite_diff_check(f, leaves, eps=1e-5) <= 1e-7
 
+    def test_output_gradient_is_laid_out_like_the_output(self, monkeypatch):
+        # The stacked output is channels-last, and its pieces' gradients
+        # accumulate into one laid out the same, as np.zeros_like(output)
+        # would: the bias gradients sum it over the voxels, and a C-order
+        # gradient moved them by rounding (1.3e-16 in the toy model).
+        rng = np.random.default_rng(42)
+        layers = [init_conv3d(15, c, 3, rng) for c in (32, 16)]
+        x = rng.uniform(size=(15, 16, 16, 16))
+        stacked, gradients = [], []
+
+        def recording_split(out, sizes):
+            backward = out._backward
+
+            def hooked(g):
+                gradients.append(g)
+                backward(g)
+
+            out._backward = hooked
+            stacked.append(out.data)
+            return split(out, sizes)
+
+        split = conv.split
+        monkeypatch.setattr(conv, "split", recording_split)
+        outs = conv3d_stacked(x, layers)
+        probes = [rng.normal(size=out.shape) for out in outs]
+        sum((out * Tensor(p)).sum() for out, p in zip(outs, probes)).backward()
+        (value,), (g,) = stacked, gradients
+        assert not value.flags.c_contiguous
+        want = np.zeros_like(value)
+        want[...] = np.concatenate(probes)
+        assert g.strides == want.strides
+        assert np.array_equal(g, want)
+        b_want = want.reshape(want.shape[0], -1).T.sum(axis=0)
+        assert np.array_equal(np.concatenate([layer.b.grad for layer in layers]), b_want)
+
+
+def test_backward_runs_a_wrapper_assigned_to_backward():
+    # a benchmark times the conv's backward by wrapping a result's _backward
+    rng = np.random.default_rng(43)
+    layer = init_conv3d(2, 3, 3, rng)
+    x = rng.normal(size=(2, 4, 4, 4))
+    probe = Tensor(rng.normal(size=(3, 4, 4, 4)))
+    (conv3d_forward(x, layer) * probe).sum().backward()
+    want = layer.w.grad.copy()
+    layer.w.zero_grad()
+    out = conv3d_forward(x, layer)
+    backward, calls = out._backward, []
+
+    def wrapper(g):
+        calls.append(g.shape)
+        backward(g)
+
+    out._backward = wrapper
+    assert out._backward is wrapper
+    (out * probe).sum().backward()
+    assert calls == [out.shape]
+    assert np.array_equal(layer.w.grad, want)
+
 
 class TestSlabTiling:
     """A k=3 conv gathers its im2col matrix one slab of x-planes at a time,

@@ -6,11 +6,14 @@ joints), at which the stacked GEMM rounds each output like the separate
 ones (see `conv3d_stacked`).
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 from gridpose import AttentionConfig, ConfigError, Tensor, encoder_forward, model_forward, residual_forward
-from gridpose import conv
+from gridpose import attention, conv, posehead
+from gridpose.autodiff import as_tensor
 from gridpose.autodiff import no_grad
 from gridpose.model import init_model
 from gridpose.posehead import fuse_and_head
@@ -123,3 +126,42 @@ def test_biases_that_shift_every_voxel_get_no_gradient():
     for name, t in params.items():
         if name != ln2_bias:
             assert np.abs(t.grad).max() > 1e-6 * scale, name
+
+
+def test_graph_keeps_only_the_values_that_backward_passes_read(monkeypatch):
+    """A graph node keeps no value of its own, and a backward closure keeps
+    an input's value only if it reads it. So once a forward pass drops a
+    Tensor that no backward reads, its value is freed at once."""
+    weights, vol = make((32,))
+    unread, read = [], []
+
+    def record(owner, name, before=None, after=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            for into, values in ((unread, before), (read, after)):
+                if values is not None:
+                    into.extend(weakref.ref(as_tensor(v).data) for v in values(out, *args, **kwargs))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    # read by no backward: layer norm's residual operand (the attention and
+    # the feed-forward outputs), the embedding's flatten, the two convs that
+    # the block's + adds, that sum (relu keeps a mask) and fuse_and_head's
+    # concat operands
+    record(attention, "layer_norm", before=lambda out, x, gain, bias, residual: [residual])
+    record(attention, "flatten_volume", before=lambda out, vol: [vol, out])
+    record(conv, "conv3d_forward", before=lambda out, vol, layer: [out])
+    record(Tensor, "relu", before=lambda out, x: [x])
+    record(posehead, "concat", before=lambda out, tensors, axis=0: tensors)
+    # read: every conv's input and both operands of every @
+    record(conv, "conv3d", after=lambda out, x, w, b: [x])
+    record(Tensor, "__matmul__", after=lambda out, a, b: [a, b])
+    loss = (model_forward(vol, weights, ATTENTION) * Tensor(np.ones(vol.shape))).sum()
+    assert len(unread) == 2 * ATTENTION.n_layers + 2 + 2 + 1 + 2
+    assert [r for r in unread if r() is not None] == []
+    assert len(read) > 10 and all(r() is not None for r in read)
+    loss.backward()
+    assert all(t.grad is not None for t in weights.parameters().values())
