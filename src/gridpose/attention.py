@@ -113,11 +113,12 @@ def sinkhorn_normalize(r, n_iters):
     """Drive exp(r) toward a doubly stochastic matrix by alternating
     log-space row and column normalization.
 
-    Starting from log S = r (S = exp(r)), each iteration subtracts the
-    log-sum-exp over rows, then over columns. The fixed point is the same
-    as the literal ratio normalization but stays stable for large |r|.
-    Returns the relaxed matrix S = exp(log S) as a Tensor; gradients flow
-    through the unrolled iterations.
+    Starting from log S = r (S = exp(r)), each iteration takes the
+    log-softmax over rows, then over columns: one graph node per
+    half-iteration. The fixed point is the same as the literal ratio
+    normalization but stays stable for large |r|. Returns the relaxed
+    matrix S = exp(log S) as a Tensor; gradients flow through the unrolled
+    iterations.
     """
     r = as_tensor(r)
     if r.ndim != 2:
@@ -128,8 +129,8 @@ def sinkhorn_normalize(r, n_iters):
         raise ValueError(f"need at least one iteration, got {n_iters}")
     log_s = r
     for _ in range(n_iters):
-        log_s = log_s - log_s.logsumexp(axis=1, keepdims=True)
-        log_s = log_s - log_s.logsumexp(axis=0, keepdims=True)
+        log_s = log_s.log_softmax(axis=1)
+        log_s = log_s.log_softmax(axis=0)
     return log_s.exp()
 
 

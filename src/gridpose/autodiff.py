@@ -5,7 +5,7 @@ value was made, so that ``backward()`` on a scalar result accumulates
 exact gradients into every reachable tensor with ``requires_grad=True``
 (no higher orders). The primitives are the ones the pose model needs:
 add, subtract, multiply, matmul, reshape/transpose/concat/split, sum/mean,
-relu, exp, abs, log-sum-exp and softmax, plus the scalar power of the
+relu, exp, abs, log-softmax and softmax, plus the scalar power of the
 composed layer-norm oracle. The 3D convolution (``conv.py``) and the fused
 window, layer-norm and feed-forward nodes (``attention.py``) join the
 graph through ``Tensor._make`` with hand-written backwards.
@@ -16,7 +16,7 @@ of PyTorch's saved tensors, Paszke et al. 2019). A closure captures its
 inputs' nodes, and an input's array only if it reads it: ``*`` of two
 tensors, ``**``, ``@``, the conv (x and w), the window (its five inputs
 and its output), the feed-forward (x, w1, b1, w2) and layer norm (gain).
-relu, abs, exp, softmax, log-sum-exp and layer norm keep arrays of their
+relu, abs, exp, softmax, log-softmax and layer norm keep arrays of their
 own; the other ops keep shapes. So a value that no backward reads is freed
 in the forward pass, once the forward code drops its ``Tensor``.
 
@@ -301,23 +301,17 @@ class Tensor:
 
         return Tensor._make(np.abs(self.data), (self,), backward)
 
-    def logsumexp(self, axis, keepdims=False):
+    def log_softmax(self, axis):
         a = self._node
         m = self.data.max(axis=axis, keepdims=True)
-        shifted = np.exp(self.data - m)
-        total = shifted.sum(axis=axis, keepdims=True)
-        out_data = np.log(total) + m
-        soft = shifted / total  # softmax along `axis`, cached for the backward pass
+        soft = np.exp(self.data - m)
+        total = soft.sum(axis=axis, keepdims=True)
+        soft /= total  # softmax along `axis`, cached for the backward pass
 
         def backward(g):
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a.accumulate(gg * soft)
+            a.accumulate(g - soft * g.sum(axis=axis, keepdims=True))
 
-        if not keepdims:
-            out_data = np.squeeze(out_data, axis=axis)
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(self.data - (np.log(total) + m), (self,), backward)
 
     def softmax(self, axis=-1):
         a = self._node

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, concat
 from .grid import GridSpec, flatten_volume
-from .tensorio import write_json_file
+from .tensorio import has_json_type, write_json_file
 
 
 @dataclass
@@ -153,15 +153,22 @@ def poses_to_json(poses, skeleton=None):
 def poses_from_json(doc):
     """Inverse of `poses_to_json`; returns (list of Pose3D, skeleton or None).
 
+    Entries follow the config files' JSON type rules (`has_json_type`):
+    joints are lists of numbers, confidence is a list of numbers, and the
+    skeleton is a list of integer pairs; a bool or a string is neither.
     Every limb of the skeleton must index a joint of every pose in the file.
     """
     if "poses" not in doc:
         raise ValueError("pose file must contain a 'poses' list")
     skeleton = doc.get("skeleton")
     if skeleton is not None:
-        skeleton = [(int(a), int(b)) for a, b in skeleton]
+        _check_json_type("skeleton", list[list[int]], skeleton)
+        skeleton = [(a, b) for a, b in skeleton]
     poses = []
     for entry in doc["poses"]:
+        _check_json_type("joints", list[list[float]], entry["joints"])
+        if "confidence" in entry:
+            _check_json_type("confidence", list[float], entry["confidence"])
         pose = Pose3D(
             joints=np.asarray(entry["joints"], dtype=np.float64),
             confidence=np.asarray(entry["confidence"], dtype=np.float64) if "confidence" in entry else None,
@@ -171,6 +178,11 @@ def poses_from_json(doc):
                 raise ValueError(f"limb ({a}, {b}) out of range for {pose.n_joints} joints")
         poses.append(pose)
     return poses, skeleton
+
+
+def _check_json_type(key, hint, value):
+    if not has_json_type(hint, value):
+        raise ValueError(f"pose file key {key!r} takes {hint}, got {value!r}")
 
 
 def save_poses_json(path, poses, skeleton=None):

@@ -9,8 +9,8 @@ not a list of non-negative integers, sidecar/payload disagreement, a name
 that is not a plain stem, a sidecar naming another tensor) raise OSError
 so the CLI can map them to its I/O exit code; `load_json_file` does the
 same for every JSON data file (sidecars, manifests, poses, cameras).
-`has_json_type` holds the JSON type rules that config files and camera
-entries share.
+`has_json_type` holds the JSON type rules that config files, camera
+entries and pose files share.
 """
 
 from __future__ import annotations

@@ -169,6 +169,42 @@ def stored_blocks_window(b_q, b_k, b_v, sorted_k, sorted_v, config, w_o):
     return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
 
 
+def composed_logsumexp(x, axis):
+    """The log-sum-exp node (keepdims) that Sinkhorn subtracted before
+    `Tensor.log_softmax`; its backward reads the softmax it kept."""
+    a = x._node
+    m = x.data.max(axis=axis, keepdims=True)
+    shifted = np.exp(x.data - m)
+    total = shifted.sum(axis=axis, keepdims=True)
+    soft = shifted / total
+
+    def backward(g):
+        a.accumulate(g * soft)
+
+    return Tensor._make(np.log(total) + m, (x,), backward)
+
+
+def composed_sinkhorn(r, n_iters):
+    """Sinkhorn as three nodes per half-iteration (log-sum-exp, negation and
+    a broadcast add): the oracle of the one-node `log_softmax` form."""
+    log_s = r
+    for _ in range(n_iters):
+        log_s = log_s - composed_logsumexp(log_s, axis=1)
+        log_s = log_s - composed_logsumexp(log_s, axis=0)
+    return log_s.exp()
+
+
+def graph_size(t):
+    """Number of graph nodes reachable from `t`, its own included."""
+    seen, stack = {id(t._node)}, [t._node]
+    while stack:
+        for child in stack.pop().children:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return len(seen)
+
+
 def composed_layer_norm(x, gain, bias, residual, eps=1e-5):
     x = as_tensor(x) + as_tensor(residual)
     centered = x - x.mean(axis=-1, keepdims=True)
@@ -366,6 +402,34 @@ class TestSinkhorn:
             return (sinkhorn_normalize(r, 4) * Tensor(w)).sum()
 
         assert finite_diff_check(f, {"r": r}, eps=1e-5) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_b", [1, 4, 64, 108])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_equals_the_composed_normalisation_bit_for_bit(self, dtype, n_b, scale):
+        # scale 1e3 saturates every exp: |r| lies in [990, 1000]
+        rng = np.random.default_rng(n_b)
+        r = rng.normal(size=(n_b, n_b)) if scale == 1.0 else (
+            scale * rng.choice([-1.0, 1.0], size=(n_b, n_b)) * rng.uniform(0.99, 1.0, size=(n_b, n_b)))
+        w = Tensor(rng.normal(size=(n_b, n_b)).astype(dtype))
+        results = []
+        for normalize in (sinkhorn_normalize, composed_sinkhorn):
+            leaf = Tensor(r.astype(dtype), requires_grad=True)
+            s = normalize(leaf, 8)
+            (s * w).sum().backward()
+            assert s.data.dtype == leaf.grad.dtype == dtype
+            assert np.all(np.isfinite(s.data)) and np.all(np.isfinite(leaf.grad))
+            results.append((s.data, leaf.grad))
+        (s_got, g_got), (s_want, g_want) = results
+        np.testing.assert_array_equal(s_got, s_want)
+        np.testing.assert_array_equal(g_got, g_want)
+
+    @pytest.mark.parametrize("n_iters", [1, 8])
+    def test_one_node_per_half_iteration(self, n_iters):
+        r = Tensor(np.random.default_rng(6).normal(size=(5, 5)), requires_grad=True)
+        # beyond r: a log-softmax node per half-iteration and the final exp
+        assert graph_size(sinkhorn_normalize(r, n_iters)) - 1 == 2 * n_iters + 1
+        assert graph_size(composed_sinkhorn(r, n_iters)) - 1 == 6 * n_iters + 1
 
 
 class TestReorderBins:

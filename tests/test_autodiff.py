@@ -115,17 +115,25 @@ class TestPrimitiveGradients:
             {"x": x, "y": y},
         )
 
-    def test_logsumexp(self):
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_log_softmax(self, axis):
         x = Tensor(self.rng.normal(size=(3, 5)), requires_grad=True)
-        w = self.rng.normal(size=(3,))
-        self.check(lambda: weighted(x.logsumexp(axis=1), w), {"x": x})
+        w = self.rng.normal(size=(3, 5))
+        self.check(lambda: weighted(x.log_softmax(axis=axis), w), {"x": x})
+        out = x.log_softmax(axis=axis)
+        np.testing.assert_allclose(np.exp(out.data).sum(axis=axis), 1.0, rtol=1e-14)
 
-    def test_logsumexp_large_values_stable(self):
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_log_softmax_large_values_stable(self, axis):
         x = Tensor(np.array([[1000.0, 1000.0], [-1000.0, 1000.0]]), requires_grad=True)
-        out = x.logsumexp(axis=1)
+        out = x.log_softmax(axis=axis)
         assert np.all(np.isfinite(out.data))
-        out.sum().backward()
+        # x - (log-sum-exp) at |x| = 1000 rounds to an ulp of 1000, ~1.1e-13
+        np.testing.assert_allclose(np.exp(out.data).sum(axis=axis), 1.0, rtol=1e-12)
+        weighted(out, np.array([[1.0, -2.0], [0.5, 3.0]])).backward()
         assert np.all(np.isfinite(x.grad))
+        # each slice's gradient sums to 0: shifting a slice moves no output
+        np.testing.assert_allclose(x.grad.sum(axis=axis), 0.0, atol=1e-12)
 
     def test_softmax(self):
         x = Tensor(self.rng.normal(size=(4, 6)), requires_grad=True)
@@ -345,7 +353,7 @@ class TestNoGrad:
         with no_grad():
             outs = [
                 x + w, x * w, x @ w, -x, x ** 2.0, x.reshape(16), x.transpose((1, 0)),
-                x.sum(axis=0), x.relu(), x.exp(), x.abs(), x.logsumexp(axis=1),
+                x.sum(axis=0), x.relu(), x.exp(), x.abs(), x.log_softmax(axis=1),
                 x.softmax(axis=-1), concat([x, w], axis=0),
             ]
         for out in outs:

@@ -407,6 +407,22 @@ def _eval_pred(workdir, tmp_path, text):
             "--out", str(tmp_path / "x.json")]
 
 
+def _eval_edited(workdir, tmp_path, role, edit):
+    """eval with the shared ground truth as both files, the `role` one ("pred"
+    or "gt") a copy whose parsed document went through `edit`."""
+    gt = workdir / "scene" / "ground_truth.json"
+    edited = tmp_path / f"{role}.json"
+    edited.write_text(json.dumps(edit(json.loads(gt.read_text()))))
+    files = {"pred": str(gt), "gt": str(gt), role: str(edited)}
+    return ["eval", "--pred", files["pred"], "--gt", files["gt"], "--out", str(tmp_path / "x.json")]
+
+
+def _first_coordinate(doc, value):
+    """`doc` with the first joint's x of its first pose set to `value`."""
+    doc["poses"][0]["joints"][0][0] = value
+    return doc
+
+
 def _eval_flag(workdir, tmp_path, flag, value):
     gt = str(workdir / "scene" / "ground_truth.json")
     return ["eval", "--pred", gt, "--gt", gt, flag, value, "--out", str(tmp_path / "x.json")]
@@ -485,6 +501,14 @@ class TestExitCodes:
         pytest.param(lambda w, t: _eval_pred(w, t, '{"people": []}'), 4, id="eval-pred-no-poses"),
         pytest.param(lambda w, t: _eval_pred(w, t, '{"poses": [{"joints": [[0, 0], [1, 1]]}]}'),
                      4, id="eval-pred-2d-joints"),
+        pytest.param(lambda w, t: _eval_edited(w, t, "pred", lambda d: _first_coordinate(d, "1.5")), 4,
+                     id="eval-pred-joint-string"),
+        pytest.param(lambda w, t: _eval_edited(w, t, "pred", lambda d: _first_coordinate(d, True)), 4,
+                     id="eval-pred-joint-bool"),
+        pytest.param(lambda w, t: _eval_edited(w, t, "pred", lambda d: dict(d, skeleton=[[0.9, 1]])), 4,
+                     id="eval-pred-limb-float"),
+        pytest.param(lambda w, t: _eval_edited(w, t, "gt", lambda d: dict(d, skeleton=[["0", "1"]])), 4,
+                     id="eval-gt-limb-string"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,abc"), 2,
                      id="eval-bad-threshold"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--exclude", "x"), 2, id="eval-bad-exclude"),

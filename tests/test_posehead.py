@@ -209,6 +209,35 @@ class TestPose3D:
         with pytest.raises(OSError, match="malformed data file"):
             load_json_file(path, poses_from_json)
 
+    @pytest.mark.parametrize("key, value", [
+        ("joints", [["1.5", 0, 0], [0, 0, 0]]),
+        ("joints", [[True, 0, 0], [0, 0, 0]]),
+        ("joints", [[0, None, 0], [0, 0, 0]]),
+        ("confidence", ["0.5", 0.5]),
+        ("confidence", [0.5, False]),
+        ("skeleton", [[0.9, 1]]),
+        ("skeleton", [["0", "1"]]),
+        ("skeleton", [[True, 1]]),
+        ("skeleton", [0, 1]),
+    ])
+    def test_entries_follow_the_json_type_rules(self, tmp_path, key, value):
+        # the rules of config files: a number is an int or a float, never a
+        # bool or a string, and a limb index is an int
+        entry = {"joints": [[0, 0, 0], [1.5, 0, 0]], "confidence": [0.5, 1]}
+        doc = {"poses": [entry], "skeleton": [[0, 1]]}
+        poses, skeleton = poses_from_json(doc)  # integers are numbers
+        assert skeleton == [(0, 1)] and poses[0].joints[1, 0] == 1.5
+        if key == "skeleton":
+            doc[key] = value
+        else:
+            entry[key] = value
+        with pytest.raises(ValueError, match=f"pose file key '{key}' takes"):
+            poses_from_json(doc)
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OSError, match="malformed data file"):
+            load_json_file(path, poses_from_json)
+
     def test_limb_out_of_range_rejected(self, tmp_path):
         # the skeleton must index a joint of every pose, not only the first
         doc = {"poses": [{"joints": [[0.0, 0.0, 0.0]] * 6}, {"joints": [[0.0, 0.0, 0.0]] * 3}],
