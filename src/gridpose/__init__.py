@@ -5,6 +5,7 @@ metrics, and a benchmark for the sparse attention's cost."""
 
 from .attention import (
     AttentionConfig,
+    MatchedBins,
     ScoreCounter,
     attention_sublayer,
     bin_means,

@@ -6,13 +6,17 @@ The encoder never materializes an L x L attention matrix. Each layer:
 2. scores bin pairs through their query/key means (an N_b x N_b matrix),
 3. relaxes that score matrix toward doubly stochastic form with
    log-space Sinkhorn iterations,
-4. reorders the key/value bins with the relaxed matrix (soft convex
-   mixing while training, hard row-argmax at inference),
+4. matches each bin with the key/value bins that the relaxed matrix
+   reorders to it (soft convex mixing while training, hard row-argmax at
+   inference). ``MatchedBins`` names the reordered keys or values without
+   making them; ``reorder_bins``, which makes them whole, is its oracle,
 5. lets each bin attend to a 2B-element window: its own elements plus
-   its matched bin. ``windowed_attention`` is one autodiff node: the local
+   its matched bin. ``windowed_attention`` is one autodiff node: it mixes
+   (or gathers) the matched bins a chunk of bins at a time, and the local
    and matched bins are scored as two B x B blocks per head that share
    one row max and one softmax denominator, so the window is never
-   concatenated,
+   concatenated. ``attention_sublayer`` drops q, k and v before it applies
+   w_o, so without a graph they are freed first,
 6. finishes with residual + layer norm + feed-forward + residual + layer
    norm. ``layer_norm`` (which takes the residual add as an operand) and
    ``feed_forward`` are single autodiff nodes with closed-form backwards.
@@ -21,13 +25,17 @@ The encoder never materializes an L x L attention matrix. Each layer:
 Score storage per layer is therefore N_b^2 + L*2B elements instead of
 L^2; ``ScoreCounter`` instruments exactly that quantity (counting
 query-key pairs once, independent of how many heads share them). The
-fused nodes run the same code with or without a graph. The window's
-blocks are computed a few bins at a time and exponentiated in place; it
-keeps only each row's max and softmax denominator, and the backward
-recomputes the blocks tile by tile (FlashAttention, Dao et al. 2022). The
-feed-forward runs over row tiles in one tile-sized hidden buffer, and its
-backward recomputes each tile's hidden rows (checkpointing, Chen et al.
-2016).
+fused nodes run the same code with or without a graph. No pass makes
+the reordered keys or values whole: the window makes each chunk's
+matched bins in one chunk buffer, and its backward makes them again and
+turns their gradients into rows of S's gradient and into k's and v's.
+The window's blocks are computed a few bins at a time and exponentiated
+in place; it keeps only each row's max and softmax denominator, and the
+backward recomputes the blocks tile by tile (FlashAttention, Dao et al.
+2022). The feed-forward runs over row tiles in one tile-sized hidden
+buffer, and its backward recomputes each tile's hidden rows
+(checkpointing, Chen et al. 2016). Layer norm's forward pass runs over
+row tiles too.
 """
 
 from __future__ import annotations
@@ -134,29 +142,49 @@ def sinkhorn_normalize(r, n_iters):
     return log_s.exp()
 
 
+def _check_reorder(bins, s, mode):
+    n_b = bins.shape[0]
+    if s.shape != (n_b, n_b):
+        raise ValueError(f"sinkhorn matrix {s.shape} does not match {n_b} bins")
+    if mode not in ("soft", "hard"):
+        raise ValueError(f"unknown reorder mode {mode!r}")
+    # a forward-pass safety check: argmax has no gradient
+    if mode == "hard" and (bins.requires_grad or s.requires_grad):
+        raise NotDifferentiablePathError(
+            "hard bin reordering is not differentiable; use soft mode for training"
+        )
+
+
 def reorder_bins(bins, s, mode="soft"):
     """Reorder a bin tensor with the relaxed permutation `s` (N_b, N_b).
 
     soft: out[i] = sum_j S[i, j] * bins[j] (differentiable convex mixing).
     hard: out[i] = bins[argmax_j S[i, j]] (inference shortcut; refuses to
     run inside a graph that is being differentiated).
+
+    The model does not call it: `MatchedBins` hands the window the same
+    bins unmade. It is their oracle.
     """
     bins, s = as_tensor(bins), as_tensor(s)
+    _check_reorder(bins, s, mode)
     n_b, b, e = bins.shape
-    if s.shape != (n_b, n_b):
-        raise ValueError(f"sinkhorn matrix {s.shape} does not match {n_b} bins")
     if mode == "soft":
         mixed = s @ bins.reshape(n_b, b * e)
         return mixed.reshape(n_b, b, e)
-    if mode == "hard":
-        # a forward-pass safety check: argmax has no gradient
-        if bins.requires_grad or s.requires_grad:
-            raise NotDifferentiablePathError(
-                "hard bin reordering is not differentiable; use soft mode for training"
-            )
-        order = np.argmax(s.data, axis=1)
-        return Tensor(bins.data[order])
-    raise ValueError(f"unknown reorder mode {mode!r}")
+    return Tensor(bins.data[np.argmax(s.data, axis=1)])
+
+
+class MatchedBins:
+    """The bins ``reorder_bins(bins, s, mode)`` returns, left unmade: a
+    matched input of `windowed_attention`, which mixes (soft) or gathers
+    (hard) them `WINDOW_MATCH_CHUNK_BINS` bins at a time. ``shape`` is the
+    reordered bins' shape. Hard mode raises `NotDifferentiablePathError`
+    here when `bins` or `s` requires grad, as `reorder_bins` does."""
+
+    def __init__(self, bins, s, mode="soft"):
+        self.bins, self.s, self.mode = as_tensor(bins), as_tensor(s), mode
+        _check_reorder(self.bins, self.s, mode)
+        self.shape = self.bins.shape
 
 
 def _split_heads(x, n_heads):
@@ -181,6 +209,66 @@ def _swap_last(x):
 # call, with or without a graph, holds a full-size block; at 108 bins of 128
 # (e=128, 2 heads) tiles of 1 or 2 bins were the fastest.
 WINDOW_TILE_BINS = 2
+# Bins per chunk of `windowed_attention`'s matched bins, which a
+# `MatchedBins` input is mixed or gathered into, one reused chunk buffer per
+# input. Each chunk's tiles start at its first bin. The soft mix is one
+# (chunk x N_b) @ (N_b x B*e) GEMM per chunk: at 108 bins of 128 (e=128)
+# chunks of 36 cost 11.7 ms per input against 9.2 ms for one whole mix, and
+# 2-bin chunks 67 ms.
+WINDOW_MATCH_CHUNK_BINS = 36
+
+
+def _chunk_bounds(n_b, chunk):
+    """(c0, c1) of each chunk of `chunk` bins. A last chunk of one bin joins
+    the one before it: numpy mixes a one-row chunk with BLAS's gemv, which
+    rounds unlike the gemm rows of a whole mix."""
+    starts = list(range(0, n_b, chunk))
+    if len(starts) > 1 and n_b - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n_b]))
+
+
+def _window_input(x, bounds):
+    """How `windowed_attention` reads a key or value input a chunk of bins
+    at a time: (its tensors, its dtype, chunks, adjoint). ``chunks()``
+    yields (c0, c1, the input's bins c0..c1); ``adjoint(c0, c1, d)`` adds
+    their gradient `d` into the tensors' gradients. A `MatchedBins` is mixed
+    with S[c0:c1] (soft) or gathered by the argmax order (hard) into one
+    buffer per pass; rows c0..c1 of S's gradient are d @ bins^T and the
+    bins' gradient gets S[c0:c1]^T @ d. A tensor is read in place."""
+    if not isinstance(x, MatchedBins):
+        data, node = x.data, x._node
+
+        def given():
+            for c0, c1 in bounds:
+                yield c0, c1, data[c0:c1]
+
+        return (x,), data.dtype, given, lambda c0, c1, d: node.accumulate_at(slice(c0, c1), d)
+    bins, s, hard = x.bins.data, x.s.data, x.mode == "hard"
+    n_b = bins.shape[0]
+    flat = bins.reshape(n_b, -1)
+    order = np.argmax(s, axis=1) if hard else None
+    dtype = bins.dtype if hard else np.result_type(bins, s)
+    bins_node, s_node = x.bins._node, x.s._node
+
+    def made():
+        buffer = np.empty((max(c1 - c0 for c0, c1 in bounds), *bins.shape[1:]), dtype=dtype)
+        for c0, c1 in bounds:
+            out = buffer[:c1 - c0]
+            if hard:
+                np.take(bins, order[c0:c1], axis=0, out=out)
+            else:
+                np.matmul(s[c0:c1], flat, out=out.reshape(c1 - c0, -1))
+            yield c0, c1, out
+
+    def adjoint(c0, c1, d):
+        if hard:  # argmax has no gradient, and MatchedBins let in no input that needs one
+            return
+        d_flat = d.reshape(c1 - c0, -1)
+        s_node.accumulate_at(slice(c0, c1), d_flat @ flat.T)
+        bins_node.accumulate((s[c0:c1].T @ d_flat).reshape(bins_node.shape))
+
+    return (x.bins, x.s), dtype, made, adjoint
 
 
 def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfig,
@@ -189,23 +277,29 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
 
     Multi-head scaled dot-product attention with scores Q K^T / sqrt(d)
     per head (d = head dim); heads are concatenated and mapped through
-    w_o. All five inputs are (N_b, B, e); output (N_b, B, e).
+    w_o, or returned as they are when `w_o` is None. The local bins b_q,
+    b_k, b_v are (N_b, B, e); the matched keys and values `sorted_k` and
+    `sorted_v` are (N_b, B, e) arrays or `MatchedBins`. Output (N_b, B, e).
 
-    One autodiff node up to w_o, computed `WINDOW_TILE_BINS` bins at a
-    time. Per tile, the 1/sqrt(d) scale is folded into Q, the local and
-    matched bins are scored as two (tile, h, B, B) blocks that share one
-    row max and one softmax denominator (the log-sum-exp identity of online
+    One autodiff node up to w_o, computed `WINDOW_MATCH_CHUNK_BINS` bins
+    at a time and, within a chunk, `WINDOW_TILE_BINS` bins at a time. A
+    `MatchedBins` input is made a chunk at a time in one chunk buffer (see
+    `_window_input`), so no pass holds the whole reordered keys or values.
+    Per tile, the 1/sqrt(d) scale is folded into Q, the local and matched
+    bins are scored as two (tile, h, B, B) blocks that share one row max
+    and one softmax denominator (the log-sum-exp identity of online
     softmax), and the denominator divides the summed value products in the
     output. Only the (N_b, h, B, 1) row maxima and denominators are kept
     whole: the backward pass (the softmax-attention adjoint with
     1/denominator folded into the output gradient) runs over the same
-    tiles, recomputes each tile's scaled queries and exponentiated blocks
-    with the forward pass's ops, so they are the same bit for bit
-    (FlashAttention, Dao et al. 2022), reads the heads back from the
-    output, and writes the input gradients tile by tile.
+    chunks and tiles, makes each chunk's matched bins again, recomputes
+    each tile's scaled queries and exponentiated blocks with the forward
+    pass's ops, so they are the same bit for bit (FlashAttention, Dao et
+    al. 2022), reads the heads back from the output, and hands each chunk's
+    key and value gradients to their inputs.
     """
     b_q, b_k, b_v = as_tensor(b_q), as_tensor(b_k), as_tensor(b_v)
-    sorted_k, sorted_v = as_tensor(sorted_k), as_tensor(sorted_v)
+    sorted_k, sorted_v = (x if isinstance(x, MatchedBins) else as_tensor(x) for x in (sorted_k, sorted_v))
     for name, t in (("b_k", b_k), ("b_v", b_v), ("sorted_k", sorted_k), ("sorted_v", sorted_v)):
         if t.shape != b_q.shape:
             raise ValueError(f"{name} has shape {t.shape}, query bins {b_q.shape}")
@@ -214,72 +308,91 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
     if e != config.embed_dim:
         raise ValueError(f"bins carry {e} channels but config.embed_dim is {config.embed_dim}")
 
-    inputs = (b_q, b_k, b_v, sorted_k, sorted_v)
-    dtype = np.result_type(*(t.data for t in inputs))
     tile = WINDOW_TILE_BINS
+    bounds = _chunk_bounds(n_b, WINDOW_MATCH_CHUNK_BINS)
+    # local keys, local values, matched keys, matched values
+    tensors, dtypes, makers, adjoints = zip(*(_window_input(x, bounds)
+                                              for x in (b_k, b_v, sorted_k, sorted_v)))
+    inputs = (b_q, *(t for group in tensors for t in group))
+    dtype = np.result_type(b_q.data, *dtypes)
     # a Python float scale keeps f32 scores f32; an np.float64 one promotes them
     scale = float(1.0 / np.sqrt(config.head_dim))
-    q_data = b_q.data
-    q_node, k_node, v_node, sorted_k_node, sorted_v_node = (t._node for t in inputs)
-    k_loc, k_match = _split_heads(b_k.data, n_h), _split_heads(sorted_k.data, n_h)
-    v_loc, v_match = _split_heads(b_v.data, n_h), _split_heads(sorted_v.data, n_h)
+    q_data, q_node = b_q.data, b_q._node
     row_max = np.empty((n_b, n_h, b, 1), dtype=dtype)
     denom = np.empty_like(row_max)
 
-    def tiles(fresh):
-        """Yield (lo, hi, scaled queries, p_loc, p_match) per tile: the
-        two blocks exponentiated in place in one pass's tile-sized buffers.
-        A `fresh` pass (the forward) stores the rows' max over both blocks;
-        the backward pass subtracts the stored one."""
+    def chunks(fresh):
+        """Yield (c0, c1, (k_loc, v_loc, k_match, v_match), tiles) per chunk
+        of bins c0..c1, its keys and values as (c1 - c0, h, B, d) views.
+        `tiles` yields (lo, hi, scaled queries, p_loc, p_match) per tile of
+        the chunk: the two blocks exponentiated in place in one pass's
+        tile-sized buffers. A `fresh` pass (the forward) stores the rows'
+        max over both blocks; the backward pass subtracts the stored one."""
         p_loc = np.empty((min(tile, n_b), n_h, b, b), dtype=dtype)
         p_match = np.empty_like(p_loc)
-        for lo in range(0, n_b, tile):
-            hi = min(lo + tile, n_b)
-            q_t = _split_heads(q_data[lo:hi] * scale, n_h)  # (tile, h, B, d)
-            p_loc_t, p_match_t = p_loc[:hi - lo], p_match[:hi - lo]
-            np.matmul(q_t, _swap_last(k_loc[lo:hi]), out=p_loc_t)
-            np.matmul(q_t, _swap_last(k_match[lo:hi]), out=p_match_t)
-            if fresh:
-                np.maximum(p_loc_t.max(axis=-1, keepdims=True), p_match_t.max(axis=-1, keepdims=True),
-                           out=row_max[lo:hi])
-            for p in (p_loc_t, p_match_t):
-                p -= row_max[lo:hi]
-                np.exp(p, out=p)
-            yield lo, hi, q_t, p_loc_t, p_match_t
+
+        def tiles(c0, c1, k_loc, k_match):
+            for lo in range(c0, c1, tile):
+                hi = min(lo + tile, c1)
+                m = slice(lo - c0, hi - c0)
+                q_t = _split_heads(q_data[lo:hi] * scale, n_h)  # (tile, h, B, d)
+                p_loc_t, p_match_t = p_loc[:hi - lo], p_match[:hi - lo]
+                np.matmul(q_t, _swap_last(k_loc[m]), out=p_loc_t)
+                np.matmul(q_t, _swap_last(k_match[m]), out=p_match_t)
+                if fresh:
+                    np.maximum(p_loc_t.max(axis=-1, keepdims=True), p_match_t.max(axis=-1, keepdims=True),
+                               out=row_max[lo:hi])
+                for p in (p_loc_t, p_match_t):
+                    p -= row_max[lo:hi]
+                    np.exp(p, out=p)
+                yield lo, hi, q_t, p_loc_t, p_match_t
+
+        for parts in zip(*(make() for make in makers)):
+            (c0, c1, _), kv = parts[0], tuple(_split_heads(chunk, n_h) for _, _, chunk in parts)
+            yield c0, c1, kv, tiles(c0, c1, kv[0], kv[2])
 
     out = np.empty((n_b, b, e), dtype=dtype)
     heads = _split_heads(out, n_h)  # (N_b, h, B, d) view
-    for lo, hi, _, p_loc_t, p_match_t in tiles(fresh=True):
-        np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[lo:hi])
-        # summed in a contiguous temporary: one pass over the strided output
-        heads_t = p_loc_t @ v_loc[lo:hi]
-        heads_t += p_match_t @ v_match[lo:hi]
-        np.divide(heads_t, denom[lo:hi], out=heads[lo:hi])
+    for c0, _, (_, v_loc, _, v_match), tiles in chunks(fresh=True):
+        for lo, hi, _, p_loc_t, p_match_t in tiles:
+            m = slice(lo - c0, hi - c0)
+            np.add(p_loc_t.sum(axis=-1, keepdims=True), p_match_t.sum(axis=-1, keepdims=True), out=denom[lo:hi])
+            # summed in a contiguous temporary: one pass over the strided output
+            heads_t = p_loc_t @ v_loc[m]
+            heads_t += p_match_t @ v_match[m]
+            np.divide(heads_t, denom[lo:hi], out=heads[lo:hi])
     if counter is not None:
         counter.window_elements += n_b * b * 2 * b
 
     def backward(g):
         g_split = _split_heads(g, n_h)
-        for lo, hi, q_t, p_loc_t, p_match_t in tiles(fresh=False):
-            r = slice(lo, hi)
-            g_heads = g_split[lo:hi] / denom[r]
-            row_dot = (g_heads * heads[lo:hi]).sum(axis=-1, keepdims=True)
-            d_q = None
-            for p, k, v, src_k, src_v in ((p_loc_t, k_loc, v_loc, k_node, v_node),
-                                          (p_match_t, k_match, v_match, sorted_k_node, sorted_v_node)):
-                src_v.accumulate_at(r, _merge_heads(_swap_last(p) @ g_heads))
-                d_scores = g_heads @ _swap_last(v[lo:hi])
-                d_scores -= row_dot
-                d_scores *= p
-                src_k.accumulate_at(r, _merge_heads(_swap_last(d_scores) @ q_t))
-                if d_q is None:
-                    d_q = d_scores @ k[lo:hi]
-                else:
-                    d_q += d_scores @ k[lo:hi]
-            d_q *= scale
-            q_node.accumulate_at(r, _merge_heads(d_q))
+        # one chunk's gradients of the local and matched keys and values
+        d_chunk = np.empty((4, max(c1 - c0 for c0, c1 in bounds), b, e), dtype=dtype)
+        for c0, c1, (k_loc, v_loc, k_match, v_match), tiles in chunks(fresh=False):
+            d_k_loc, d_v_loc, d_k_match, d_v_match = (_split_heads(d, n_h) for d in d_chunk[:, :c1 - c0])
+            for lo, hi, q_t, p_loc_t, p_match_t in tiles:
+                r, m = slice(lo, hi), slice(lo - c0, hi - c0)
+                g_heads = g_split[r] / denom[r]
+                row_dot = (g_heads * heads[r]).sum(axis=-1, keepdims=True)
+                d_q = None
+                for p, k, v, d_k, d_v in ((p_loc_t, k_loc, v_loc, d_k_loc, d_v_loc),
+                                          (p_match_t, k_match, v_match, d_k_match, d_v_match)):
+                    np.matmul(_swap_last(p), g_heads, out=d_v[m])
+                    d_scores = g_heads @ _swap_last(v[m])
+                    d_scores -= row_dot
+                    d_scores *= p
+                    np.matmul(_swap_last(d_scores), q_t, out=d_k[m])
+                    if d_q is None:
+                        d_q = d_scores @ k[m]
+                    else:
+                        d_q += d_scores @ k[m]
+                d_q *= scale
+                q_node.accumulate_at(r, _merge_heads(d_q))
+            for adjoint, d in zip(adjoints, d_chunk[:, :c1 - c0]):
+                adjoint(c0, c1, d)
 
-    return Tensor._make(out, inputs, backward) @ as_tensor(w_o)
+    heads_node = Tensor._make(out, inputs, backward)
+    return heads_node if w_o is None else heads_node @ as_tensor(w_o)
 
 
 def dense_attention(seq, w_q, w_k, w_v, w_o, config: AttentionConfig):
@@ -383,6 +496,9 @@ def init_encoder_weights(n_joints, dims, config: AttentionConfig, rng):
 
 
 LAYER_NORM_EPS = 1e-5
+# Rows per tile of `layer_norm`'s forward pass: a tile's rows stay in cache
+# from the residual add through the affine output.
+LAYER_NORM_TILE_ROWS = 256
 
 
 def layer_norm(x, gain, bias, residual):
@@ -391,16 +507,28 @@ def layer_norm(x, gain, bias, residual):
 
     One autodiff node with the closed-form backward (Ba et al. 2016):
     dx = (dy*gain - mean(dy*gain) - xhat * mean(dy*gain * xhat)) / std.
+    The forward pass runs over `LAYER_NORM_TILE_ROWS` rows at a time and
+    writes the whole normalized rows (which the backward reads) and output.
     """
     x, gain, bias, residual = as_tensor(x), as_tensor(gain), as_tensor(bias), as_tensor(residual)
-    normed = x.data + residual.data
-    normed -= normed.mean(axis=-1, keepdims=True)
-    n = normed.shape[-1]
-    var = np.einsum("...i,...i->...", normed, normed)[..., None] / n
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    normed *= inv_std
-    out = normed * gain.data
-    out += bias.data
+    if x.shape != residual.shape:
+        raise ValueError(f"residual {residual.shape} does not match x {x.shape}")
+    n, tile = x.shape[-1], LAYER_NORM_TILE_ROWS
+    normed = np.empty(x.shape, dtype=np.result_type(x.data, residual.data))
+    out = np.empty(x.shape, dtype=np.result_type(normed, gain.data))
+    inv_std = np.empty((*x.shape[:-1], 1), dtype=normed.dtype)
+    x_rows, residual_rows = x.data.reshape(-1, n), residual.data.reshape(-1, n)
+    normed_rows, out_rows, inv_std_rows = normed.reshape(-1, n), out.reshape(-1, n), inv_std.reshape(-1, 1)
+    for lo in range(0, len(normed_rows), tile):
+        t = slice(lo, lo + tile)
+        rows, inv_std_t, out_t = normed_rows[t], inv_std_rows[t], out_rows[t]
+        np.add(x_rows[t], residual_rows[t], out=rows)
+        rows -= rows.mean(axis=-1, keepdims=True)
+        var = np.einsum("...i,...i->...", rows, rows)[..., None] / n
+        np.divide(1.0, np.sqrt(var + LAYER_NORM_EPS), out=inv_std_t)
+        rows *= inv_std_t
+        np.multiply(rows, gain.data, out=out_t)
+        out_t += bias.data
     gain_data = gain.data
     x_node, residual_node, gain_node, bias_node = (t._node for t in (x, residual, gain, bias))
 
@@ -490,15 +618,17 @@ def attention_sublayer(bins, weights: EncoderLayerWeights, config: AttentionConf
     q_mean, k_mean = bin_means(q, k)
     r = correlation_matrix(q_mean, k_mean, config.temperature, counter)
     s = sinkhorn_normalize(r, config.sinkhorn_iters)
-    k_sorted = reorder_bins(k, s, mode)
-    v_sorted = reorder_bins(v, s, mode)
-    return windowed_attention(q, k, v, k_sorted, v_sorted, config, w_o=weights.w_o, counter=counter)
+    heads = windowed_attention(q, k, v, MatchedBins(k, s, mode), MatchedBins(v, s, mode), config,
+                               w_o=None, counter=counter)
+    del q, k, v  # without a graph, w_o's product is made after they are freed
+    return heads @ weights.w_o
 
 
 def encoder_layer_forward(bins, weights: EncoderLayerWeights, config: AttentionConfig,
                           mode="soft", counter: ScoreCounter | None = None):
     attn = attention_sublayer(bins, weights, config, mode, counter)
     x = layer_norm(bins, weights.ln1_gain, weights.ln1_bias, residual=attn)
+    del attn  # freed before the feed-forward runs: no backward reads it
     return layer_norm(x, weights.ln2_gain, weights.ln2_bias, residual=feed_forward(x, weights))
 
 

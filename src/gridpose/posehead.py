@@ -157,15 +157,19 @@ def poses_from_json(doc):
     joints are lists of numbers, confidence is a list of numbers, and the
     skeleton is a list of integer pairs; a bool or a string is neither.
     Every limb of the skeleton must index a joint of every pose in the file.
+    Like config files, a pose file has no keys beyond these: `poses` and
+    `skeleton` at the top, `joints` and `confidence` in an entry.
     """
     if "poses" not in doc:
         raise ValueError("pose file must contain a 'poses' list")
+    _reject_unknown_keys("pose file", doc, ("poses", "skeleton"))
     skeleton = doc.get("skeleton")
     if skeleton is not None:
         _check_json_type("skeleton", list[list[int]], skeleton)
         skeleton = [(a, b) for a, b in skeleton]
     poses = []
     for entry in doc["poses"]:
+        _reject_unknown_keys("pose entry", entry, ("joints", "confidence"))
         _check_json_type("joints", list[list[float]], entry["joints"])
         if "confidence" in entry:
             _check_json_type("confidence", list[float], entry["confidence"])
@@ -178,6 +182,12 @@ def poses_from_json(doc):
                 raise ValueError(f"limb ({a}, {b}) out of range for {pose.n_joints} joints")
         poses.append(pose)
     return poses, skeleton
+
+
+def _reject_unknown_keys(what, obj, known):
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
 
 
 def _check_json_type(key, hint, value):

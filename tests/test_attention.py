@@ -20,6 +20,7 @@ import pytest
 from gridpose import (
     AttentionConfig,
     ConfigError,
+    MatchedBins,
     NotDifferentiablePathError,
     NumericError,
     ScoreCounter,
@@ -761,6 +762,146 @@ def test_float32_nodes_keep_float32(name, build):
         assert t.grad is not None and t.grad.dtype == np.float32, leaf_name
 
 
+def copies_sublayer(bins, weights, config, mode="soft"):
+    """`attention_sublayer` as it was while it made the whole reordered keys
+    and values with `reorder_bins` and passed them to the window: the oracle
+    of the `MatchedBins` it passes now."""
+    q, k, v = (bins @ w for w in (weights.w_q, weights.w_k, weights.w_v))
+    s = sinkhorn_normalize(correlation_matrix(*bin_means(q, k), config.temperature), config.sinkhorn_iters)
+    return windowed_attention(q, k, v, reorder_bins(k, s, mode), reorder_bins(v, s, mode), config,
+                              w_o=weights.w_o)
+
+
+class TestMatchedBins:
+    """The window on `MatchedBins`, which it mixes or gathers a chunk at a
+    time, against the window on the `reorder_bins` copies: the same output
+    bit for bit in soft and hard mode, and the gradients of q, k, v, w_o and
+    S within rounding of the copies' (the chunks split the sums over bins
+    that make k's, v's and S's gradients)."""
+
+    RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+    @staticmethod
+    def leaves(rng, n_b, b=5, e=6, dtype=np.float64):
+        leaves = {name: Tensor(rng.normal(size=(n_b, b, e))) for name in ("q", "k", "v")}
+        leaves["w_o"] = Tensor(rng.normal(size=(e, e)) / np.sqrt(e))
+        leaves["s"] = Tensor(sinkhorn_normalize(Tensor(rng.normal(size=(n_b, n_b))), 4).data)
+        for t in leaves.values():
+            t.data = t.data.astype(dtype)
+            t.requires_grad = True
+        return leaves
+
+    @staticmethod
+    def window(leaves, cfg, match, mode="soft"):
+        q, k, v, s = (leaves[n] for n in ("q", "k", "v", "s"))
+        return windowed_attention(q, k, v, match(k, s, mode), match(v, s, mode), cfg, w_o=leaves["w_o"])
+
+    # (N_b, chunk): N_b a multiple of the chunk; chunks of 3 bins, not a
+    # multiple of the 2-bin tile, whose last one of 1 bin joins the one before
+    # (a one-row mix rounds unlike the whole one); the model's chunk with a
+    # partial last chunk
+    CHUNKS = [(8, 4), (7, 3), (40, attention.WINDOW_MATCH_CHUNK_BINS)]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_b,chunk", CHUNKS)
+    def test_soft_equals_reordered_copies(self, monkeypatch, n_b, chunk, dtype):
+        monkeypatch.setattr(attention, "WINDOW_MATCH_CHUNK_BINS", chunk)
+        assert attention.WINDOW_TILE_BINS == 2
+        rng = np.random.default_rng(130 + n_b)
+        cfg = AttentionConfig(embed_dim=6, n_heads=2, bin_size=5)
+        leaves = self.leaves(rng, n_b, dtype=dtype)
+        probe = rng.normal(size=(n_b, 5, 6)).astype(dtype)
+        with no_grad():
+            free = self.window(leaves, cfg, MatchedBins).data
+        out, grads = probed_output_and_grads(lambda: self.window(leaves, cfg, MatchedBins), leaves, probe)
+        want_out, want_grads = probed_output_and_grads(
+            lambda: self.window(leaves, cfg, reorder_bins), leaves, probe)
+        assert out.dtype == dtype
+        assert np.array_equal(free, want_out) and np.array_equal(out, want_out)
+        for name in leaves:
+            assert grads[name].dtype == dtype, name
+            assert_rel_close(grads[name], want_grads[name], self.RTOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_b,chunk", CHUNKS)
+    def test_hard_equals_reordered_copies(self, monkeypatch, n_b, chunk, dtype):
+        monkeypatch.setattr(attention, "WINDOW_MATCH_CHUNK_BINS", chunk)
+        rng = np.random.default_rng(140 + n_b)
+        cfg = AttentionConfig(embed_dim=6, n_heads=2, bin_size=5)
+        leaves = self.leaves(rng, n_b, dtype=dtype)
+        for t in leaves.values():
+            t.requires_grad = False
+        with no_grad():
+            out = self.window(leaves, cfg, MatchedBins, "hard").data
+            want = self.window(leaves, cfg, reorder_bins, "hard").data
+        assert out.dtype == dtype and np.array_equal(out, want)
+
+    def test_hard_mode_rejected_on_gradient_path(self):
+        leaves = self.leaves(np.random.default_rng(150), 3)
+        with pytest.raises(NotDifferentiablePathError):
+            MatchedBins(leaves["k"], leaves["s"], "hard")
+        with pytest.raises(ValueError, match="unknown reorder mode"):
+            MatchedBins(leaves["k"], leaves["s"], "fuzzy")
+        with pytest.raises(ValueError, match="does not match 2 bins"):
+            MatchedBins(leaves["k"].data[:2], leaves["s"], "soft")
+
+    @pytest.mark.parametrize("mode", ["soft", "hard"])
+    def test_sublayer_equals_the_copies_path(self, mode):
+        # the model's sublayer, without a graph, at the toy encoder's shapes
+        rng = np.random.default_rng(151)
+        cfg = AttentionConfig(embed_dim=32, n_heads=2, bin_size=64, sinkhorn_iters=8)
+        weights = init_encoder_layer(cfg, rng)
+        bins = Tensor(rng.normal(size=(64, 64, 32)))
+        with no_grad():
+            got = attention_sublayer(bins, weights, cfg, mode=mode).data
+            want = copies_sublayer(bins, weights, cfg, mode=mode).data
+        assert np.array_equal(got, want)
+
+    # infer_encoder's encoder: a 24^3 grid in bins of 128, e=128, 2 heads
+    N_BINS, BIN, EMBED = 108, 128, 128
+
+    def sublayer_case(self):
+        rng = np.random.default_rng(152)
+        cfg = AttentionConfig(embed_dim=self.EMBED, n_heads=2, bin_size=self.BIN, sinkhorn_iters=2)
+        weights = init_encoder_layer(cfg, rng)
+        bins = Tensor(rng.normal(size=(self.N_BINS, self.BIN, self.EMBED)))
+        bins_bytes = bins.data.nbytes
+        chunk_bytes = bins_bytes * min(attention.WINDOW_MATCH_CHUNK_BINS, self.N_BINS) // self.N_BINS
+        return cfg, weights, bins, bins_bytes, chunk_bytes
+
+    def test_no_grad_sublayer_peak(self):
+        # without a graph the sublayer's peak is q, k, v, the heads and one
+        # chunk of matched keys and values, plus tile-sized buffers (2.6 MB
+        # here): w_o's product is made once q, k and v are freed. The copies
+        # path held the two whole reordered copies and w_o's product as well
+        # (seven arrays)
+        cfg, weights, bins, bins_bytes, chunk_bytes = self.sublayer_case()
+        with no_grad():
+            attention_sublayer(bins, weights, cfg)  # warm-up
+            tracemalloc.start()
+            try:
+                out = attention_sublayer(bins, weights, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.shape == bins.shape
+        assert peak < 4 * bins_bytes + 2 * chunk_bytes + bins_bytes / 4
+
+    def test_graph_sublayer_keeps_no_reordered_copy(self):
+        # a graph keeps q, k and v (the window's backward remakes the matched
+        # bins from them), the heads and the output; the copies path kept the
+        # two reordered copies as well
+        cfg, weights, bins, bins_bytes, _ = self.sublayer_case()
+        tracemalloc.start()
+        try:
+            out = attention_sublayer(bins, weights, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained < 5 * bins_bytes + bins_bytes / 8
+
+
 WINDOW_INPUTS = ("b_q", "b_k", "b_v", "sorted_k", "sorted_v")
 
 
@@ -852,6 +993,41 @@ class TestTiling:
         # the weight gradients sum over the tiles; x's and b2's stay exact
         assert_tiles_exact(monkeypatch, attention, "FEED_FORWARD_TILE_ROWS", fn, leaves, probe,
                            summed=("ff_w1", "ff_b1", "ff_w2"))
+
+    @staticmethod
+    def whole_layer_norm(x, gain, bias, residual):
+        """`layer_norm`'s forward formula over the whole array at once, as
+        it was before its row tiles."""
+        normed = x + residual
+        normed -= normed.mean(axis=-1, keepdims=True)
+        var = np.einsum("...i,...i->...", normed, normed)[..., None] / normed.shape[-1]
+        normed *= 1.0 / np.sqrt(var + attention.LAYER_NORM_EPS)
+        out = normed * gain
+        out += bias
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layer_norm_tiles_equal_the_whole_formula(self, monkeypatch, dtype):
+        rng = np.random.default_rng(112)
+        leaves = {name: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                  for name, shape in (("x", (3, 100, 16)), ("residual", (3, 100, 16)),
+                                      ("gain", 16), ("bias", 16))}
+        want = self.whole_layer_norm(*(leaves[n].data for n in ("x", "gain", "bias", "residual")))
+
+        def fn():
+            return layer_norm(leaves["x"], leaves["gain"], leaves["bias"], residual=leaves["residual"])
+
+        # 300 rows: the last tile of 256 and of 7 rows is partial
+        assert 300 % attention.LAYER_NORM_TILE_ROWS != 0
+        for tile in (attention.LAYER_NORM_TILE_ROWS, 7):
+            monkeypatch.setattr(attention, "LAYER_NORM_TILE_ROWS", tile)
+            with no_grad():
+                out = fn().data
+            assert out.dtype == dtype and np.array_equal(out, want)
+            assert_tiles_exact(monkeypatch, attention, "LAYER_NORM_TILE_ROWS", fn, leaves,
+                               rng.normal(size=(3, 100, 16)))
+        with pytest.raises(ValueError, match="residual"):
+            layer_norm(leaves["x"], leaves["gain"], leaves["bias"], residual=np.zeros(16))
 
     def test_graph_feed_forward_keeps_no_hidden_layer(self):
         # besides the node's output, a graph holds no (n, 4e) hidden layer

@@ -423,6 +423,13 @@ def _first_coordinate(doc, value):
     return doc
 
 
+def _misspelt_confidence(doc):
+    """`doc` with its first pose's confidence under the key "confidance"."""
+    entry = doc["poses"][0]
+    entry["confidance"] = entry.pop("confidence", [1.0] * len(entry["joints"]))
+    return doc
+
+
 def _eval_flag(workdir, tmp_path, flag, value):
     gt = str(workdir / "scene" / "ground_truth.json")
     return ["eval", "--pred", gt, "--gt", gt, flag, value, "--out", str(tmp_path / "x.json")]
@@ -509,6 +516,11 @@ class TestExitCodes:
                      id="eval-pred-limb-float"),
         pytest.param(lambda w, t: _eval_edited(w, t, "gt", lambda d: dict(d, skeleton=[["0", "1"]])), 4,
                      id="eval-gt-limb-string"),
+        pytest.param(lambda w, t: _eval_edited(w, t, "gt", lambda d: {"poses": d["poses"],
+                                                                      "skeletn": d["skeleton"]}),
+                     4, id="eval-gt-unknown-key"),
+        pytest.param(lambda w, t: _eval_edited(w, t, "pred", _misspelt_confidence), 4,
+                     id="eval-pred-unknown-entry-key"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--thresholds", "25,abc"), 2,
                      id="eval-bad-threshold"),
         pytest.param(lambda w, t: _eval_flag(w, t, "--exclude", "x"), 2, id="eval-bad-exclude"),

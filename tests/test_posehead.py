@@ -248,3 +248,20 @@ class TestPose3D:
         path.write_text(json.dumps(doc))
         with pytest.raises(OSError, match="malformed data file"):
             load_json_file(path, poses_from_json)
+
+    @pytest.mark.parametrize("where, key", [
+        ("top", "skeletn"), ("top", "people"), ("entry", "confidance"), ("entry", "joint"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, where, key):
+        # a misspelt key would otherwise drop its data without a word
+        entry = {"joints": [[0, 0, 0], [1, 0, 0]], "confidence": [0.5, 0.5]}
+        doc = {"poses": [entry], "skeleton": [[0, 1]]}
+        poses_from_json(doc)
+        (doc if where == "top" else entry)[key] = [[0, 1]]
+        what = "pose file" if where == "top" else "pose entry"
+        with pytest.raises(ValueError, match=f"unknown {what} keys: \\['{key}'\\]"):
+            poses_from_json(doc)
+        path = tmp_path / "unknown_key.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(OSError, match=f"malformed data file .*'{key}'"):
+            load_json_file(path, poses_from_json)
