@@ -1,8 +1,9 @@
 """Run and scene configuration: dataclasses, JSON round-trip, validation.
 
 Config files are plain JSON, one key per dataclass field. Loading is
-strict: unknown keys, values whose JSON type differs from the field's
-declared type, non-finite numbers, and inconsistent combinations (for
+strict: unknown keys and values whose JSON type differs from the field's
+declared type (both checked by `tensorio.check_json_object`, as in every
+data file), non-finite numbers, and inconsistent combinations (for
 example a voxel grid whose flattened length is not divisible by the
 attention bin size) raise ConfigError, which the CLI maps to exit code 2.
 JSON schema documents for both file kinds ship in gridpose/schemas/.
@@ -21,7 +22,7 @@ from .attention import AttentionConfig
 from .errors import ConfigError
 from .geometry import CameraCalib
 from .grid import GridSpec
-from .tensorio import has_json_type
+from .tensorio import check_json_object
 
 CENTER_SOURCES = ("ground_truth", "coarse_proposal")
 REORDER_MODES = ("soft", "hard")
@@ -167,15 +168,7 @@ def _from_json(cls, doc, what, **parse):
     """Build dataclass `cls` from a JSON object. Each key must name a field
     and hold that field's JSON type; `parse[name]` converts a non-null value.
     Every failure, the dataclass's own checks included, is a ConfigError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    hints = get_type_hints(cls)
-    for f in fields(cls):
-        if f.name in doc and not has_json_type(hints[f.name], doc[f.name]):
-            raise ConfigError(f"{what} key {f.name!r} takes {f.type}, got {doc[f.name]!r}")
+    check_json_object(what, doc, get_type_hints(cls))
     try:
         return cls(**{k: parse[k](v) if k in parse and v is not None else v for k, v in doc.items()})
     except ConfigError:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import GridSpec, unflatten_volume
-from .tensorio import has_json_type
+from .tensorio import check_json_object
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,7 @@ class CameraCalib:
         """Camera from a JSON object with exactly the keys `to_json` writes.
         Each value must have its key's JSON type, by the rules of config
         files: a number, a list of numbers or an integer, never a bool."""
-        if not isinstance(obj, dict):
-            raise ConfigError(f"camera entry must be a JSON object, got {type(obj).__name__}")
-        missing = sorted(_CAMERA_JSON_TYPES.keys() - obj.keys())
-        if missing:
-            raise ConfigError(f"camera entry missing fields {missing}")
-        unknown = sorted(obj.keys() - _CAMERA_JSON_TYPES.keys())
-        if unknown:
-            raise ConfigError(f"unknown camera entry keys: {unknown}")
-        for key, hint in _CAMERA_JSON_TYPES.items():
-            if not has_json_type(hint, obj[key]):
-                name = hint.__name__ if isinstance(hint, type) else hint
-                raise ConfigError(f"camera entry key {key!r} takes {name}, got {obj[key]!r}")
+        check_json_object("camera entry", obj, _CAMERA_JSON_TYPES, required=_CAMERA_JSON_TYPES)
         return CameraCalib(
             fx=float(obj["fx"]),
             fy=float(obj["fy"]),
@@ -105,7 +94,7 @@ class CameraCalib:
         )
 
 
-# The JSON type of each key of a camera entry (see `has_json_type`).
+# The JSON type of each key of a camera entry (see `tensorio.has_json_type`).
 _CAMERA_JSON_TYPES = {
     "fx": float, "fy": float, "cx": float, "cy": float,
     "R": tuple[float, ...], "t": tuple[float, ...], "width": int, "height": int,
@@ -356,9 +345,8 @@ def min_score_bound(cams, heatmaps, centers, threshold):
 
 
 def load_cameras_json(doc):
-    """Cameras from a parsed calibration JSON document."""
-    if "cameras" not in doc:
-        raise ConfigError("calibration document has no 'cameras' list")
+    """Cameras from a parsed calibration JSON document, {"cameras": [...]}."""
+    check_json_object("calibration document", doc, {"cameras": list}, required=("cameras",))
     return [CameraCalib.from_json(entry) for entry in doc["cameras"]]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, concat
 from .grid import GridSpec, flatten_volume
-from .tensorio import has_json_type, write_json_file
+from .tensorio import check_json_object, write_json_file
 
 
 @dataclass
@@ -153,26 +153,19 @@ def poses_to_json(poses, skeleton=None):
 def poses_from_json(doc):
     """Inverse of `poses_to_json`; returns (list of Pose3D, skeleton or None).
 
-    Entries follow the config files' JSON type rules (`has_json_type`):
-    joints are lists of numbers, confidence is a list of numbers, and the
-    skeleton is a list of integer pairs; a bool or a string is neither.
-    Every limb of the skeleton must index a joint of every pose in the file.
-    Like config files, a pose file has no keys beyond these: `poses` and
-    `skeleton` at the top, `joints` and `confidence` in an entry.
+    The file and each entry follow the JSON object rule of config files
+    (`tensorio.check_json_object`): only `poses` and `skeleton` at the top,
+    `joints` and `confidence` in an entry, each value of its key's type in
+    `_POSE_FILE_TYPES` or `_POSE_ENTRY_TYPES`; a bool or a string is no
+    number. Every limb of the skeleton must index a joint of every pose.
     """
-    if "poses" not in doc:
-        raise ValueError("pose file must contain a 'poses' list")
-    _reject_unknown_keys("pose file", doc, ("poses", "skeleton"))
+    check_json_object("pose file", doc, _POSE_FILE_TYPES, required=("poses",))
     skeleton = doc.get("skeleton")
     if skeleton is not None:
-        _check_json_type("skeleton", list[list[int]], skeleton)
         skeleton = [(a, b) for a, b in skeleton]
     poses = []
     for entry in doc["poses"]:
-        _reject_unknown_keys("pose entry", entry, ("joints", "confidence"))
-        _check_json_type("joints", list[list[float]], entry["joints"])
-        if "confidence" in entry:
-            _check_json_type("confidence", list[float], entry["confidence"])
+        check_json_object("pose entry", entry, _POSE_ENTRY_TYPES, required=("joints",))
         pose = Pose3D(
             joints=np.asarray(entry["joints"], dtype=np.float64),
             confidence=np.asarray(entry["confidence"], dtype=np.float64) if "confidence" in entry else None,
@@ -184,15 +177,8 @@ def poses_from_json(doc):
     return poses, skeleton
 
 
-def _reject_unknown_keys(what, obj, known):
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-
-
-def _check_json_type(key, hint, value):
-    if not has_json_type(hint, value):
-        raise ValueError(f"pose file key {key!r} takes {hint}, got {value!r}")
+_POSE_FILE_TYPES = {"poses": list, "skeleton": list[list[int]] | None}
+_POSE_ENTRY_TYPES = {"joints": list[list[float]], "confidence": list[float]}
 
 
 def save_poses_json(path, poses, skeleton=None):

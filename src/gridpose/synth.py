@@ -247,18 +247,20 @@ def save_scene(scene: SyntheticScene, directory):
 
 
 def load_scene(directory):
-    """Inverse of `save_scene`. Person centers are joint centroids. Each
-    heatmap dump must have its camera's image size."""
+    """Inverse of `save_scene`. Person centers are joint centroids. Camera i
+    reads the heatmap dump view{i:02d}, which must have its image size."""
     cfg = load_json_config(os.path.join(directory, "scene_config.json"), scene_config_from_json)
     cameras = load_json_file(os.path.join(directory, "cameras.json"), load_cameras_json)
     poses, skeleton = load_json_file(os.path.join(directory, "ground_truth.json"), poses_from_json)
     if skeleton is None:
         raise OSError(f"ground-truth poses in {directory} carry no skeleton; PCP needs limb pairs")
     arrays = load_tensor_set(os.path.join(directory, "heatmaps"))
-    if not cameras or len(arrays) != len(cameras):
-        raise OSError(f"{len(arrays)} heatmap dumps for {len(cameras)} cameras in {directory}")
+    names = [f"view{i:02d}" for i in range(len(cameras))]
+    if not cameras or set(arrays) != set(names):
+        raise OSError(f"{len(arrays)} heatmap dumps for {len(cameras)} cameras in {directory}; camera i "
+                      f"reads view{{i:02d}}, missing or extra: {sorted(set(arrays) ^ set(names))}")
     heatmaps = []
-    for name, cam in zip(sorted(arrays), cameras):
+    for name, cam in zip(names, cameras):
         try:
             hm = Heatmap(values=arrays[name])
         except ValueError as exc:

@@ -6,11 +6,11 @@ tensor <name>.bin pairs with <name>.json holding
 manifest.json listing every tensor name. Names are plain file stems.
 Format problems (truncated payloads, unknown dtype tags, a shape that is
 not a list of non-negative integers, sidecar/payload disagreement, a name
-that is not a plain stem, a sidecar naming another tensor) raise OSError
-so the CLI can map them to its I/O exit code; `load_json_file` does the
-same for every JSON data file (sidecars, manifests, poses, cameras).
-`has_json_type` holds the JSON type rules that config files, camera
-entries and pose files share.
+that is not a plain stem, a sidecar naming another tensor, a manifest
+naming a tensor twice) raise OSError for the CLI's I/O exit code, as
+`load_json_file` does for every JSON data file. `check_json_object`, with
+`has_json_type`, is the one check of a JSON object's keys and value types,
+for config and data files alike; each file kind gives it a {key: type} table.
 """
 
 from __future__ import annotations
@@ -23,10 +23,14 @@ from typing import get_args, get_origin
 
 import numpy as np
 
+from .errors import ConfigError
+
 DTYPE_TO_TAG = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 TAG_TO_DTYPE = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 MANIFEST_NAME = "manifest.json"
+_SIDECAR_TYPES = {"name": str, "dtype": str, "shape": list}
+_MANIFEST_TYPES = {"tensors": list[str]}
 
 
 def load_json_file(path, parse):
@@ -56,6 +60,25 @@ def has_json_type(hint, value):
         return False
     item = get_args(hint)[:1]  # `tuple[float, ...]` -> (float,)
     return not item or all(has_json_type(item[0], v) for v in value)
+
+
+def check_json_object(what, doc, types, required=()):
+    """Return `doc` if it is a JSON object holding every key of `required`,
+    no key outside `types`, and each value of its key's type in `types`;
+    otherwise raise ConfigError (a ValueError) naming `what`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    missing = sorted(set(required) - doc.keys())
+    if missing:
+        raise ConfigError(f"{what} lacks keys {missing}")
+    unknown = sorted(doc.keys() - types.keys())
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {unknown}")
+    for key, hint in types.items():
+        if key in doc and not has_json_type(hint, doc[key]):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"{what} key {key!r} takes {name}, got {doc[key]!r}")
+    return doc
 
 
 def write_json_file(path, doc):
@@ -107,9 +130,7 @@ def load_tensor(directory, name):
 
 def _parse_sidecar(doc, name):
     """(dtype, shape) of a sidecar document, which must also name its tensor."""
-    missing = {"name", "dtype", "shape"} - set(doc)
-    if missing:
-        raise KeyError(f"sidecar lacks {sorted(missing)}")
+    check_json_object("sidecar", doc, _SIDECAR_TYPES, required=_SIDECAR_TYPES)
     if doc["name"] != name:
         raise ValueError(f"sidecar names tensor {doc['name']!r}, its file is {name!r}")
     if doc["dtype"] not in TAG_TO_DTYPE:
@@ -132,5 +153,13 @@ def save_tensor_set(directory, tensors):
 
 def load_tensor_set(directory):
     """Inverse of `save_tensor_set`: manifest-driven {name: ndarray}."""
-    names = load_json_file(os.path.join(directory, MANIFEST_NAME), lambda doc: list(doc["tensors"]))
+    names = load_json_file(os.path.join(directory, MANIFEST_NAME), _parse_manifest)
     return {name: load_tensor(directory, name) for name in names}
+
+
+def _parse_manifest(doc):
+    """The tensor names a manifest lists, each once."""
+    names = check_json_object("manifest", doc, _MANIFEST_TYPES, required=_MANIFEST_TYPES)["tensors"]
+    if len(set(names)) < len(names):
+        raise ValueError(f"manifest lists {sorted({n for n in names if names.count(n) > 1})} more than once")
+    return names

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -608,6 +609,57 @@ class TestExitCodes:
         except SystemExit as exc:  # argparse reports argument errors this way
             exit_code = exc.code
         assert exit_code == code
+
+
+# Every JSON object kind gridpose reads: (kind, its file in a copy of the
+# shared run, the path to the object in that file's document, a required
+# key or None, a (key, mistyped value) pair, the exit code of a bad one).
+# Config files exit 2 and data files 4.
+JSON_OBJECT_KINDS = [
+    ("run config", "run_config.json", (), None, ("seed", 1.5), 2),
+    ("attention config", "run_config.json", ("attention",), None, ("n_heads", "2"), 2),
+    ("scene config", "scene/scene_config.json", (), None, ("n_people", True), 2),
+    ("calibration document", "scene/cameras.json", (), "cameras", ("cameras", {}), 4),
+    ("camera entry", "scene/cameras.json", ("cameras", 0), "fx", ("width", 64.7), 4),
+    ("pose file", "scene/ground_truth.json", (), "poses", ("skeleton", [[0.9, 1]]), 4),
+    ("pose entry", "scene/ground_truth.json", ("poses", 0), "joints", ("confidence", ["0.5"]), 4),
+    ("sidecar", "scene/heatmaps/view00.json", (), "shape", ("dtype", 32), 4),
+    ("manifest", "weights/manifest.json", (), "tensors", ("tensors", "ab"), 4),
+]
+
+
+def _json_object_cases():
+    """(kind, file, path, edit, code, message) for an unknown key, a missing
+    required key and a mistyped value of every object kind."""
+    for kind, name, path, required, (key, value), code in JSON_OBJECT_KINDS:
+        yield pytest.param(kind, name, path, lambda obj: obj.update(extra=0), code,
+                           f"unknown {kind} keys: ['extra']", id=f"{kind}-unknown")
+        if required is not None:
+            yield pytest.param(kind, name, path, lambda obj, k=required: obj.pop(k), code,
+                               f"{kind} lacks keys ['{required}']", id=f"{kind}-missing")
+        yield pytest.param(kind, name, path, lambda obj, k=key, v=value: obj.update({k: v}), code,
+                           f"{kind} key '{key}' takes", id=f"{kind}-mistyped")
+
+
+class TestJsonObjectRule:
+    """One rule for every JSON object: no unknown key, every required key,
+    each value of its key's JSON type, and one message form for each."""
+
+    @pytest.mark.parametrize("kind, name, path, edit, code, message", _json_object_cases())
+    def test_bad_object_exits_with_its_file_kind_code(self, workdir, tmp_path, capsys,
+                                                      kind, name, path, edit, code, message):
+        shutil.copytree(workdir / "scene", tmp_path / "scene")
+        shutil.copytree(workdir / "train" / "weights", tmp_path / "weights")
+        shutil.copy(workdir / "run_config.json", tmp_path / "run_config.json")
+        doc = json.loads((tmp_path / name).read_text())
+        obj = doc
+        for step in path:
+            obj = obj[step]
+        edit(obj)
+        (tmp_path / name).write_text(json.dumps(doc))
+        assert main(["infer", "--scene", str(tmp_path / "scene"), "--weights", str(tmp_path / "weights"),
+                     "--config", str(tmp_path / "run_config.json"), "--out", str(tmp_path / "x")]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestArgParsing:

@@ -231,7 +231,8 @@ class TestPose3D:
             doc[key] = value
         else:
             entry[key] = value
-        with pytest.raises(ValueError, match=f"pose file key '{key}' takes"):
+        what = "pose file" if key == "skeleton" else "pose entry"
+        with pytest.raises(ValueError, match=f"{what} key '{key}' takes"):
             poses_from_json(doc)
         path = tmp_path / "bad_type.json"
         path.write_text(json.dumps(doc))

@@ -12,10 +12,12 @@ from gridpose import (
     camera_ring,
     default_skeleton,
     load_scene,
+    load_tensor_set,
     project_point,
     render_heatmaps,
     sample_pose,
     save_scene,
+    save_tensor_set,
     synth_scene,
 )
 
@@ -235,3 +237,22 @@ class TestSceneRoundTrip:
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_scene(tmp_path / "nope")
+
+    def test_heatmaps_pair_with_cameras_by_index_past_100_views(self, tmp_path):
+        # "view100" sorts before "view11", so pairing by sorted name would
+        # give most of 101 cameras another camera's heatmap of the same size
+        scene = synth_scene(scene_cfg(n_cameras=101, image_size=(16, 16)))
+        assert len({hm.values.tobytes() for hm in scene.heatmaps}) == 101
+        save_scene(scene, tmp_path / "scene")
+        loaded = load_scene(tmp_path / "scene")
+        for ha, hb in zip(scene.heatmaps, loaded.heatmaps, strict=True):
+            np.testing.assert_array_equal(ha.values, hb.values)
+
+    @pytest.mark.parametrize("rename", [{"view01": "view1"}, {"view02": "view03"}])
+    def test_missing_or_extra_dump_name_raises_oserror(self, tmp_path, rename):
+        save_scene(synth_scene(scene_cfg(image_size=(16, 16))), tmp_path / "scene")
+        heatmaps = load_tensor_set(tmp_path / "scene" / "heatmaps")
+        # the new manifest lists the renamed set; the old dumps stay unread
+        save_tensor_set(tmp_path / "scene" / "heatmaps", {rename.get(k, k): v for k, v in heatmaps.items()})
+        with pytest.raises(OSError, match="missing or extra"):
+            load_scene(tmp_path / "scene")

@@ -129,6 +129,17 @@ class TestTensorSet:
         with pytest.raises(OSError):
             load_tensor_set(tmp_path / "set")
 
+    @pytest.mark.parametrize("tensors, match", [
+        ("ab", "manifest key 'tensors' takes"),  # a string is not a list of names
+        (["a", "a"], r"manifest lists \['a'\] more than once"),
+        (["a", 1], "manifest key 'tensors' takes"),
+    ], ids=["string", "repeated", "non-string"])
+    def test_manifest_lists_distinct_names(self, tmp_path, tensors, match):
+        save_tensor_set(tmp_path / "set", {"a": np.zeros(2), "b": np.ones(2)})
+        (tmp_path / "set" / "manifest.json").write_text(json.dumps({"tensors": tensors}))
+        with pytest.raises(OSError, match=match):
+            load_tensor_set(tmp_path / "set")
+
     def test_manifest_name_outside_directory_raises_oserror(self, tmp_path):
         # a well-formed tensor one level up must not be reachable through the manifest
         save_tensor(tmp_path, "run", np.zeros(2))
