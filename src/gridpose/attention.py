@@ -40,14 +40,14 @@ row tiles too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import Tensor, as_tensor
 from .conv import Conv3dLayer, conv3d_forward, init_conv3d
 from .errors import ConfigError, NotDifferentiablePathError, NumericError
-from .grid import flatten_volume, merge_bins, partition_bins, unflatten_volume
+from .grid import flatten_volume, merge_bins, partition_bins, row_blocks, unflatten_volume
 
 
 @dataclass
@@ -218,16 +218,6 @@ WINDOW_TILE_BINS = 2
 WINDOW_MATCH_CHUNK_BINS = 36
 
 
-def _chunk_bounds(n_b, chunk):
-    """(c0, c1) of each chunk of `chunk` bins. A last chunk of one bin joins
-    the one before it: numpy mixes a one-row chunk with BLAS's gemv, which
-    rounds unlike the gemm rows of a whole mix."""
-    starts = list(range(0, n_b, chunk))
-    if len(starts) > 1 and n_b - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, [*starts[1:], n_b]))
-
-
 def _window_input(x, bounds):
     """How `windowed_attention` reads a key or value input a chunk of bins
     at a time: (its tensors, its dtype, chunks, adjoint). ``chunks()``
@@ -309,7 +299,7 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
         raise ValueError(f"bins carry {e} channels but config.embed_dim is {config.embed_dim}")
 
     tile = WINDOW_TILE_BINS
-    bounds = _chunk_bounds(n_b, WINDOW_MATCH_CHUNK_BINS)
+    bounds = row_blocks(n_b, WINDOW_MATCH_CHUNK_BINS)
     # local keys, local values, matched keys, matched values
     tensors, dtypes, makers, adjoints = zip(*(_window_input(x, bounds)
                                               for x in (b_k, b_v, sorted_k, sorted_v)))
@@ -437,11 +427,7 @@ class EncoderLayerWeights:
     ln2_bias: Tensor
 
     def parameters(self, prefix):
-        names = (
-            "w_q", "w_k", "w_v", "w_o", "ln1_gain", "ln1_bias",
-            "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln2_gain", "ln2_bias",
-        )
-        return {f"{prefix}.{n}": getattr(self, n) for n in names}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def init_encoder_layer(config: AttentionConfig, rng):
@@ -496,9 +482,9 @@ def init_encoder_weights(n_joints, dims, config: AttentionConfig, rng):
 
 
 LAYER_NORM_EPS = 1e-5
-# Rows per tile of `layer_norm`'s forward pass: a tile's rows stay in cache
-# from the residual add through the affine output.
-LAYER_NORM_TILE_ROWS = 256
+# Elements per row tile of `layer_norm`'s forward pass (2048 rows at e=32,
+# 256 at e=256): a tile stays in cache from the residual add to the output.
+LAYER_NORM_TILE_ELEMENTS = 2**16
 
 
 def layer_norm(x, gain, bias, residual):
@@ -507,20 +493,21 @@ def layer_norm(x, gain, bias, residual):
 
     One autodiff node with the closed-form backward (Ba et al. 2016):
     dx = (dy*gain - mean(dy*gain) - xhat * mean(dy*gain * xhat)) / std.
-    The forward pass runs over `LAYER_NORM_TILE_ROWS` rows at a time and
-    writes the whole normalized rows (which the backward reads) and output.
+    The forward pass runs over row tiles of `LAYER_NORM_TILE_ELEMENTS`
+    elements and writes the whole normalized rows (which the backward
+    reads) and output.
     """
     x, gain, bias, residual = as_tensor(x), as_tensor(gain), as_tensor(bias), as_tensor(residual)
     if x.shape != residual.shape:
         raise ValueError(f"residual {residual.shape} does not match x {x.shape}")
-    n, tile = x.shape[-1], LAYER_NORM_TILE_ROWS
+    n = x.shape[-1]
     normed = np.empty(x.shape, dtype=np.result_type(x.data, residual.data))
     out = np.empty(x.shape, dtype=np.result_type(normed, gain.data))
     inv_std = np.empty((*x.shape[:-1], 1), dtype=normed.dtype)
     x_rows, residual_rows = x.data.reshape(-1, n), residual.data.reshape(-1, n)
     normed_rows, out_rows, inv_std_rows = normed.reshape(-1, n), out.reshape(-1, n), inv_std.reshape(-1, 1)
-    for lo in range(0, len(normed_rows), tile):
-        t = slice(lo, lo + tile)
+    for lo, hi in row_blocks(len(normed_rows), LAYER_NORM_TILE_ELEMENTS // n):
+        t = slice(lo, hi)
         rows, inv_std_t, out_t = normed_rows[t], inv_std_rows[t], out_rows[t]
         np.add(x_rows[t], residual_rows[t], out=rows)
         rows -= rows.mean(axis=-1, keepdims=True)
@@ -563,21 +550,20 @@ def feed_forward(x, weights: EncoderLayerWeights):
     w1, b1, w2, b2 = (t.data for t in params)
     x_node, w1_node, b1_node, w2_node, b2_node = (t._node for t in (x, *params))
     rows = x.data.reshape(-1, w1.shape[0])
-    n, tile = rows.shape[0], FEED_FORWARD_TILE_ROWS
+    blocks = row_blocks(rows.shape[0], FEED_FORWARD_TILE_ROWS)
     dtype = np.result_type(rows, w1, w2)
 
     def tiles():
         """Yield (lo, hi, hidden rows lo..hi) per tile, in one reused buffer."""
-        hidden = np.empty((min(tile, n), w1.shape[1]), dtype=dtype)
-        for lo in range(0, n, tile):
-            hi = min(lo + tile, n)
+        hidden = np.empty((max((hi - lo for lo, hi in blocks), default=0), w1.shape[1]), dtype=dtype)
+        for lo, hi in blocks:
             h = hidden[:hi - lo]
             np.matmul(rows[lo:hi], w1, out=h)
             h += b1
             np.maximum(h, 0.0, out=h)
             yield lo, hi, h
 
-    out = np.empty((n, w2.shape[1]), dtype=dtype)
+    out = np.empty((rows.shape[0], w2.shape[1]), dtype=dtype)
     for lo, hi, h in tiles():
         np.matmul(h, w2, out=out[lo:hi])
         out[lo:hi] += b2

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridSpec, unflatten_volume
+from .grid import GridSpec, row_blocks, unflatten_volume
 from .tensorio import check_json_object
 
 
@@ -224,19 +224,20 @@ def _camera_views(cams, maps):
 
 def _reduce_views(views, centers, reduce_block):
     """Sample every camera view at (n, 3) world points and reduce over the
-    views, VOXEL_BLOCK points at a time.
+    views, over the `row_blocks` of VOXEL_BLOCK points.
 
     `reduce_block(samples, shape)` gets an iterator over the views'
     `_camera_samples` results for one block and returns their reduction of
     `shape` (J, block). Returns (J, n) in float64. A point's result does
-    not depend on which other points share its call.
+    not depend on which other points share its call: a lone point, whose
+    one-row projection numpy would round by gemv, is sampled as two copies.
     """
     n_joints = views[0][1].shape[0]
     out = np.empty((n_joints, centers.shape[0]))
-    for start in range(0, centers.shape[0], VOXEL_BLOCK):
-        block = centers[start:start + VOXEL_BLOCK]
+    for lo, hi in row_blocks(centers.shape[0], VOXEL_BLOCK):
+        block = centers[lo:hi] if hi - lo > 1 else centers[[lo, lo]]
         samples = (_camera_samples(cam, plane, h, w, block) for cam, plane, h, w in views)
-        out[:, start:start + block.shape[0]] = reduce_block(samples, (n_joints, block.shape[0]))
+        out[:, lo:hi] = reduce_block(samples, (n_joints, len(block)))[:, :hi - lo]
     return out
 
 
@@ -298,9 +299,10 @@ def min_score(cams, heatmaps, centers):
     joints of the minimum over cameras of the projected heatmap score.
 
     Equals `min_feature_volume(...).sum(axis=0)` at the same voxel centers
-    bit for bit: the same samples, minima and joint order.
+    bit for bit: the same samples, minima and joint order (added one by
+    one, where numpy would sum one point's (J, 1) minima pairwise).
     """
-    return _reduce_views(_camera_views(cams, [hm.values for hm in heatmaps]), centers, _minimum).sum(axis=0)
+    return sum(_reduce_views(_camera_views(cams, [hm.values for hm in heatmaps]), centers, _minimum))
 
 
 # Relative slack of the bound behind `min_score_bound` over `min_score` as
@@ -331,8 +333,8 @@ def min_score_bound(cams, heatmaps, centers, threshold):
     every point, each later one only the points that all earlier ones
     put above the floor, since a minimum exceeds the floor only if every
     sample does. A point's sample does not depend on the points sharing
-    its call, so the mask equals the dense minimum over all cameras
-    compared with the floor.
+    its call, a lone survivor's included, so the mask equals the dense
+    minimum over all cameras compared with the floor.
     """
     floor = threshold * (1.0 - SCORE_BOUND_RTOL)
     sums = [hm.values.sum(axis=0, keepdims=True, dtype=np.float64) for hm in heatmaps]

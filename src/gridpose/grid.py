@@ -10,6 +10,8 @@ Conventions used across the package:
   in exactly this order so that sequence rows and voxel centers line up.
 * A bin sequence has shape (N_b, B, C): the flat sequence split into
   contiguous blocks of B elements.
+* A loop over an array's rows a block at a time takes its blocks from
+  `row_blocks`, which never makes a one-row block of a longer array.
 
 All shape transforms below work both on plain ndarrays and on autodiff
 ``Tensor`` objects (they only use ``reshape``/``transpose``, which both
@@ -123,6 +125,16 @@ def merge_bins(bins):
     """Inverse of `partition_bins`: (N_b, B, C) -> (L, C)."""
     n_b, b, c = bins.shape
     return bins.reshape(n_b * b, c)
+
+
+def row_blocks(n, size):
+    """(lo, hi) of each block of `size` (at least 2) rows over rows 0..n, in
+    order; a last block of one row joins the one before it. So no block has
+    one row unless n == 1: numpy rounds a one-row matrix product by gemv."""
+    starts = list(range(0, n, max(size, 2)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def flat_index(dims, x, y, z):

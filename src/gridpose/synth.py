@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SceneConfig, load_json_config, scene_config_from_json, scene_config_to_json
+from .config import SceneConfig, scene_config_from_json, scene_config_to_json
 from .errors import ConfigError
 from .geometry import CameraCalib, Heatmap, cameras_to_json, load_cameras_json, project_point
 from .posehead import Pose3D, poses_from_json, save_poses_json
@@ -249,7 +249,7 @@ def save_scene(scene: SyntheticScene, directory):
 def load_scene(directory):
     """Inverse of `save_scene`. Person centers are joint centroids. Camera i
     reads the heatmap dump view{i:02d}, which must have its image size."""
-    cfg = load_json_config(os.path.join(directory, "scene_config.json"), scene_config_from_json)
+    cfg = load_json_file(os.path.join(directory, "scene_config.json"), scene_config_from_json)
     cameras = load_json_file(os.path.join(directory, "cameras.json"), load_cameras_json)
     poses, skeleton = load_json_file(os.path.join(directory, "ground_truth.json"), poses_from_json)
     if skeleton is None:

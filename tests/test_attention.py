@@ -1010,22 +1010,22 @@ class TestTiling:
     def test_layer_norm_tiles_equal_the_whole_formula(self, monkeypatch, dtype):
         rng = np.random.default_rng(112)
         leaves = {name: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
-                  for name, shape in (("x", (3, 100, 16)), ("residual", (3, 100, 16)),
+                  for name, shape in (("x", (3, 1400, 16)), ("residual", (3, 1400, 16)),
                                       ("gain", 16), ("bias", 16))}
         want = self.whole_layer_norm(*(leaves[n].data for n in ("x", "gain", "bias", "residual")))
 
         def fn():
             return layer_norm(leaves["x"], leaves["gain"], leaves["bias"], residual=leaves["residual"])
 
-        # 300 rows: the last tile of 256 and of 7 rows is partial
-        assert 300 % attention.LAYER_NORM_TILE_ROWS != 0
-        for tile in (attention.LAYER_NORM_TILE_ROWS, 7):
-            monkeypatch.setattr(attention, "LAYER_NORM_TILE_ROWS", tile)
+        # 4200 rows of 16: the last tile of 4096 rows (the default's) and of 7 rows is partial
+        assert 4200 % (attention.LAYER_NORM_TILE_ELEMENTS // 16) != 0
+        for tile in (attention.LAYER_NORM_TILE_ELEMENTS, 7 * 16):
+            monkeypatch.setattr(attention, "LAYER_NORM_TILE_ELEMENTS", tile)
             with no_grad():
                 out = fn().data
             assert out.dtype == dtype and np.array_equal(out, want)
-            assert_tiles_exact(monkeypatch, attention, "LAYER_NORM_TILE_ROWS", fn, leaves,
-                               rng.normal(size=(3, 100, 16)))
+            assert_tiles_exact(monkeypatch, attention, "LAYER_NORM_TILE_ELEMENTS", fn, leaves,
+                               rng.normal(size=(3, 1400, 16)))
         with pytest.raises(ValueError, match="residual"):
             layer_norm(leaves["x"], leaves["gain"], leaves["bias"], residual=np.zeros(16))
 

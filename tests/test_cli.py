@@ -618,7 +618,7 @@ class TestExitCodes:
 JSON_OBJECT_KINDS = [
     ("run config", "run_config.json", (), None, ("seed", 1.5), 2),
     ("attention config", "run_config.json", ("attention",), None, ("n_heads", "2"), 2),
-    ("scene config", "scene/scene_config.json", (), None, ("n_people", True), 2),
+    ("scene config", "scene/scene_config.json", (), None, ("n_people", True), 4),
     ("calibration document", "scene/cameras.json", (), "cameras", ("cameras", {}), 4),
     ("camera entry", "scene/cameras.json", ("cameras", 0), "fx", ("width", 64.7), 4),
     ("pose file", "scene/ground_truth.json", (), "poses", ("skeleton", [[0.9, 1]]), 4),

@@ -379,9 +379,32 @@ class TestScoreBound:
         centers = grid.voxel_centers()
         assert np.array_equal(min_score(cams, heatmaps, centers), dense)
         # a point's score does not depend on the points that share its blocks
-        subset = np.random.default_rng(8).permutation(grid.n_voxels)[:VOXEL_BLOCK + 100]
+        perm = np.random.default_rng(8).permutation(grid.n_voxels)
+        subset = perm[:VOXEL_BLOCK + 100]
         assert np.array_equal(min_score(cams, heatmaps, centers[subset]), dense[subset])
         assert min_score(cams, heatmaps, centers[:0]).shape == (0,)
+        # nor at a lone point, or one past a whole block: numpy hands a
+        # one-row projection to gemv and sums a lone point's (J, 1) minima
+        # pairwise, which moved 36 % of the lone scores in the last bits
+        for i in np.flatnonzero(dense)[:12]:
+            assert np.array_equal(min_score(cams, heatmaps, centers[[i]]), dense[[i]]), i
+            subset = np.append(perm[perm != i][:VOXEL_BLOCK], i)
+            assert np.array_equal(min_score(cams, heatmaps, centers[subset]), dense[subset]), i
+
+    def test_sieve_that_leaves_one_point_returns_the_dense_mask(self, sparse_views, monkeypatch):
+        cams, heatmaps, grid = sparse_views
+        centers = grid.voxel_centers()
+        samples = joint_sum_samples(cams, heatmaps, centers)
+        bound = samples.min(axis=0)
+        # the first camera drops `gone` and keeps `p`: every later camera
+        # samples p alone. With no slack the floor is the threshold, which
+        # sits at p's dense bound and one step below it
+        gone = np.flatnonzero(samples[0] == 0.0)[0]
+        monkeypatch.setattr(geometry, "SCORE_BOUND_RTOL", 0.0)
+        for p in np.flatnonzero(bound)[:40]:
+            for threshold in (bound[p], np.nextafter(bound[p], 0.0)):
+                mask = min_score_bound(cams, heatmaps, centers[[gone, p]], threshold)
+                assert np.array_equal(mask, [False, bound[p] > threshold]), (p, threshold)
 
 
 class TestSievedBound:

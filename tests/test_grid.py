@@ -13,6 +13,7 @@ from gridpose import (
     partition_bins,
     unflatten_volume,
 )
+from gridpose.grid import row_blocks
 
 
 class TestGridSpec:
@@ -142,3 +143,18 @@ class TestBins:
         out = merge_bins(partition_bins(seq, 2))
         (out * Tensor(rng.normal(size=(6, 2)))).sum().backward()
         assert seq.grad is not None
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("size", range(1, 10))
+    def test_blocks_cover_rows_in_order_and_none_has_one_row(self, size):
+        for n in range(61):
+            blocks = row_blocks(n, size)
+            # each block ends where the next starts, from row 0 to row n
+            assert [0, *(hi for _, hi in blocks)] == [*(lo for lo, _ in blocks), n], (n, size)
+            lengths = [hi - lo for lo, hi in blocks]
+            assert all(length >= (1 if n == 1 else 2) for length in lengths), (n, size)
+            # a size of 1 counts as 2: no 3 rows split into blocks of 2 rows
+            # at most and none of 1
+            assert all(length <= max(size, 2) + 1 for length in lengths), (n, size)
+            assert all(length == max(size, 2) for length in lengths[:-1]), (n, size)
