@@ -48,6 +48,7 @@ from .autodiff import Tensor, as_tensor
 from .conv import Conv3dLayer, conv3d_forward, init_conv3d
 from .errors import ConfigError, NotDifferentiablePathError, NumericError
 from .grid import flatten_volume, merge_bins, partition_bins, row_blocks, unflatten_volume
+from .tensorio import check_config_values, config_schema
 
 
 @dataclass
@@ -62,20 +63,11 @@ class AttentionConfig:
     n_layers: int = 1
 
     def __post_init__(self):
-        if self.n_heads < 1:
-            raise ConfigError(f"n_heads must be >= 1, got {self.n_heads}")
-        if self.embed_dim < 1 or self.embed_dim % self.n_heads != 0:
+        check_config_values(self, config_schema("run_config")["properties"]["attention"])
+        if self.embed_dim % self.n_heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} must be a positive multiple of n_heads {self.n_heads}")
-        if self.bin_size < 1:
-            raise ConfigError(f"bin_size must be >= 1, got {self.bin_size}")
-        if self.sinkhorn_iters < 1:
-            raise ConfigError(f"sinkhorn_iters must be >= 1, got {self.sinkhorn_iters}")
-        if self.n_layers < 0:
-            raise ConfigError(f"n_layers must be >= 0, got {self.n_layers}")
         if self.temperature is None:
             self.temperature = float(np.sqrt(self.embed_dim))
-        if not self.temperature > 0:  # NaN included
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
 
     @property
     def head_dim(self):

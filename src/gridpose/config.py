@@ -1,18 +1,18 @@
 """Run and scene configuration: dataclasses, JSON round-trip, validation.
 
 Config files are plain JSON, one key per dataclass field. Loading is
-strict: unknown keys and values whose JSON type differs from the field's
-declared type (both checked by `tensorio.check_json_object`, as in every
-data file), non-finite numbers, and inconsistent combinations (for
-example a voxel grid whose flattened length is not divisible by the
-attention bin size) raise ConfigError, which the CLI maps to exit code 2.
-JSON schema documents for both file kinds ship in gridpose/schemas/.
+strict: unknown keys and mistyped values (`tensorio.check_json_object`, as
+in every data file), values that are not finite or break the bounds,
+choices or item counts of the schemas in gridpose/schemas/
+(`tensorio.check_config_values`, run on construction, so configs built in
+Python obey it too) and inconsistent combinations (for example a voxel
+grid whose flattened length is not divisible by the attention bin size)
+raise ConfigError, which the CLI maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
@@ -22,21 +22,9 @@ from .attention import AttentionConfig
 from .errors import ConfigError
 from .geometry import CameraCalib
 from .grid import GridSpec
-from .tensorio import check_json_object
+from .tensorio import check_config_values, check_json_object, config_schema
 
-CENTER_SOURCES = ("ground_truth", "coarse_proposal")
-REORDER_MODES = ("soft", "hard")
-OPTIMIZERS = ("adam", "sgd")
 DTYPES = {"f64": np.float64, "f32": np.float32}
-
-
-def _require_finite(cfg):
-    """Reject a NaN or infinite float field, or tuple element, of `cfg`."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v)
-               for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -63,31 +51,7 @@ class SceneConfig:
         self.space_extent = tuple(float(v) for v in self.space_extent)
         self.space_center = tuple(float(v) for v in self.space_center)
         self.image_size = tuple(int(v) for v in self.image_size)
-        _require_finite(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.n_people < 1:
-            raise ConfigError(f"n_people must be >= 1, got {self.n_people}")
-        if len(self.space_extent) != 3 or any(v <= 0 for v in self.space_extent):
-            raise ConfigError(f"space_extent must be 3 positive lengths, got {self.space_extent}")
-        if len(self.space_center) != 3:
-            raise ConfigError(f"space_center must be a 3-vector, got {self.space_center}")
-        if self.person_extent <= 0:
-            raise ConfigError(f"person_extent must be positive, got {self.person_extent}")
-        if self.person_resolution < 2:
-            raise ConfigError(f"person_resolution must be >= 2, got {self.person_resolution}")
-        if self.cameras is None and self.n_cameras < 1:
-            raise ConfigError("need n_cameras >= 1 or an explicit camera list")
-        if self.cameras is not None and len(self.cameras) == 0:
-            raise ConfigError("explicit camera list must not be empty")
-        if len(self.image_size) != 2 or any(v < 8 for v in self.image_size):
-            raise ConfigError(f"image_size must be (width, height) >= 8, got {self.image_size}")
-        if self.focal_px <= 0 or self.heatmap_sigma <= 0:
-            raise ConfigError("focal_px and heatmap_sigma must be positive")
-        if self.noise_std < 0:
-            raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not 0.0 <= self.dropout_prob < 1.0:
-            raise ConfigError(f"dropout_prob must be in [0, 1), got {self.dropout_prob}")
+        check_config_values(self, config_schema("scene_config"))
         if any(self.person_extent > v for v in self.space_extent):
             raise ConfigError("person grid does not fit inside the scene space")
 
@@ -113,27 +77,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.residual_channels = tuple(int(c) for c in np.atleast_1d(self.residual_channels))
-        if self.n_joints < 1:
-            raise ConfigError(f"n_joints must be >= 1, got {self.n_joints}")
-        if self.grid_extent <= 0 or self.grid_resolution < 2:
-            raise ConfigError("grid_extent must be positive and grid_resolution >= 2")
-        if not self.residual_channels or any(c < 1 for c in self.residual_channels):
-            raise ConfigError(f"residual_channels must be positive, got {self.residual_channels}")
-        if self.center_source not in CENTER_SOURCES:
-            raise ConfigError(f"center_source must be one of {CENTER_SOURCES}, got {self.center_source!r}")
-        if self.reorder_mode not in REORDER_MODES:
-            raise ConfigError(f"reorder_mode must be one of {REORDER_MODES}, got {self.reorder_mode!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.dtype not in DTYPES:
-            raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {self.dtype!r}")
-        _require_finite(self)
-        if self.train_steps < 0 or self.lr < 0 or self.seed < 0:
-            raise ConfigError("train_steps, lr and seed must be non-negative")
-        if self.coarse_voxel_mm <= 0:
-            raise ConfigError(f"coarse_voxel_mm must be positive, got {self.coarse_voxel_mm}")
-        if self.proposal_threshold < 0:
-            raise ConfigError(f"proposal_threshold must be >= 0, got {self.proposal_threshold}")
+        check_config_values(self, config_schema("run_config"))
         length = self.grid_resolution ** 3
         if length % self.attention.bin_size != 0:
             raise ConfigError(

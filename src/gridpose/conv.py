@@ -209,14 +209,6 @@ class ResidualBlock:
         if self.conv1.c_in != self.skip.c_in:
             raise ValueError("main path and skip path must consume the same channels")
 
-    @property
-    def c_in(self):
-        return self.conv1.c_in
-
-    @property
-    def c_out(self):
-        return self.skip.c_out
-
     def parameters(self, prefix):
         params = {}
         params.update(self.conv1.parameters(f"{prefix}.conv1"))

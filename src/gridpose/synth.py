@@ -216,8 +216,6 @@ def synth_scene(cfg: SceneConfig):
         cfg.n_cameras, cfg.camera_radius, cfg.camera_height,
         cfg.space_center, cfg.image_size, cfg.focal_px,
     )
-    if not cameras:
-        raise ConfigError("camera list is empty")
     centers = _sample_centers(cfg, rng)
     margin = 0.05 * cfg.person_extent
     poses = []

@@ -11,14 +11,19 @@ naming a tensor twice) raise OSError for the CLI's I/O exit code, as
 `load_json_file` does for every JSON data file. `check_json_object`, with
 `has_json_type`, is the one check of a JSON object's keys and value types,
 for config and data files alike; each file kind gives it a {key: type} table.
+`check_config_values` is the one check of a config's values: all finite,
+and within the bounds, choices and item counts of its shipped schema.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
 import os
 import types
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import get_args, get_origin
 
 import numpy as np
@@ -79,6 +84,50 @@ def check_json_object(what, doc, types, required=()):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ConfigError(f"{what} key {key!r} takes {name}, got {doc[key]!r}")
     return doc
+
+
+@functools.cache
+def config_schema(kind):
+    """The JSON schema shipped for config kind "run_config" or "scene_config", read once."""
+    with open(os.path.join(os.path.dirname(__file__), "schemas", f"{kind}.schema.json")) as fh:
+        return json.load(fh)
+
+
+# Schema bound keyword -> (the test a number must pass, its sign in messages).
+_BOUNDS = {"minimum": (operator.ge, ">="), "exclusiveMinimum": (operator.gt, ">"),
+           "exclusiveMaximum": (operator.lt, "<")}
+
+
+def _check_schema_value(name, value, prop):
+    """Raise ConfigError unless `value` meets schema property `prop`'s `enum`,
+    its item counts and `items` (an array) or its bounds (a number). As in
+    JSON schema, a keyword passes a value it does not apply to (a null, an
+    object such as a camera entry)."""
+    if "enum" in prop and value not in prop["enum"]:
+        raise ConfigError(f"{name} must be one of {prop['enum']}, got {value!r}")
+    if isinstance(value, (tuple, list)):
+        least, most = prop.get("minItems", 0), prop.get("maxItems", math.inf)
+        if not least <= len(value) <= most:
+            raise ConfigError(f"{name} must hold {least} to {most} items, got {len(value)}")
+        for item in value:
+            _check_schema_value(f"{name} item", item, prop.get("items", {}))
+    elif value is not None:
+        for key, (holds, sign) in _BOUNDS.items():
+            if key in prop and not holds(value, prop[key]):
+                raise ConfigError(f"{name} must be {sign} {prop[key]}, got {value}")
+
+
+def check_config_values(cfg, schema):
+    """Raise ConfigError unless every float of dataclass `cfg`, in a field or
+    a tuple field, is finite, and then each field meets its property in
+    `schema`. A nested dataclass is left to check itself."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    for name, value in values.items():
+        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    for name, value in values.items():
+        _check_schema_value(name, value, schema["properties"][name])
 
 
 def write_json_file(path, doc):

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gridpose.cli as cli_mod
 import gridpose.pipeline as pipeline_mod
 from gridpose import (
     Pose3D,
@@ -22,6 +23,7 @@ from gridpose import (
     load_tensor_set,
     save_tensor_set,
 )
+from gridpose.checks import CheckItem, CheckReport
 from gridpose.cli import main
 from conftest import toy_run_config, toy_scene_config
 
@@ -217,6 +219,14 @@ class TestInfer:
         err = capsys.readouterr().err
         assert "n_joints = 10" in err and "have 15" in err
 
+    def test_reshaped_weight_exits_4(self, workdir, tmp_path, capsys):
+        tensors = load_tensor_set(workdir / "train" / "weights")
+        tensors["head.w"] = tensors["head.w"].reshape(-1)  # the same numbers in another shape
+        save_tensor_set(tmp_path / "w", tensors)
+        assert main(["infer", "--scene", str(workdir / "scene"), "--weights", str(tmp_path / "w"),
+                     "--config", str(workdir / "run_config.json"), "--out", str(tmp_path / "x")]) == 4
+        assert "tensor head.w: dumped shape" in capsys.readouterr().err
+
     def test_hard_reorder_config_exits_0(self, workdir, tmp_path):
         doc = run_config_to_json(toy_run_config(steps=TRAIN_STEPS))
         doc["reorder_mode"] = "hard"
@@ -394,6 +404,11 @@ class TestCheck:
         assert doc["all_passed"] is True
         assert len(doc["checks"]) >= 5
 
+    def test_failing_check_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "run_checks", lambda seed: CheckReport([CheckItem("broken", False, 1.0)]))
+        assert main(["check"]) == 3
+        assert "FAIL  broken" in capsys.readouterr().out
+
     def test_repeat_run_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["check", "--seed", "0", "--out", str(a)]) == 0
@@ -491,6 +506,11 @@ def _camera_list(workdir, **changes):
 def _cameras_with(workdir, **changes):
     """Text of the shared scene's cameras.json with `changes` in every entry."""
     return json.dumps({"cameras": _camera_list(workdir, **changes)})
+
+
+def _scene_config_with(workdir, **changes):
+    """Text of the shared scene's scene_config.json with `changes`."""
+    return json.dumps(dict(json.loads((workdir / "scene" / "scene_config.json").read_text()), **changes))
 
 
 def _synth_bad_config(workdir, tmp_path, **overrides):
@@ -598,6 +618,24 @@ class TestExitCodes:
         pytest.param(lambda w, t: _synth_bad_config(w, t, noise_std=float("nan")), 2, id="synth-noise-nan"),
         pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, temperature=float("nan"))),
                      2, id="infer-temperature-nan"),
+        pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, temperature=float("inf"))),
+                     2, id="infer-temperature-inf"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, camera_radius=0.0), 2, id="synth-camera-radius-zero"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, camera_radius=-1.0), 2,
+                     id="synth-camera-radius-negative"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "scene_config.json",
+                                                       _scene_config_with(w, camera_radius=0.0)),
+                     4, id="infer-scene-camera-radius-zero"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "scene_config.json",
+                                                       _scene_config_with(w, camera_radius=-1.0)),
+                     4, id="infer-scene-camera-radius-negative"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, n_cameras=0, cameras=_camera_list(w)), 2,
+                     id="synth-n-cameras-zero-with-camera-list"),
+        pytest.param(lambda w, t: _synth_bad_config(w, t, cameras=_camera_list(w, R=[1, 0, 0, 0, 1, 0, 0, 0])),
+                     2, id="synth-camera-rotation-8-numbers"),
+        pytest.param(lambda w, t: _infer_corrupt_scene(w, t, "cameras.json",
+                                                       _cameras_with(w, R=[1, 0, 0, 0, 1, 0, 0, 0])),
+                     4, id="infer-camera-rotation-8-numbers"),
         pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, n_heads=0)), 2,
                      id="infer-n-heads-zero"),
         pytest.param(lambda w, t: _infer_bad_config(w, t, attention=_attention(w, n_heads=-2)), 2,

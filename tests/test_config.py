@@ -1,5 +1,6 @@
 """Config dataclasses: validation gates, JSON round trips, schema documents."""
 
+import copy
 import dataclasses
 import json
 import types
@@ -27,6 +28,75 @@ from gridpose import (
 SCHEMA_DIR = Path(gridpose.__file__).parent / "schemas"
 SCHEMA_TYPE_NAMES = {int: "integer", float: "number", str: "string", tuple: "array", list: "array",
                      type(None): "null"}
+
+
+# Keywords of a field property that `tensorio.check_config_values` enforces,
+# and those other code handles: `type` is `check_json_object`'s, and an
+# object's keys are checked by the parser of that object (a nested config,
+# a camera entry).
+BOUND_KEYWORDS = {"minimum", "exclusiveMinimum", "exclusiveMaximum"}
+RULE_KEYWORDS = BOUND_KEYWORDS | {"enum", "minItems", "maxItems", "items"}
+OTHER_KEYWORDS = {"type", "properties", "required", "additionalProperties"}
+
+# Documents that keep the cross-field rules out of a single field's way:
+# a person grid no larger than the smallest positive space extent, and one
+# head and one-voxel bins, which divide any embed_dim and any grid.
+ORACLE_BASES = {
+    "scene_config": ({"person_extent": 5e-324}, scene_config_from_json),
+    "run_config": ({"attention": {"n_heads": 1, "bin_size": 1}}, run_config_from_json),
+}
+
+
+def load_schema(name):
+    return json.loads((SCHEMA_DIR / name).read_text())
+
+
+def field_properties(schema, path=()):
+    """(path, property) of every config field in `schema`, nested configs'
+    fields included; a camera entry's keys are not config fields."""
+    for name, prop in schema["properties"].items():
+        yield path + (name,), prop
+        if prop.get("type") == "object":
+            yield from field_properties(prop, path + (name,))
+
+
+def around(prop, bound):
+    """One step below, at and one step above `bound` of schema property
+    `prop`: +-1 for an integer, the next float either way for a number."""
+    kinds = prop.get("type", [])
+    if "integer" in ([kinds] if isinstance(kinds, str) else kinds):
+        return [bound - 1, bound, bound + 1]
+    return [float(np.nextafter(bound, -np.inf)), bound, float(np.nextafter(bound, np.inf))]
+
+
+def edge_values(prop, fill):
+    """Values around each bound of schema property `prop`, each of its
+    choices and an unlisted one, arrays one item short of, at and past each
+    item count, and arrays whose first item is an edge value of `items`.
+    `fill` is a valid item of an array property."""
+    values = [v for key in sorted(BOUND_KEYWORDS & prop.keys()) for v in around(prop, prop[key])]
+    values += prop.get("enum", []) + (["unlisted"] if "enum" in prop else [])
+    for key in sorted({"minItems", "maxItems"} & prop.keys()):
+        values += [[fill] * n for n in (prop[key] - 1, prop[key], prop[key] + 1) if n >= 0]
+    if "items" in prop:
+        rest = [fill] * (prop.get("minItems", 1) - 1)
+        values += [[item] + rest for item in edge_values(prop["items"], None)]
+    return values
+
+
+def oracle_cases():
+    """(kind, field path, value) at every edge of both schemas' fields."""
+    camera = camera_ring(1, 3000.0, 500.0, (0.0, 0.0, 0.0), (64, 64), 100.0)[0].to_json()
+    defaults = {"scene_config": scene_config_to_json(SceneConfig()),
+                "run_config": run_config_to_json(RunConfig())}
+    for kind, default in defaults.items():
+        for path, prop in field_properties(load_schema(f"{kind}.schema.json")):
+            value = default
+            for step in path:
+                value = value.get(step)  # an explicit camera list is absent by default
+            fill = camera if path == ("cameras",) else (value[0] if isinstance(value, list) else None)
+            for i, edge in enumerate(edge_values(prop, fill)):
+                yield pytest.param(kind, path, edge, id=f"{kind}:{'.'.join(path)}-{i}")
 
 
 def json_types(hint):
@@ -74,6 +144,9 @@ class TestSceneConfig:
         dict(noise_std=-0.1),
         dict(dropout_prob=1.0),
         dict(person_extent=5000.0),  # person grid larger than the space
+        dict(camera_radius=0.0),
+        dict(camera_radius=-1.0),
+        dict(n_cameras=0, cameras=camera_ring(2, 3000.0, 500.0, (0.0, 0.0, 0.0), (64, 64), 100.0)),
     ])
     def test_invalid_rejected(self, bad):
         kwargs = dict(space_extent=(4000.0, 4000.0, 2400.0))
@@ -257,6 +330,13 @@ class TestJsonTypes:
         with pytest.raises(ConfigError, match="finite"):
             SceneConfig(**{key: value})
 
+    @pytest.mark.parametrize("text", ['{"attention": {"temperature": NaN}}',
+                                      '{"attention": {"temperature": Infinity}}',
+                                      '{"attention": {"temperature": -Infinity}}'])
+    def test_non_finite_attention_value_rejected(self, text):
+        with pytest.raises(ConfigError, match="temperature must be finite"):
+            run_config_from_json(json.loads(text))
+
 
 class TestLoadJsonConfig:
     def test_loads_and_parses(self, tmp_path):
@@ -277,30 +357,27 @@ class TestLoadJsonConfig:
 
 
 class TestSchemas:
-    def load(self, name):
-        return json.loads((SCHEMA_DIR / name).read_text())
-
     def test_schemas_are_valid_documents(self):
         for name in ("run_config.schema.json", "scene_config.schema.json"):
-            jsonschema.Draft202012Validator.check_schema(self.load(name))
+            jsonschema.Draft202012Validator.check_schema(load_schema(name))
 
     def test_default_configs_validate(self):
         jsonschema.validate(run_config_to_json(RunConfig()),
-                            self.load("run_config.schema.json"))
+                            load_schema("run_config.schema.json"))
         jsonschema.validate(scene_config_to_json(SceneConfig()),
-                            self.load("scene_config.schema.json"))
+                            load_schema("scene_config.schema.json"))
 
     def test_schema_rejects_unknown_key(self):
         doc = run_config_to_json(RunConfig())
         doc["warmup"] = 10
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, self.load("run_config.schema.json"))
+            jsonschema.validate(doc, load_schema("run_config.schema.json"))
 
     def test_schema_rejects_bad_enum(self):
         doc = run_config_to_json(RunConfig())
         doc["optimizer"] = "lbfgs"
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(doc, self.load("run_config.schema.json"))
+            jsonschema.validate(doc, load_schema("run_config.schema.json"))
 
     @pytest.mark.parametrize("name, doc", [
         ("run_config.schema.json", run_config_to_json(RunConfig())),
@@ -308,7 +385,7 @@ class TestSchemas:
     ])
     def test_schema_rejects_negative_seed(self, name, doc):
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(dict(doc, seed=-1), self.load(name))
+            jsonschema.validate(dict(doc, seed=-1), load_schema(name))
 
     def assert_schema_matches(self, cls, schema):
         """Same keys as `cls`'s fields, and each key's schema type matches
@@ -324,7 +401,30 @@ class TestSchemas:
                 self.assert_schema_matches(hint, prop)
 
     def test_schema_and_parser_agree_on_scene_fields(self):
-        self.assert_schema_matches(SceneConfig, self.load("scene_config.schema.json"))
+        self.assert_schema_matches(SceneConfig, load_schema("scene_config.schema.json"))
 
     def test_schema_and_parser_agree_on_run_and_attention_fields(self):
-        self.assert_schema_matches(RunConfig, self.load("run_config.schema.json"))
+        self.assert_schema_matches(RunConfig, load_schema("run_config.schema.json"))
+
+    @pytest.mark.parametrize("kind", ["scene_config", "run_config"])
+    def test_every_field_keyword_is_enforced(self, kind):
+        """A keyword added to a schema later must be taught to the rule."""
+        for path, prop in field_properties(load_schema(f"{kind}.schema.json")):
+            for keywords in (prop.keys(), prop.get("items", {}).keys()):
+                assert keywords <= RULE_KEYWORDS | OTHER_KEYWORDS, (path, keywords - RULE_KEYWORDS)
+
+    @pytest.mark.parametrize("kind, path, value", oracle_cases())
+    def test_parser_rejects_exactly_what_the_schema_rejects(self, kind, path, value):
+        base, parse = ORACLE_BASES[kind]
+        doc = copy.deepcopy(base)
+        obj = doc
+        for step in path[:-1]:
+            obj = obj.setdefault(step, {})
+        obj[path[-1]] = value
+        schema_rejects = not jsonschema.Draft202012Validator(load_schema(f"{kind}.schema.json")).is_valid(doc)
+        try:
+            parse(doc)
+        except ConfigError:
+            assert schema_rejects, doc
+        else:
+            assert not schema_rejects, doc
