@@ -23,7 +23,7 @@ The encoder never materializes an L x L attention matrix. Each layer:
    Their backwards compute every input's gradient (see ``autodiff``).
 
 Score storage per layer is therefore N_b^2 + L*2B elements instead of
-L^2; ``ScoreCounter`` instruments exactly that quantity (counting
+L^2; ``ScoreCounter`` counts exactly that inside ``with counter:`` (counting
 query-key pairs once, independent of how many heads share them). The
 fused nodes run the same code with or without a graph. No pass makes
 the reordered keys or values whole: the window makes each chunk's
@@ -76,10 +76,18 @@ class AttentionConfig:
 
 @dataclass
 class ScoreCounter:
-    """Counts attention score elements (query-key pairs) actually computed."""
+    """Counts attention score elements (query-key pairs) computed inside ``with counter:``."""
 
     correlation_elements: int = 0
     window_elements: int = 0
+    _open = []  # open counters; only the innermost counts
+
+    def __enter__(self):
+        ScoreCounter._open.append(self)
+        return self
+
+    def __exit__(self, *exc):
+        ScoreCounter._open.pop()
 
     @property
     def total(self):
@@ -98,14 +106,14 @@ def bin_means(bins_q, bins_k):
     return bins_q.mean(axis=1), bins_k.mean(axis=1)
 
 
-def correlation_matrix(q_mean, k_mean, temperature=1.0, counter: ScoreCounter | None = None):
+def correlation_matrix(q_mean, k_mean, temperature=1.0):
     """Bin-to-bin correlation R[i, j] = <q_mean[i], k_mean[j]> / temperature."""
     q_mean, k_mean = as_tensor(q_mean), as_tensor(k_mean)
     if q_mean.shape[1] != k_mean.shape[1]:
         raise ValueError("query and key means disagree on embedding size")
     r = (q_mean @ k_mean.transpose((1, 0))) * (1.0 / temperature)
-    if counter is not None:
-        counter.correlation_elements += q_mean.shape[0] * k_mean.shape[0]
+    if ScoreCounter._open:
+        ScoreCounter._open[-1].correlation_elements += q_mean.shape[0] * k_mean.shape[0]
     return r
 
 
@@ -253,8 +261,7 @@ def _window_input(x, bounds):
     return (x.bins, x.s), dtype, made, adjoint
 
 
-def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfig,
-                       w_o, counter: ScoreCounter | None = None):
+def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfig, w_o):
     """Per-bin attention over the 2B-element window [local bin, matched bin].
 
     Multi-head scaled dot-product attention with scores Q K^T / sqrt(d)
@@ -343,8 +350,8 @@ def windowed_attention(b_q, b_k, b_v, sorted_k, sorted_v, config: AttentionConfi
             heads_t = p_loc_t @ v_loc[m]
             heads_t += p_match_t @ v_match[m]
             np.divide(heads_t, denom[lo:hi], out=heads[lo:hi])
-    if counter is not None:
-        counter.window_elements += n_b * b * 2 * b
+    if ScoreCounter._open:
+        ScoreCounter._open[-1].window_elements += n_b * b * 2 * b
 
     def backward(g):
         g_split = _split_heads(g, n_h)
@@ -588,40 +595,35 @@ def embed_volume(emb, weights: EncoderWeights, config: AttentionConfig):
     return partition_bins(seq + weights.pos_table, config.bin_size)
 
 
-def attention_sublayer(bins, weights: EncoderLayerWeights, config: AttentionConfig,
-                       mode="soft", counter: ScoreCounter | None = None):
+def attention_sublayer(bins, weights: EncoderLayerWeights, config: AttentionConfig, mode="soft"):
     q = bins @ weights.w_q
     k = bins @ weights.w_k
     v = bins @ weights.w_v
     q_mean, k_mean = bin_means(q, k)
-    r = correlation_matrix(q_mean, k_mean, config.temperature, counter)
+    r = correlation_matrix(q_mean, k_mean, config.temperature)
     s = sinkhorn_normalize(r, config.sinkhorn_iters)
-    heads = windowed_attention(q, k, v, MatchedBins(k, s, mode), MatchedBins(v, s, mode), config,
-                               w_o=None, counter=counter)
+    heads = windowed_attention(q, k, v, MatchedBins(k, s, mode), MatchedBins(v, s, mode), config, w_o=None)
     del q, k, v  # without a graph, w_o's product is made after they are freed
     return heads @ weights.w_o
 
 
-def encoder_layer_forward(bins, weights: EncoderLayerWeights, config: AttentionConfig,
-                          mode="soft", counter: ScoreCounter | None = None):
-    attn = attention_sublayer(bins, weights, config, mode, counter)
+def encoder_layer_forward(bins, weights: EncoderLayerWeights, config: AttentionConfig, mode="soft"):
+    attn = attention_sublayer(bins, weights, config, mode)
     x = layer_norm(bins, weights.ln1_gain, weights.ln1_bias, residual=attn)
     del attn  # freed before the feed-forward runs: no backward reads it
     return layer_norm(x, weights.ln2_gain, weights.ln2_bias, residual=feed_forward(x, weights))
 
 
-def encode_bins(bins, weights: EncoderWeights, config: AttentionConfig, dims,
-                mode="soft", counter: ScoreCounter | None = None):
+def encode_bins(bins, weights: EncoderWeights, config: AttentionConfig, dims, mode="soft"):
     """Branch (1) past its embedding: the encoder layers over `embed_volume`'s
     bins, then back to a (e, X, Y, Z) volume of spatial `dims`."""
     for layer in weights.layers:
-        bins = encoder_layer_forward(bins, layer, config, mode, counter)
+        bins = encoder_layer_forward(bins, layer, config, mode)
     return unflatten_volume(merge_bins(bins), dims)
 
 
-def encoder_forward(vol, weights: EncoderWeights, config: AttentionConfig,
-                    mode="soft", counter: ScoreCounter | None = None):
+def encoder_forward(vol, weights: EncoderWeights, config: AttentionConfig, mode="soft"):
     """Full branch-(1) pass: volume (j, X, Y, Z) -> features (e, X, Y, Z)."""
     vol = as_tensor(vol)
     bins = embed_volume(conv3d_forward(vol, weights.embed_conv), weights, config)
-    return encode_bins(bins, weights, config, vol.shape[1:], mode, counter)
+    return encode_bins(bins, weights, config, vol.shape[1:], mode)

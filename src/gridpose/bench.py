@@ -1,7 +1,7 @@
 """Sparse vs dense attention cost, the table behind `gridpose bench`.
 
 For each sequence length one hard-mode encoder layer runs on random
-float32 input and its score elements are counted; dense attention runs
+float32 input inside ``with no_grad(), counter:``; dense attention runs
 on the same input up to a memory guard. Wall times go to the CSV only.
 """
 
@@ -59,9 +59,9 @@ def bench_attention(lengths, bin_size=128, embed_dim=256, n_heads=2, seed=0):
 
         counter = ScoreCounter()
         bins = partition_bins(as_tensor(seq), bin_size)
-        with no_grad():
+        with no_grad(), counter:
             t0 = time.perf_counter()
-            encoder_layer_forward(bins, layer, cfg, mode="hard", counter=counter)
+            encoder_layer_forward(bins, layer, cfg, mode="hard")
             sparse_seconds = time.perf_counter() - t0
 
             dense_seconds = None

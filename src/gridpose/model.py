@@ -14,6 +14,7 @@ directly through the raw tensor dump format.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,7 @@ def model_forward(vol, weights: ModelWeights, attention: AttentionConfig,
     chain of `residual_forward` fed into `fuse_and_head`, bit for bit wherever
     `conv3d_stacked` rounds like the separate convs. The graph keeps only the
     values its backward passes read, and `Tensor.backward` drops it node by node.
+    Opens `counter` around the encoder; perfbench passes it by name.
     """
     vol = as_tensor(vol)
     encoder, blocks = weights.encoder, weights.residual_blocks
@@ -89,7 +91,8 @@ def model_forward(vol, weights: ModelWeights, attention: AttentionConfig,
     # emb and h view one array; without a graph, dropping both frees it
     # before the encoder, whose working set is the forward pass's peak
     del emb
-    x_t = encode_bins(bins, encoder, attention, vol.shape[1:], mode=mode, counter=counter)
+    with nullcontext() if counter is None else counter:
+        x_t = encode_bins(bins, encoder, attention, vol.shape[1:], mode=mode)
     for block in blocks[1:]:
         x_c = residual_forward(x_c, block)
     return fuse_and_head(x_t, x_c, weights.head)

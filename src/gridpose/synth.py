@@ -151,12 +151,16 @@ def camera_ring(n, radius, height, target, image_size, focal_px):
     for i in range(n):
         ang = 2.0 * np.pi * i / n
         pos = target + np.array([radius * np.cos(ang), radius * np.sin(ang), height])
-        z = target - pos
-        z /= np.linalg.norm(z)
-        x = np.cross(up, z)
-        x /= np.linalg.norm(x)
-        y = np.cross(z, x)
+        with np.errstate(all="ignore"):  # an axis whose norm under- or overflows is caught below
+            z = target - pos
+            z /= np.linalg.norm(z)
+            x = np.cross(up, z)
+            x /= np.linalg.norm(x)
+            y = np.cross(z, x)
         rot = np.stack([x, y, z])
+        if not np.all(np.isfinite(rot)):
+            raise ConfigError(f"camera_radius {radius} and camera_height {height} "
+                              "give a camera look-at axis that is not finite")
         cams.append(CameraCalib(
             fx=focal_px, fy=focal_px, cx=width / 2.0, cy=height_px / 2.0,
             rotation=rot, translation=-rot @ pos,

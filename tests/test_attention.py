@@ -50,6 +50,7 @@ from gridpose import (
 from gridpose import attention
 from gridpose.autodiff import no_grad
 from gridpose.conv import conv3d, conv3d_forward
+from gridpose.model import init_model, model_forward
 from conftest import assert_tiles_exact
 
 
@@ -338,9 +339,55 @@ class TestCorrelationMatrix:
 
     def test_counter_counts_bin_pairs(self):
         counter = ScoreCounter()
-        correlation_matrix(np.zeros((5, 3)), np.zeros((5, 3)), counter=counter)
+        with counter:
+            correlation_matrix(np.zeros((5, 3)), np.zeros((5, 3)))
         assert counter.correlation_elements == 25
         assert counter.window_elements == 0
+
+
+def count_bin_pairs(n_bins):
+    """Score an n_bins x n_bins correlation in whichever counter is open."""
+    correlation_matrix(np.zeros((n_bins, 3)), np.zeros((n_bins, 3)))
+
+
+class TestScoreCounterContext:
+    def test_nested_counter_counts_alone_and_outer_resumes(self):
+        outer, inner = ScoreCounter(), ScoreCounter()
+        with outer:
+            count_bin_pairs(2)
+            with inner:
+                count_bin_pairs(3)
+            count_bin_pairs(4)
+        assert (outer.correlation_elements, inner.correlation_elements) == (4 + 16, 9)
+
+    def test_counter_opened_twice_counts_once(self):
+        counter = ScoreCounter()
+        with counter, counter:
+            count_bin_pairs(5)
+        assert counter.correlation_elements == 25
+
+    def test_exception_leaves_no_counter_open(self):
+        counter = ScoreCounter()
+        with pytest.raises(RuntimeError), counter:
+            count_bin_pairs(2)
+            raise RuntimeError("inside the block")
+        count_bin_pairs(3)
+        assert counter.total == 4
+        assert ScoreCounter._open == []
+
+    def test_no_counter_open_counts_nothing(self):
+        rng = np.random.default_rng(31)
+        attention_cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=8, sinkhorn_iters=2)
+        weights = init_model(2, (4, 4, 4), attention_cfg, (3,), rng)
+        vol = rng.uniform(0, 1, size=(2, 4, 4, 4))
+        counter = ScoreCounter()
+        with counter:
+            count_bin_pairs(2)
+        model_forward(vol, weights, attention_cfg)
+        assert counter.total == 4 and ScoreCounter._open == []
+        model_forward(vol, weights, attention_cfg, counter=counter)
+        assert counter.total == 4 + 8 * 8 + 64 * 2 * 8  # N_b^2 + L*2B
+        assert ScoreCounter._open == []
 
 
 class TestSinkhorn:
@@ -528,7 +575,8 @@ class TestWindowedAttention:
         cfg = AttentionConfig(embed_dim=4, n_heads=2, bin_size=2)
         args = [rng.normal(size=(3, 2, 4)) for _ in range(5)]
         counter = ScoreCounter()
-        windowed_attention(*args, cfg, np.eye(4), counter=counter)
+        with counter:
+            windowed_attention(*args, cfg, np.eye(4))
         assert counter.window_elements == 3 * 2 * 4  # N_b * B * 2B, heads share
         assert counter.correlation_elements == 0
 
@@ -1186,8 +1234,8 @@ class TestEncoder:
         weights = init_encoder_weights(2, (4, 4, 4), cfg, rng)
         vol = rng.uniform(0, 1, size=(2, 4, 4, 4))
         counter = ScoreCounter()
-        with no_grad():
-            encoder_forward(vol, weights, cfg, mode="hard", counter=counter)
+        with no_grad(), counter:
+            encoder_forward(vol, weights, cfg, mode="hard")
         n_b, length = 8, 64
         assert counter.correlation_elements == 2 * n_b * n_b
         assert counter.window_elements == 2 * length * 2 * 8
@@ -1202,8 +1250,8 @@ class TestEncoder:
         weights = init_encoder_weights(1, (16, 16, 16), cfg, rng)
         vol = rng.uniform(0, 1, size=(1, 16, 16, 16))
         counter = ScoreCounter()
-        with no_grad():
-            encoder_forward(vol, weights, cfg, mode="hard", counter=counter)
+        with no_grad(), counter:
+            encoder_forward(vol, weights, cfg, mode="hard")
         assert counter.total == 64 ** 2 + 4096 * 128  # 528384
         assert counter.total < 4096 ** 2
 

@@ -648,6 +648,17 @@ class TestExitCodes:
             exit_code = exc.code
         assert exit_code == code
 
+    @pytest.mark.parametrize("key, value, names", [
+        ("heatmap_sigma", 1e-300, ["heatmap_sigma"]),
+        ("heatmap_sigma", 0.0999, ["heatmap_sigma"]),
+        ("camera_radius", 1e-300, ["camera_radius", "camera_height"]),
+        ("camera_radius", 1e300, ["camera_radius", "camera_height"]),
+    ])
+    def test_degenerate_scene_value_exits_2_naming_its_fields(self, workdir, tmp_path, capsys, key, value, names):
+        assert main(_synth_bad_config(workdir, tmp_path, **{key: value})) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names) and "Traceback" not in err
+
 
 # Every JSON object kind gridpose reads: (kind, its file in a copy of the
 # shared run, the path to the object in that file's document, a required

@@ -7,6 +7,7 @@ import pytest
 from gridpose import (
     JOINT_NAMES,
     CameraCalib,
+    ConfigError,
     Pose3D,
     SceneConfig,
     camera_ring,
@@ -90,6 +91,12 @@ class TestCameraRing:
             pos = -cam.rotation.T @ cam.translation
             assert np.linalg.norm(pos[:2] - target[:2]) == pytest.approx(4000.0, abs=1e-9)
             assert pos[2] == pytest.approx(target[2] + 800.0, abs=1e-9)
+
+    @pytest.mark.parametrize("radius, height", [(1e-300, 500.0), (1e300, 500.0), (3000.0, 1e300)])
+    def test_non_finite_axis_names_radius_and_height(self, radius, height):
+        # 1e-300: the horizontal axis underflows to 0; 1e300: the look-at norm overflows
+        with pytest.raises(ConfigError, match="camera_radius .* and camera_height .* not finite"):
+            camera_ring(2, radius, height, (0.0, 0.0, 0.0), (64, 64), 100.0)
 
     def test_target_projects_to_principal_point(self):
         target = (50.0, 75.0, 900.0)
